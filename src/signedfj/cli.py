@@ -3,7 +3,7 @@
 Every subcommand reads the same CSV formats, writes deterministic outputs
 (identical inputs and flags produce byte-identical files), and uses a
 fixed exit-code taxonomy: 0 success, 2 validation error, 3 non-convergence,
-4 I/O failure.
+4 I/O failure, 5 solver error.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
+EXIT_SOLVER = 5
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -493,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except (NumericalError, InternalInconsistencyError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_SOLVER
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphFormatError
 
@@ -518,29 +519,31 @@ def validate(graph: SignedDigraph, beta) -> ValidationReport:
     )
 
 
+def _canonical_components(
+    adjacency: sparse.spmatrix, connection: str
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """``connection="strong"`` or ``"weak"`` components in canonical order.
+
+    Components are numbered by their smallest member and list their
+    members ascending.  Returns ``(component id per node, components)``.
+    """
+    count, raw = connected_components(adjacency, directed=True, connection=connection)
+    _, first = np.unique(raw, return_index=True)
+    renumber = np.empty(count, dtype=np.int64)
+    renumber[np.argsort(first)] = np.arange(count)
+    ids = renumber[raw]
+    order = np.argsort(ids, kind="stable")
+    bounds = np.cumsum(np.bincount(ids, minlength=count))[:-1]
+    if not count:
+        return ids, ()
+    return ids, tuple(tuple(part.tolist()) for part in np.split(order, bounds))
+
+
 def weak_components(graph: SignedDigraph) -> list[list[int]]:
     """Connected components of the undirected version of the graph.
 
     Components are numbered by their smallest contained node index and
     each member list is ascending.
     """
-    a = graph.adjacency
-    sym = (a + a.T).tocsr()
-    indptr, indices = sym.indptr, sym.indices
-    seen = np.zeros(graph.n, dtype=bool)
-    components: list[list[int]] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(int(v))
-                    frontier.append(int(v))
-        components.append(sorted(comp))
-    return components
+    _, components = _canonical_components(graph.adjacency, "weak")
+    return [list(c) for c in components]

@@ -59,8 +59,6 @@ __all__ = [
 DENSE_BLOCK_CUTOFF = 64
 # Full-matrix eigenvalues are computed densely up to this size.
 DENSE_SPECTRUM_CUTOFF = 200
-# Direct stationary-vector fallback is attempted up to this block size.
-STATIONARY_DIRECT_CUTOFF = 200
 
 
 class Regime(str, Enum):
@@ -75,8 +73,10 @@ class SpectralReport:
     The regime is decided from the classification (semi-convergent iff
     some balanced sink has no stubborn member); the radius estimates are
     attached as a numerical cross-check, never as the decision rule.
-    ``approximate`` flags estimates from iterative methods that did not
-    fully settle.
+    Above ``DENSE_SPECTRUM_CUTOFF`` nodes the follower block is estimated
+    only in the convergent regime; otherwise a sink's radius of 1 is the
+    maximum.  ``approximate`` flags estimates from iterative methods that
+    did not fully settle.
     """
 
     regime: Regime
@@ -213,7 +213,8 @@ def _stationary_row_vector(
     """Stationary distribution of a primitive row-stochastic matrix.
 
     Power iteration from the uniform vector (deterministic); on
-    non-convergence falls back to a direct solve for small blocks.
+    non-convergence falls back to a sparse direct solve of
+    ``pi (M - I) = 0`` with the normalization replacing the last equation.
     """
     size = m.shape[0]
     if size == 1:
@@ -225,18 +226,17 @@ def _stationary_row_vector(
         if float(np.abs(nxt - pi).sum()) <= residual_target:
             return nxt
         pi = nxt
-    if size <= STATIONARY_DIRECT_CUTOFF:
-        dense = m.toarray() if sparse.issparse(m) else np.asarray(m)
-        a = dense.T - np.eye(size)
-        a[-1, :] = 1.0
-        b = np.zeros(size)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
-        return pi / pi.sum()
-    raise NumericalError(
-        f"stationary vector did not reach residual {residual_target:g} "
-        f"within {max_iters} iterations on a block of size {size}"
-    )
+    a = (sparse.csr_matrix(m).T - sparse.identity(size, format="csr")).tolil()
+    a[-1, :] = 1.0
+    b = np.zeros(size)
+    b[-1] = 1.0
+    try:
+        pi = splu(a.tocsc()).solve(b)
+    except RuntimeError as exc:
+        raise NumericalError(
+            f"stationary vector of a block of size {size} is not unique: {exc}"
+        ) from exc
+    return pi / pi.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,12 @@ def _block_radius(block) -> tuple[float, bool]:
         return float(np.max(np.abs(np.linalg.eigvals(dense)))), False
     try:
         vals = eigs(
-            sparse.csr_matrix(block), k=1, which="LM", return_eigenvectors=False, maxiter=5000
+            sparse.csr_matrix(block),
+            k=1,
+            which="LM",
+            return_eigenvectors=False,
+            maxiter=5000,
+            v0=np.full(size, 1.0 / np.sqrt(size)),
         )
         return float(np.max(np.abs(vals))), False
     except (ArpackNoConvergence, RuntimeError):
@@ -317,13 +322,18 @@ def spectral_check(
             r_abs, approx = _block_radius(abs(block))
             sink_radii_abs.append(r_abs)
             approximate |= approx
-        follower = system.follower_block()
-        r11, approx = _block_radius(follower)
-        approximate |= approx
-        r11_abs, approx = _block_radius(abs(follower))
-        approximate |= approx
-        radius = max([r11, *sink_radii], default=0.0)
-        radius_abs = max([r11_abs, *sink_radii_abs], default=0.0)
+        radius = max(sink_radii, default=0.0)
+        radius_abs = max(sink_radii_abs, default=0.0)
+        if regime is Regime.CONVERGENT:
+            # a free balanced sink has radius 1 and the follower block's
+            # radii are strictly below 1, so only here can they be the maximum
+            follower = system.follower_block()
+            r11, approx = _block_radius(follower)
+            approximate |= approx
+            r11_abs, approx = _block_radius(abs(follower))
+            approximate |= approx
+            radius = max(radius, r11)
+            radius_abs = max(radius_abs, r11_abs)
 
     return SpectralReport(
         regime=regime,

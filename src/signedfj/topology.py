@@ -9,13 +9,13 @@ can sustain a nonzero limit without stubbornness.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
-from .graph import SignedDigraph
+from .graph import SignedDigraph, _canonical_components
 
 __all__ = [
     "Role",
@@ -73,83 +73,25 @@ class CondensationDag:
 
 
 def strongly_connected_components(graph: SignedDigraph) -> SccPartition:
-    """Tarjan's algorithm, iterative to survive deep recursions on real data."""
-    n = graph.n
-    adj = graph.adjacency
-    indptr, indices = adj.indptr, adj.indices
-
-    order = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        # frames of (node, index of next out-edge to scan)
-        frames: list[list[int]] = [[root, indptr[root]]]
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while frames:
-            v, ptr = frames[-1]
-            if ptr < indptr[v + 1]:
-                frames[-1][1] += 1
-                u = int(indices[ptr])
-                if order[u] == -1:
-                    order[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack[u] = True
-                    frames.append([u, indptr[u]])
-                elif on_stack[u]:
-                    if order[u] < low[v]:
-                        low[v] = order[u]
-            else:
-                frames.pop()
-                if frames:
-                    parent = frames[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == order[v]:
-                    comp = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        comp.append(u)
-                        if u == v:
-                            break
-                    components.append(comp)
-
-    components.sort(key=min)
-    scc_id = np.empty(n, dtype=np.int64)
-    canon = []
-    for cid, comp in enumerate(components):
-        comp_sorted = tuple(sorted(comp))
-        canon.append(comp_sorted)
-        for i in comp_sorted:
-            scc_id[i] = cid
+    """Strongly connected components, numbered by smallest member."""
+    scc_id, components = _canonical_components(graph.adjacency, "strong")
     scc_id.setflags(write=False)
-    return SccPartition(scc_id=scc_id, components=tuple(canon))
+    return SccPartition(scc_id=scc_id, components=components)
 
 
 def condense(graph: SignedDigraph, sccs: SccPartition) -> CondensationDag:
     """Collapse each component to a node; a sink has no outgoing DAG edge."""
-    cid = sccs.scc_id
-    edges = {
-        (int(cid[s]), int(cid[t]))
-        for s, t in zip(graph.sources, graph.targets)
-        if cid[s] != cid[t]
-    }
-    has_out = np.zeros(len(sccs.components), dtype=bool)
-    for i, _ in edges:
-        has_out[i] = True
-    sinks = tuple(int(i) for i in np.flatnonzero(~has_out))
+    count = len(sccs.components)
+    src = sccs.scc_id[graph.sources]
+    tgt = sccs.scc_id[graph.targets]
+    cross = src != tgt
+    pairs = np.unique(src[cross] * count + tgt[cross])
+    has_out = np.zeros(count, dtype=bool)
+    has_out[src[cross]] = True
     return CondensationDag(
-        n_components=len(sccs.components), edges=frozenset(edges), sinks=sinks
+        n_components=count,
+        edges=frozenset(zip((pairs // count).tolist(), (pairs % count).tolist())),
+        sinks=tuple(np.flatnonzero(~has_out).tolist()),
     )
 
 
@@ -170,49 +112,31 @@ class BalanceResult:
 def balance_check(graph: SignedDigraph, nodes) -> BalanceResult:
     """Structural balance of the subgraph induced by ``nodes``.
 
-    Works on the undirected closure: a positive edge constrains its
-    endpoints to equal labels, a negative edge to opposite labels, in
-    either direction.  An antiparallel pair with opposite signs is
-    therefore a conflict, and a negative self-loop can never be satisfied.
-    Positive self-loops impose nothing and are ignored.
+    Works on the undirected signed double cover: node ``i`` has copies
+    ``i+`` and ``i-``; a positive edge joins like copies, a negative edge
+    unlike ones, in either direction.  The subgraph is balanced iff no
+    node's two copies are connected, and a node is labeled +1 iff its
+    ``i+`` copy lies with the ``+`` copy of the smallest node of its
+    connected piece.  An antiparallel pair with opposite signs is
+    therefore a conflict, a negative self-loop can never be satisfied, and
+    positive self-loops impose nothing.
     """
     nodes = tuple(sorted({int(i) for i in nodes}))
-    pos = {v: k for k, v in enumerate(nodes)}
-    member = np.zeros(graph.n, dtype=bool)
-    member[list(nodes)] = True
-
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    conflict = False
-    for s, t, w in graph.edge_triples():
-        if not (member[s] and member[t]):
-            continue
-        if s == t:
-            if w < 0:
-                conflict = True
-            continue
-        sign = 1 if w > 0 else -1
-        adjacency[pos[s]].append((pos[t], sign))
-        adjacency[pos[t]].append((pos[s], sign))
-
-    labels = np.zeros(len(nodes), dtype=np.int64)
-    balanced = not conflict
-    for seed in range(len(nodes)):
-        if labels[seed] != 0:
-            continue
-        labels[seed] = 1
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            for v, sign in adjacency[u]:
-                want = labels[u] * sign
-                if labels[v] == 0:
-                    labels[v] = want
-                    queue.append(v)
-                elif labels[v] != want:
-                    balanced = False
-
-    if not balanced:
+    k = len(nodes)
+    index = list(nodes)
+    sub = graph.adjacency[index][:, index].tocoo()
+    # copy i+ is cover node i, copy i- is cover node i + k
+    shift = np.where(sub.data > 0, 0, k)
+    rows = np.concatenate((sub.row, sub.row + k))
+    cols = np.concatenate((sub.col + shift, sub.col + k - shift))
+    cover = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * k, 2 * k))
+    cover_id, _ = _canonical_components(cover, "weak")
+    plus, minus = cover_id[:k], cover_id[k:]
+    if np.any(plus == minus):
         return BalanceResult(balanced=False, labels=None, nodes=nodes)
+    # the smallest node's + copy is the smallest member of its cover
+    # component, so that component has the lower canonical id
+    labels = np.where(plus < minus, 1, -1).astype(np.int64)
     labels.setflags(write=False)
     return BalanceResult(balanced=True, labels=labels, nodes=nodes)
 
@@ -266,8 +190,14 @@ def classify_agents(
     """
     beta = np.asarray(beta, dtype=np.float64)
     sink_of = np.full(graph.n, -1, dtype=np.int64)
-    sinks: list[SinkInfo] = []
+    for k, cid in enumerate(dag.sinks):
+        sink_of[list(sccs.components[cid])] = k
+    src_sink = sink_of[graph.sources]
+    internal = (src_sink >= 0) & (src_sink == sink_of[graph.targets])
+    has_negative = np.zeros(len(dag.sinks), dtype=bool)
+    has_negative[src_sink[internal & (graph.weights < 0)]] = True
 
+    sinks: list[SinkInfo] = []
     for k, cid in enumerate(dag.sinks):
         members = sccs.components[cid]
         stubborn = bool(np.any(beta[list(members)] > 0))
@@ -280,12 +210,8 @@ def classify_agents(
                 sink_class = SinkClass.SUB
                 bipartition = None
             else:
-                member_mask = np.zeros(graph.n, dtype=bool)
-                member_mask[list(members)] = True
-                internal = member_mask[graph.sources] & member_mask[graph.targets]
-                has_negative = bool(np.any(graph.weights[internal] < 0))
                 sink_class = (
-                    SinkClass.ANTAGONISTIC_SB if has_negative else SinkClass.COOPERATIVE_SB
+                    SinkClass.ANTAGONISTIC_SB if has_negative[k] else SinkClass.COOPERATIVE_SB
                 )
                 bipartition = tuple(int(x) for x in result.labels)
         sinks.append(
@@ -299,8 +225,6 @@ def classify_agents(
                 in_s_ns=sink_class.is_balanced and not stubborn,
             )
         )
-        for i in members:
-            sink_of[i] = k
 
     roles = tuple(
         Role.OPINION_LEADER if sink_of[i] >= 0 else Role.FOLLOWER for i in range(graph.n)

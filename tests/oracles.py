@@ -1,8 +1,8 @@
 """Independent oracles used to freeze or cross-check expected values.
 
 Each oracle deliberately takes a different route than the implementation
-it checks: union-find vs BFS for weak components, exhaustive bipartition
-enumeration vs constraint propagation for balance, and plain iteration of
+it checks: union-find vs scipy for weak components, exhaustive bipartition
+enumeration vs the signed double cover for balance, and plain iteration of
 the update rule vs the closed-form solver for limits.
 """
 

@@ -72,6 +72,18 @@ class TestAnalyze:
         code = run(["analyze", "--graph", tmp_path / "absent.csv", "--out-dir", out_dir])
         assert code == 4
 
+    def test_solver_error_exits_5(self, tmp_path, out_dir, monkeypatch, capsys):
+        from signedfj import NumericalError
+
+        def fail(*_args, **_kwargs):
+            raise NumericalError("no stationary vector")
+
+        monkeypatch.setattr("signedfj.cli.analyze_network", fail)
+        graph = write(tmp_path / "g.csv", ANTAGONISTIC)
+        code = run(["analyze", "--graph", graph, "--out-dir", out_dir])
+        assert code == 5
+        assert "solver error" in capsys.readouterr().err
+
     def test_bad_numeric_option_exits_2(self, tmp_path, out_dir, capsys):
         graph = write(tmp_path / "g.csv", STUBBORN_PAIR)
         code = run(["simulate", "--graph", graph, "--out-dir", out_dir, "--tol", "-1"])

@@ -390,16 +390,72 @@ class TestNumericsInternals:
         assert np.allclose(forced_direct @ m, forced_direct, atol=1e-12)
         assert abs(forced_direct.sum() - 1.0) <= 1e-12
 
-    def test_stationary_gives_up_loudly_on_large_blocks(self):
-        from signedfj import NumericalError
+    def test_stationary_direct_fallback_solves_large_blocks(self):
         from signedfj.solve import _stationary_row_vector
 
-        size = 250  # beyond the direct-solve fallback bound
+        size = 250
         rng = np.random.default_rng(1)
         m = rng.uniform(0.1, 1.0, (size, size))  # non-uniform stationary vector
         m = m / m.sum(axis=1, keepdims=True)
+        pi = _stationary_row_vector(m, max_iters=1)
+        assert np.max(np.abs(pi @ m - pi)) <= 1e-12
+        assert abs(pi.sum() - 1.0) <= 1e-12
+
+    def test_stationary_direct_fallback_on_slowly_mixing_path(self):
+        from scipy import sparse
+
+        from signedfj import (
+            build_update_system,
+            canonical_ordering,
+            classify_agents,
+            condense,
+            strongly_connected_components,
+        )
+        from signedfj.solve import _stationary_row_vector
+
+        n = 600
+        rng = np.random.default_rng(3)
+        signs = rng.choice([-1.0, 1.0], n - 1)
+        edges = [(i, i, 1.0) for i in range(n)]
+        edges += [(i, i + 1, signs[i]) for i in range(n - 1)]
+        edges += [(i + 1, i, signs[i]) for i in range(n - 1)]
+        g = SignedDigraph.from_edges([f"p{i}" for i in range(n)], edges)
+        beta = np.zeros(n)
+        sccs = strongly_connected_components(g)
+        cls = classify_agents(g, sccs, condense(g, sccs), beta)
+        system = build_update_system(g, beta, canonical_ordering(cls))
+        gauge = sparse.diags(np.asarray(cls.sinks[0].bipartition, dtype=np.float64))
+        gauged = sparse.csr_matrix(gauge @ system.sink_block(0) @ gauge)
+        assert gauged.data.min() > 0
+        pi = _stationary_row_vector(gauged, max_iters=50)
+        assert np.max(np.abs(pi @ gauged - pi)) <= 1e-12
+
+    def test_stationary_gives_up_loudly_without_unique_solution(self):
+        from signedfj import NumericalError
+        from signedfj.solve import _stationary_row_vector
+
+        # two closed classes: every mixture of their stationary vectors is stationary
+        m = np.array([[1.0, 0.0, 0.0], [0.0, 0.75, 0.25], [0.0, 0.5, 0.5]])
         with pytest.raises(NumericalError, match="stationary"):
             _stationary_row_vector(m, max_iters=1)
+
+    def test_large_block_radius_is_reproducible(self):
+        followers, sinks = 600, 4
+        rng = np.random.default_rng(11)
+        edges = {(i, i): 1.0 for i in range(followers + sinks)}
+        for i in range(followers):
+            for j in rng.choice(np.delete(np.arange(followers), i), 3, replace=False):
+                edges[(i, int(j))] = float(rng.choice([-1.0, 1.0]) * rng.integers(1, 10))
+        for i in rng.choice(followers, 20, replace=False):
+            edges[(int(i), followers + int(rng.integers(sinks)))] = 1.0
+        g = SignedDigraph.from_edges(
+            [f"v{i}" for i in range(followers + sinks)],
+            [(s, t, w) for (s, t), w in edges.items()],
+        )
+        beta = np.concatenate([np.full(followers, 0.01), np.full(sinks, 0.5)])
+        radii = {analyze_network(g, beta).spectral.spectral_radius for _ in range(3)}
+        assert len(radii) == 1
+        assert radii.pop() < 1.0
 
     def test_singular_block_raises_internal_inconsistency(self):
         from scipy import sparse

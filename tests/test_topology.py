@@ -128,6 +128,17 @@ class TestBalance:
         g = SignedDigraph.from_edges(["a", "b"], [(0, 0, -1), (0, 1, 1)])
         assert not balance_check(g, [0, 1]).balanced
 
+    def test_each_piece_labels_its_smallest_node_plus(self):
+        # pieces {1, 4} and {2, 5}; the path 4 -> 3 -> 2 leaves the node set
+        g = SignedDigraph.from_edges(
+            [f"n{i}" for i in range(6)],
+            [(1, 4, -1), (4, 1, -1), (5, 2, -1), (4, 3, 1), (3, 2, 1), (0, 1, -1)],
+        )
+        result = balance_check(g, [5, 4, 2, 1])
+        assert result.balanced
+        assert result.nodes == (1, 2, 4, 5)
+        assert result.labels.tolist() == [1, 1, -1, -1]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -218,6 +229,57 @@ class TestClassification:
         assert cls.s_ns == {0, 1, 2, 4}
         follower_labels = {g.labels[i] for i in range(g.n) if cls.roles[i] is Role.FOLLOWER}
         assert follower_labels == {"1", "2", "3", "4"}
+
+    def test_many_sinks_match_brute_force(self):
+        rng = np.random.default_rng(77)
+        kinds = [SinkClass.COOPERATIVE_SB, SinkClass.ANTAGONISTIC_SB, SinkClass.SUB] * 10
+        edges, sink_members, expected = [], [], []
+        node = 0
+        for kind in kinds:
+            size = int(rng.integers(2, 6))
+            members = list(range(node, node + size))
+            node += size
+            side = np.tile([1.0, -1.0], size)[:size]
+            if kind is SinkClass.COOPERATIVE_SB:
+                side = np.ones(size)
+            ring = [(a, (a + 1) % size) for a in range(size)]
+            chords = [(int(a), int(b)) for a, b in rng.integers(0, size, (size, 2)) if a != b]
+            links = list(dict.fromkeys(ring + chords))
+            for a, b in links:
+                edges.append((members[a], members[b], side[a] * side[b] * rng.integers(1, 4)))
+            if kind is SinkClass.SUB:
+                # flipping a ring edge makes the ring a negative cycle
+                s0, t0, w0 = edges[-len(links)]
+                edges[-len(links)] = (s0, t0, -w0)
+            edges += [(i, i, 1.0) for i in members]
+            sink_members.append(members)
+            expected.append(kind)
+        followers = range(node, node + 40)
+        for f in followers:
+            target = sink_members[int(rng.integers(len(sink_members)))]
+            edges.append((f, int(rng.choice(target)), float(rng.choice([-1.0, 1.0]))))
+            other = int(rng.integers(node, node + 40))
+            edges.append((f, other, float(rng.choice([-2.0, 2.0]))))
+        n = node + 40
+        perm = rng.permutation(n)
+        g = SignedDigraph.from_edges(
+            [f"v{i}" for i in range(n)],
+            [(int(perm[s]), int(perm[t]), float(w)) for s, t, w in edges],
+        )
+        _, _, cls = analyze(g)
+        multi = [sink for sink in cls.sinks if len(sink.members) > 1]
+        assert len(multi) == len(kinds)
+        by_members = {
+            tuple(sorted(int(perm[i]) for i in m)): kind for m, kind in zip(sink_members, expected)
+        }
+        for sink in multi:
+            balanced, sigma = brute_force_balanced(g, sink.members)
+            assert sink.sink_class is by_members[sink.members]
+            assert sink.sink_class.is_balanced == balanced
+            if balanced:
+                assert sink.bipartition == tuple(int(x) for x in sigma)
+            else:
+                assert sink.bipartition is None
 
     @pytest.mark.parametrize("seed", range(15))
     def test_role_iff_path_leaves_component(self, seed):
