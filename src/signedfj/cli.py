@@ -374,8 +374,8 @@ def cmd_centrality(config: RunConfig) -> int:
     if report is None:
         return EXIT_VALIDATION
 
-    analysis = analyze_network(report.graph, report.beta)
-    result = analysis.influence
+    # drop the analysis, and with it the follower factorization, before the exports
+    result = analyze_network(report.graph, report.beta).influence
     labels = report.graph.labels
     _write(config.out_dir, "centrality.csv",
            centrality_csv(result.centrality, result.ranking, labels))

@@ -57,8 +57,9 @@ __all__ = [
 
 # Blocks below this size are solved densely; larger ones go through sparse LU.
 DENSE_BLOCK_CUTOFF = 64
-# Full-matrix eigenvalues are computed densely up to this size.
-DENSE_SPECTRUM_CUTOFF = 200
+# Up to this many nodes the influence matrix is cross-checked against the
+# direct resolvent of the whole update matrix.
+DIRECT_CHECK_CUTOFF = 200
 
 
 class Regime(str, Enum):
@@ -73,10 +74,11 @@ class SpectralReport:
     The regime is decided from the classification (semi-convergent iff
     some balanced sink has no stubborn member); the radius estimates are
     attached as a numerical cross-check, never as the decision rule.
-    Above ``DENSE_SPECTRUM_CUTOFF`` nodes the follower block is estimated
-    only in the convergent regime; otherwise a sink's radius of 1 is the
-    maximum.  ``approximate`` flags estimates from iterative methods that
-    did not fully settle.
+    The update matrix is block triangular, so its radii are the maxima of
+    the block radii, computed block by block at every size.  The follower
+    block's radii are computed only in the convergent regime; otherwise a
+    sink's radius of 1 is the maximum.  ``approximate`` flags estimates
+    from iterative methods that did not fully settle.
     """
 
     regime: Regime
@@ -122,28 +124,17 @@ class SinkSolution:
             return self.right_vec * float(self.left_vec @ x_block)
         return np.asarray(self.operator @ x_block).ravel()
 
-    def column(self, local_index: int) -> np.ndarray:
+    def _limit_block(self) -> np.ndarray | sparse.spmatrix:
+        """The limit operator, without densifying zero or sparse blocks."""
         if self.kind is SolutionKind.ZERO:
-            return np.zeros(self.size)
-        if self.kind is SolutionKind.EIGENPAIR:
-            return self.right_vec * float(self.left_vec[local_index])
-        col = self.operator[:, local_index]
-        return col.toarray().ravel() if sparse.issparse(col) else np.asarray(col).ravel()
-
-    def influential_locals(self, beta_block: np.ndarray) -> list[int]:
-        """Local indices of members whose initial opinion reaches the limit."""
-        if self.kind is SolutionKind.ZERO:
-            return []
-        if self.kind is SolutionKind.EIGENPAIR:
-            return list(range(self.size))
-        return [int(j) for j in np.flatnonzero(beta_block > 0)]
-
-    def limit_matrix(self) -> np.ndarray:
-        if self.kind is SolutionKind.ZERO:
-            return np.zeros((self.size, self.size))
+            return sparse.csr_matrix((self.size, self.size))
         if self.kind is SolutionKind.EIGENPAIR:
             return np.outer(self.right_vec, self.left_vec)
-        return self.operator.toarray() if sparse.issparse(self.operator) else np.asarray(self.operator)
+        return self.operator
+
+    def limit_matrix(self) -> np.ndarray:
+        block = self._limit_block()
+        return block.toarray() if sparse.issparse(block) else np.asarray(block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +260,7 @@ def _block_radius(block) -> tuple[float, bool]:
     size = block.shape[0]
     if size == 0:
         return 0.0, False
-    if size <= max(DENSE_SPECTRUM_CUTOFF, DENSE_BLOCK_CUTOFF * 8):
+    if size <= DENSE_BLOCK_CUTOFF * 8:
         dense = block.toarray() if sparse.issparse(block) else np.asarray(block)
         return float(np.max(np.abs(np.linalg.eigvals(dense)))), False
     try:
@@ -298,42 +289,29 @@ def spectral_check(
     update matrix vanish.
     """
     regime = Regime.SEMI_CONVERGENT if classification.s_ns else Regime.CONVERGENT
-    p = system.update_matrix
-    n = system.n
     approximate = False
-
-    if n <= DENSE_SPECTRUM_CUTOFF:
-        dense = p.toarray()
-        radius = float(np.max(np.abs(np.linalg.eigvals(dense)))) if n else 0.0
-        radius_abs = float(np.max(np.abs(np.linalg.eigvals(np.abs(dense))))) if n else 0.0
-        sink_radii = []
-        for k in range(len(classification.sinks)):
-            sl = system.ordering.sink_slice(k)
-            block = dense[sl, sl]
-            sink_radii.append(float(np.max(np.abs(np.linalg.eigvals(block)))))
-    else:
-        sink_radii = []
-        sink_radii_abs = []
-        for k in range(len(classification.sinks)):
-            block = system.sink_block(k)
-            r, approx = _block_radius(block)
-            sink_radii.append(r)
-            approximate |= approx
-            r_abs, approx = _block_radius(abs(block))
-            sink_radii_abs.append(r_abs)
-            approximate |= approx
-        radius = max(sink_radii, default=0.0)
-        radius_abs = max(sink_radii_abs, default=0.0)
-        if regime is Regime.CONVERGENT:
-            # a free balanced sink has radius 1 and the follower block's
-            # radii are strictly below 1, so only here can they be the maximum
-            follower = system.follower_block()
-            r11, approx = _block_radius(follower)
-            approximate |= approx
-            r11_abs, approx = _block_radius(abs(follower))
-            approximate |= approx
-            radius = max(radius, r11)
-            radius_abs = max(radius_abs, r11_abs)
+    sink_radii = []
+    sink_radii_abs = []
+    for k in range(len(classification.sinks)):
+        block = system.sink_block(k)
+        r, approx = _block_radius(block)
+        sink_radii.append(r)
+        approximate |= approx
+        r_abs, approx = _block_radius(abs(block))
+        sink_radii_abs.append(r_abs)
+        approximate |= approx
+    radius = max(sink_radii, default=0.0)
+    radius_abs = max(sink_radii_abs, default=0.0)
+    if regime is Regime.CONVERGENT:
+        # a free balanced sink has radius 1 and the follower block's
+        # radii are strictly below 1, so only here can they be the maximum
+        follower = system.follower_block()
+        r11, approx = _block_radius(follower)
+        approximate |= approx
+        r11_abs, approx = _block_radius(abs(follower))
+        approximate |= approx
+        radius = max(radius, r11)
+        radius_abs = max(radius_abs, r11_abs)
 
     return SpectralReport(
         regime=regime,
@@ -371,8 +349,11 @@ def solve_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
             w = np.ones(1)
         else:
             sigma = np.asarray(sink.bipartition, dtype=np.float64)
-            gauge = sparse.diags(sigma)
-            gauged = sparse.csr_matrix(gauge @ block @ gauge)
+            # diag(sigma) @ block @ diag(sigma), entry by entry; products of
+            # signs are exact
+            gauged = block.copy()
+            rows = np.repeat(np.arange(size), np.diff(block.indptr))
+            gauged.data = block.data * sigma[rows] * sigma[block.indices]
             if size < DENSE_BLOCK_CUTOFF:
                 gauged = gauged.toarray()
                 lo = float(gauged.min())
@@ -488,79 +469,77 @@ def influence_matrix(
     system: UpdateSystem,
     classification: AgentClassification,
     sink_solutions: tuple[SinkSolution, ...],
+    *,
+    _solver: _ResolventSolver | None = None,
 ) -> sparse.csr_matrix:
     """Assemble the linear map from initial to final opinions.
 
-    Only influential columns are ever materialized: stubborn followers,
-    stubborn sink members, and every member of a balanced stubborn-free
-    sink.  All other columns are structurally zero.  When no balanced
-    stubborn-free sink exists and the graph is small, the assembly is
-    cross-checked against the direct resolvent of the whole matrix.
+    In canonical order the map is block triangular.  Its sink rows are the
+    block diagonal ``Theta_L`` of the sinks' limit operators, and its
+    follower rows are one solve against the follower block:
+
+        Theta_F = (I - P_FF)^{-1} [diag(beta_F) | P_FL Theta_L]
+
+    Only the nonzero right-hand-side columns are solved: stubborn
+    followers, stubborn sink members, and every member of a balanced
+    stubborn-free sink.  All other columns are structurally zero.  When no
+    balanced stubborn-free sink exists and the graph is small, the
+    assembly is cross-checked against the direct resolvent of the whole
+    matrix.
     """
     ordering = system.ordering
     n = ordering.n
     m = ordering.follower_count
-    beta_c = system.stubbornness_canonical
-    solver = _follower_solver(system)
+    theta_l = sparse.block_diag(
+        [solution._limit_block() for solution in sink_solutions], format="csr"
+    )
+    theta_l.eliminate_zeros()
+    sink_rows = theta_l.tocoo()
+    rows = [sink_rows.row + m]
+    cols = [sink_rows.col + m]
+    data = [sink_rows.data]
+    if m:
+        solver = _solver if _solver is not None else _follower_solver(system)
+        rhs = sparse.hstack(
+            [
+                sparse.diags(system.stubbornness_canonical[:m]),
+                system.update_matrix[:m, m:] @ theta_l,
+            ],
+            format="csc",
+        )
+        rhs.eliminate_zeros()
+        for c in np.flatnonzero(np.diff(rhs.indptr)):
+            entries = slice(rhs.indptr[c], rhs.indptr[c + 1])
+            b = np.zeros(m)
+            b[rhs.indices[entries]] = rhs.data[entries]
+            x = solver.solve(b)
+            nz = np.flatnonzero(x)
+            rows.append(nz)
+            cols.append(np.full(nz.size, c))
+            data.append(x[nz])
 
-    columns: dict[int, np.ndarray] = {}
-    for p in range(m):
-        if beta_c[p] > 0:
-            rhs = np.zeros(m)
-            rhs[p] = beta_c[p]
-            col = np.zeros(n)
-            col[:m] = solver.solve(rhs)
-            columns[p] = col
-
-    for solution in sink_solutions:
-        sl = ordering.sink_slice(solution.sink_index)
-        beta_block = system.stubbornness[list(solution.members)]
-        locals_ = solution.influential_locals(beta_block)
-        if not locals_:
-            continue
-        coupling = system.coupling_block(solution.sink_index) if m else None
-        for j in locals_:
-            block_col = solution.column(j)
-            col = np.zeros(n)
-            col[sl] = block_col
-            if m:
-                col[:m] = solver.solve(coupling @ block_col)
-            columns[sl.start + j] = col
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
     perm = ordering.permutation
-    for c, col in columns.items():
-        nz = np.flatnonzero(col)
-        rows.append(perm[nz])
-        cols.append(np.full(nz.size, perm[c], dtype=np.int64))
-        data.append(col[nz])
-    if rows:
-        theta = sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
-    else:
-        theta = sparse.csr_matrix((n, n))
+    theta = sparse.coo_matrix(
+        (np.concatenate(data), (perm[np.concatenate(rows)], perm[np.concatenate(cols)])),
+        shape=(n, n),
+    ).tocsr()
     theta.sort_indices()
 
-    if not classification.s_ns and n <= DENSE_SPECTRUM_CUTOFF:
-        _check_against_direct_resolvent(system, columns)
+    if not classification.s_ns and n <= DIRECT_CHECK_CUTOFF:
+        _check_against_direct_resolvent(system, theta)
 
     return theta
 
 
 def _check_against_direct_resolvent(
-    system: UpdateSystem, columns: dict[int, np.ndarray]
+    system: UpdateSystem, theta: sparse.csr_matrix
 ) -> None:
     """Cross-check the blockwise assembly against ``(I - P)^{-1} beta``."""
     n = system.n
     dense = np.eye(n) - system.update_matrix.toarray()
     expected = np.linalg.solve(dense, np.diag(system.stubbornness_canonical))
-    assembled = np.zeros((n, n))
-    for c, col in columns.items():
-        assembled[:, c] = col
+    perm = system.ordering.permutation
+    assembled = theta.toarray()[np.ix_(perm, perm)]
     err = float(np.max(np.abs(assembled - expected)))
     if err > 1e-9:
         raise InternalInconsistencyError(
@@ -602,8 +581,15 @@ class NetworkAnalysis:
         )
 
     @cached_property
+    def _solver(self) -> _ResolventSolver | None:
+        """The follower block's factorization, shared by every solve."""
+        return _follower_solver(self.system)
+
+    @cached_property
     def influence(self) -> InfluenceResult:
-        theta = influence_matrix(self.system, self.classification, self.sink_solutions)
+        theta = influence_matrix(
+            self.system, self.classification, self.sink_solutions, _solver=self._solver
+        )
         centrality, ranking = absolute_centrality(theta)
         return InfluenceResult(matrix=theta, centrality=centrality, ranking=ranking)
 
@@ -621,7 +607,9 @@ class NetworkAnalysis:
             x_canonical[sl] = solution.apply(x0[list(solution.members)])
         m = ordering.follower_count
         if m:
-            x_canonical[:m] = solve_followers(self.system, self.sink_solutions, x0)
+            x_canonical[:m] = solve_followers(
+                self.system, self.sink_solutions, x0, _solver=self._solver
+            )
         x = np.empty(self.graph.n)
         x[ordering.permutation] = x_canonical
         return x

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -284,11 +285,14 @@ class TestDeterminism:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         graph = write(tmp_path / "g.csv", CHAIN)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "signedfj", "analyze", "--graph", graph,
              "--out-dir", str(tmp_path / "out")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert (tmp_path / "out" / "report.json").exists()

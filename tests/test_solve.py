@@ -316,6 +316,74 @@ class TestLargeGraphSpectralPath:
         assert analysis.spectral.spectral_radius <= analysis.spectral.spectral_radius_abs + 1e-9
 
 
+def _leaky_ring(followers: int, *, sink_beta: float) -> tuple[SignedDigraph, np.ndarray]:
+    """A follower ring with one negative edge and a slow leak into a singleton sink."""
+    edges = [(f"f{i}", f"f{i}", 1.0) for i in range(followers)]
+    edges += [(f"f{i}", f"f{(i + 1) % followers}", -1.0 if i == 0 else 1.0)
+              for i in range(followers)]
+    edges += [("f0", "z", 0.01), ("z", "z", 1.0)]
+    labels = [f"f{i}" for i in range(followers)] + ["z"]
+    beta = np.zeros(followers + 1)
+    beta[-1] = sink_beta
+    return SignedDigraph.from_edges(labels, edges), beta
+
+
+class TestSpectralOracle:
+    """Blockwise radii against the eigenvalues of the whole update matrix."""
+
+    @staticmethod
+    def assert_matches_whole_matrix(analysis):
+        dense = analysis.system.update_matrix.toarray()
+        radius = np.max(np.abs(np.linalg.eigvals(dense)))
+        radius_abs = np.max(np.abs(np.linalg.eigvals(np.abs(dense))))
+        assert abs(analysis.spectral.spectral_radius - radius) <= 1e-12
+        assert abs(analysis.spectral.spectral_radius_abs - radius_abs) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances(self, seed):
+        graph, beta, _ = random_instance(8200 + seed, n_max=60)
+        report = validate(graph, beta)
+        self.assert_matches_whole_matrix(analyze_network(report.graph, report.beta))
+
+    def test_random_seeds_cover_both_regimes(self):
+        regimes = set()
+        for seed in range(40):
+            graph, beta, _ = random_instance(8200 + seed, n_max=60)
+            report = validate(graph, beta)
+            regimes.add(analyze_network(report.graph, report.beta).spectral.regime)
+        assert regimes == {Regime.CONVERGENT, Regime.SEMI_CONVERGENT}
+
+    def test_follower_block_is_the_maximum(self):
+        graph, beta = _leaky_ring(12, sink_beta=0.5)
+        analysis = analyze_network(graph, beta)
+        assert analysis.spectral.regime is Regime.CONVERGENT
+        assert analysis.spectral.sink_spectral_radii == (0.5,)
+        assert analysis.spectral.spectral_radius > 0.9
+        self.assert_matches_whole_matrix(analysis)
+
+
+class TestFollowerFactorization:
+    def test_follower_block_is_factored_once_per_analysis(self, monkeypatch):
+        import signedfj.solve
+
+        followers = 80  # past the dense cutoff, so the sparse LU runs
+        graph, beta = _leaky_ring(followers, sink_beta=0.0)
+        analysis = analyze_network(graph, beta)
+        assert analysis.spectral.regime is Regime.SEMI_CONVERGENT
+        shapes = []
+        real_splu = signedfj.solve.splu
+
+        def counting_splu(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(signedfj.solve, "splu", counting_splu)
+        x = analysis.steady_state(np.linspace(-1.0, 1.0, followers + 1))
+        theta = analysis.influence.matrix
+        assert shapes.count((followers, followers)) == 1
+        assert np.allclose(theta @ np.linspace(-1.0, 1.0, followers + 1), x, atol=1e-12)
+
+
 class TestLargeBlockSolves:
     """Blocks past the dense cutoff take the sparse LU / sparse gauge routes."""
 
