@@ -251,7 +251,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _validated(config: RunConfig, graph: SignedDigraph, beta) -> ValidationReport | None:
+def _validated(graph: SignedDigraph, beta) -> ValidationReport | None:
     report = validate(graph, beta)
     _print_issues(report.warnings, kind="warning")
     if not report.ok:
@@ -267,11 +267,9 @@ def _validated(config: RunConfig, graph: SignedDigraph, beta) -> ValidationRepor
 def cmd_analyze(config: RunConfig) -> int:
     graph = _load_graph(config)
     beta, x0, input_warnings = _load_profiles(config, graph)
-    report = validate(graph, beta)
     _print_issues(input_warnings, kind="warning")
-    _print_issues(report.warnings, kind="warning")
-    if not report.ok:
-        _print_issues(report.errors, kind="error")
+    report = _validated(graph, beta)
+    if report is None:
         return EXIT_VALIDATION
 
     analysis = analyze_network(report.graph, report.beta)
@@ -334,7 +332,7 @@ def cmd_simulate(config: RunConfig) -> int:
     graph = _load_graph(config)
     beta, x0, input_warnings = _load_profiles(config, graph)
     _print_issues(input_warnings, kind="warning")
-    report = _validated(config, graph, beta)
+    report = _validated(graph, beta)
     if report is None:
         return EXIT_VALIDATION
 
@@ -370,7 +368,7 @@ def cmd_centrality(config: RunConfig) -> int:
     graph = _load_graph(config)
     beta, _, input_warnings = _load_profiles(config, graph)
     _print_issues(input_warnings, kind="warning")
-    report = _validated(config, graph, beta)
+    report = _validated(graph, beta)
     if report is None:
         return EXIT_VALIDATION
 

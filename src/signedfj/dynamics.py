@@ -28,7 +28,6 @@ __all__ = [
     "Trajectory",
     "row_normalized",
     "build_update_system",
-    "step",
     "simulate",
     "trajectory_long_csv",
     "trajectory_wide_csv",
@@ -51,16 +50,15 @@ def row_normalized(graph: SignedDigraph) -> sparse.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class UpdateSystem:
-    """The normalized matrix, stubbornness vector, and combined update matrix.
+    """The stubbornness vector and the combined update matrix.
 
-    ``normalized_adjacency`` and ``stubbornness`` are in original node
-    order; ``update_matrix`` is ``diag(1 - beta) @ Q`` permuted to the
+    ``stubbornness`` is in original node order; ``update_matrix`` is
+    ``diag(1 - beta) @ Q`` (``Q`` from :func:`row_normalized`) permuted to the
     canonical block order, where it is block triangular: a follower block,
     coupling blocks from followers into each sink, and one diagonal block
     per sink with nothing between distinct sinks.
     """
 
-    normalized_adjacency: sparse.csr_matrix
     stubbornness: np.ndarray
     update_matrix: sparse.csr_matrix
     ordering: CanonicalOrdering
@@ -120,17 +118,10 @@ def build_update_system(
 
     beta.setflags(write=False)
     return UpdateSystem(
-        normalized_adjacency=q,
         stubbornness=beta,
         update_matrix=p_canonical,
         ordering=ordering,
     )
-
-
-def step(x: np.ndarray, system: UpdateSystem, x0: np.ndarray) -> np.ndarray:
-    """One synchronous update in original node order."""
-    beta = system.stubbornness
-    return (1.0 - beta) * (system.normalized_adjacency @ x) + beta * x0
 
 
 @dataclass(frozen=True, eq=False)

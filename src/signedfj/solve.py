@@ -354,19 +354,16 @@ def solve_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
             gauged = block.copy()
             rows = np.repeat(np.arange(size), np.diff(block.indptr))
             gauged.data = block.data * sigma[rows] * sigma[block.indices]
-            if size < DENSE_BLOCK_CUTOFF:
-                gauged = gauged.toarray()
-                lo = float(gauged.min())
-                row_err = float(np.max(np.abs(gauged.sum(axis=1) - 1.0)))
-            else:
-                lo = float(gauged.data.min()) if gauged.nnz else 0.0
-                row_err = float(np.max(np.abs(np.asarray(gauged.sum(axis=1)).ravel() - 1.0)))
+            lo = float(gauged.data.min())
+            row_err = float(np.max(np.abs(np.asarray(gauged.sum(axis=1)).ravel() - 1.0)))
             if lo < -1e-12 or row_err > 1e-9:
                 raise InternalInconsistencyError(
                     f"gauged sink {sink.sink_index} is not row stochastic; "
                     "the bipartition disagrees with the edge signs"
                 )
-            pi = _stationary_row_vector(gauged)
+            pi = _stationary_row_vector(
+                gauged.toarray() if size < DENSE_BLOCK_CUTOFF else gauged
+            )
             v = sigma.copy()
             w = sigma * pi
             w = w / float(w @ v)

@@ -97,29 +97,38 @@ def condense(graph: SignedDigraph, sccs: SccPartition) -> CondensationDag:
 
 @dataclass(frozen=True, eq=False)
 class BalanceResult:
-    """2-coloring verdict for a signed subgraph.
+    """Signed 2-coloring of a subgraph, one connected piece at a time.
 
-    ``labels`` is aligned with ``nodes`` (ascending node indices) and is
-    ``None`` when the subgraph is unbalanced.  The smallest-index node is
-    labeled +1 by convention so signs are reproducible.
+    ``sides`` is aligned with ``nodes`` (ascending node indices).  On a
+    balanced piece every node is +1 or -1, with the piece's smallest node
+    at +1 so signs are reproducible; every node of an unbalanced piece is
+    0.  ``labels`` is ``sides`` when the whole subgraph is balanced and
+    ``None`` otherwise.
     """
 
-    balanced: bool
-    labels: np.ndarray | None
+    sides: np.ndarray
     nodes: tuple[int, ...]
+
+    @property
+    def balanced(self) -> bool:
+        return bool(self.sides.all())
+
+    @property
+    def labels(self) -> np.ndarray | None:
+        return self.sides if self.balanced else None
 
 
 def balance_check(graph: SignedDigraph, nodes) -> BalanceResult:
-    """Structural balance of the subgraph induced by ``nodes``.
+    """Structural balance of each connected piece of the subgraph induced by ``nodes``.
 
     Works on the undirected signed double cover: node ``i`` has copies
     ``i+`` and ``i-``; a positive edge joins like copies, a negative edge
-    unlike ones, in either direction.  The subgraph is balanced iff no
-    node's two copies are connected, and a node is labeled +1 iff its
-    ``i+`` copy lies with the ``+`` copy of the smallest node of its
-    connected piece.  An antiparallel pair with opposite signs is
-    therefore a conflict, a negative self-loop can never be satisfied, and
-    positive self-loops impose nothing.
+    unlike ones, in either direction.  A piece is balanced iff no node's
+    two copies are connected, and a node is on side +1 iff its ``i+``
+    copy lies with the ``+`` copy of the smallest node of its piece.  An
+    antiparallel pair with opposite signs is therefore a conflict, a
+    negative self-loop can never be satisfied, and positive self-loops
+    impose nothing.
     """
     nodes = tuple(sorted({int(i) for i in nodes}))
     k = len(nodes)
@@ -132,13 +141,11 @@ def balance_check(graph: SignedDigraph, nodes) -> BalanceResult:
     cover = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * k, 2 * k))
     cover_id, _ = _canonical_components(cover, "weak")
     plus, minus = cover_id[:k], cover_id[k:]
-    if np.any(plus == minus):
-        return BalanceResult(balanced=False, labels=None, nodes=nodes)
     # the smallest node's + copy is the smallest member of its cover
     # component, so that component has the lower canonical id
-    labels = np.where(plus < minus, 1, -1).astype(np.int64)
-    labels.setflags(write=False)
-    return BalanceResult(balanced=True, labels=labels, nodes=nodes)
+    sides = np.sign(minus - plus)
+    sides.setflags(write=False)
+    return BalanceResult(sides=sides, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -182,38 +189,38 @@ def classify_agents(
 ) -> AgentClassification:
     """Assign roles and classify every sink of the condensation.
 
-    A single-node sink is balanced by definition.  A multi-member sink is
-    cooperative when all its internal edges are positive, antagonistic
-    when balanced with at least one negative edge, and unbalanced (SUB)
-    otherwise.  A sink lands in ``s_ns`` iff it is balanced and none of
-    its members is stubborn.
+    A single-node sink is balanced by definition.  No edge joins two
+    sinks, so one :func:`balance_check` on all sink members sees each
+    sink as one piece.  A multi-member sink is unbalanced (SUB) when its
+    sides are 0, antagonistic when it has a -1 side (strong connectivity
+    gives an edge from the +1 side to the -1 side, and that edge is
+    negative), and cooperative otherwise.  A sink lands in ``s_ns`` iff it
+    is balanced and none of its members is stubborn.
     """
     beta = np.asarray(beta, dtype=np.float64)
     sink_of = np.full(graph.n, -1, dtype=np.int64)
     for k, cid in enumerate(dag.sinks):
         sink_of[list(sccs.components[cid])] = k
-    src_sink = sink_of[graph.sources]
-    internal = (src_sink >= 0) & (src_sink == sink_of[graph.targets])
-    has_negative = np.zeros(len(dag.sinks), dtype=bool)
-    has_negative[src_sink[internal & (graph.weights < 0)]] = True
+    balance = balance_check(graph, np.flatnonzero(sink_of >= 0))
+    side = np.zeros(graph.n, dtype=np.int64)
+    side[list(balance.nodes)] = balance.sides
 
     sinks: list[SinkInfo] = []
     for k, cid in enumerate(dag.sinks):
         members = sccs.components[cid]
         stubborn = bool(np.any(beta[list(members)] > 0))
+        sides = side[list(members)]
         if len(members) == 1:
             sink_class = SinkClass.SINGLETON_SB
             bipartition: tuple[int, ...] | None = (1,)
+        elif not sides.all():
+            sink_class = SinkClass.SUB
+            bipartition = None
         else:
-            result = balance_check(graph, members)
-            if not result.balanced:
-                sink_class = SinkClass.SUB
-                bipartition = None
-            else:
-                sink_class = (
-                    SinkClass.ANTAGONISTIC_SB if has_negative[k] else SinkClass.COOPERATIVE_SB
-                )
-                bipartition = tuple(int(x) for x in result.labels)
+            sink_class = (
+                SinkClass.ANTAGONISTIC_SB if (sides < 0).any() else SinkClass.COOPERATIVE_SB
+            )
+            bipartition = tuple(sides.tolist())
         sinks.append(
             SinkInfo(
                 sink_index=k,

@@ -10,7 +10,6 @@ from signedfj import (
     condense,
     row_normalized,
     simulate,
-    step,
     strongly_connected_components,
 )
 from signedfj.dynamics import trajectory_long_csv, trajectory_wide_csv
@@ -71,33 +70,36 @@ class TestRowNormalization:
         assert m + sum(system.ordering.sink_sizes) == system.n
 
 
+def first_iterate(graph, beta, x0):
+    """x(1) as recorded by ``simulate``: one synchronous update from x(0) = x0."""
+    trajectory = simulate(graph, beta, x0, max_iters=1, stride=1)
+    assert trajectory.ks.tolist() == [0, 1]
+    return trajectory.states[1]
+
+
 class TestStep:
     def test_no_stubbornness_is_plain_averaging(self):
         graph, _ = micro_antagonistic()
-        system = make_system(graph, np.zeros(2))
         x = np.array([0.2, -0.4])
         expected = row_normalized(graph) @ x
-        assert np.allclose(step(x, system, np.zeros(2)), expected, atol=1e-15)
+        assert np.allclose(first_iterate(graph, np.zeros(2), x), expected, atol=1e-15)
 
     def test_origin_is_fixed_point(self):
         graph, beta = micro_stubborn()
-        system = make_system(graph, beta)
-        out = step(np.zeros(2), system, np.zeros(2))
+        out = first_iterate(graph, beta, np.zeros(2))
         assert out.tolist() == [0.0, 0.0]
 
     def test_antagonistic_hand_step(self):
         graph, _ = micro_antagonistic()
-        system = make_system(graph, np.zeros(2))
-        out = step(np.array([1.0, 0.0]), system, np.array([1.0, 0.0]))
+        out = first_iterate(graph, np.zeros(2), np.array([1.0, 0.0]))
         assert out.tolist() == [0.5, -0.5]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_agent_evaluation(self, seed):
-        graph, beta, x0 = random_instance(6200 + seed, n_max=25)
-        system = make_system(graph, beta)
+        graph, beta, _ = random_instance(6200 + seed, n_max=25)
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-1, 1, graph.n)
-        fast = step(x, system, x0)
+        x0 = rng.uniform(-1, 1, graph.n)
+        fast = first_iterate(graph, beta, x0)
         # matrix-free evaluation of the same rule, one agent at a time
         slow = np.zeros(graph.n)
         weights = {}
@@ -107,9 +109,9 @@ class TestStep:
             row = weights.get(i, [])
             total = sum(abs(w) for _, w in row)
             if total == 0.0:
-                avg = x[i]
+                avg = x0[i]
             else:
-                avg = sum(w * x[t] for t, w in row) / total
+                avg = sum(w * x0[t] for t, w in row) / total
             slow[i] = beta[i] * x0[i] + (1 - beta[i]) * avg
         assert np.max(np.abs(fast - slow)) <= 1e-14
 

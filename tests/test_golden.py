@@ -1,4 +1,4 @@
-"""Regression fixture for the ``centrality`` exports.
+"""Regression fixtures for the ``centrality`` exports and the ``analyze`` report.
 
 The seeded instance has 72 followers (enough for the sparse follower
 solve), stubborn followers, and one sink of each limit kind: a free
@@ -8,7 +8,12 @@ shuffled order, so original and canonical node orders differ.
 
 The comparison pins row order, labels, signs, ranks and ``repr(float)``
 formatting exactly, and values to 1e-12, so it survives a different BLAS.
+The ``analyze`` report is compared key by key with the same float
+tolerance; ``config`` and ``inputs`` hold run-specific paths and are left
+out of the fixture.
 """
+
+import json
 
 from pathlib import Path
 
@@ -71,6 +76,16 @@ def write_inputs(directory: Path) -> tuple[Path, Path]:
     return graph, beta
 
 
+def write_x0(directory: Path) -> Path:
+    rng = np.random.default_rng(20261019)
+    labels = [f"f{i:02d}" for i in range(FOLLOWERS)] + SINK_NODES
+    x0 = directory / "x0.csv"
+    x0.write_text(
+        "".join(f"{v},{float(rng.uniform(-1, 1))!r}\n" for v in labels), encoding="utf-8"
+    )
+    return x0
+
+
 def run_centrality(directory: Path) -> Path:
     graph, beta = write_inputs(directory)
     out = directory / "out"
@@ -112,3 +127,40 @@ def test_golden_instance_covers_every_limit_kind(tmp_path):
     assert np.count_nonzero(analysis.system.stubbornness_canonical[:m]) == 9
     kinds = sorted(s.kind.value for s in analysis.sink_solutions)
     assert kinds == ["eigenpair", "eigenpair", "resolvent", "zero"]
+
+
+# run-specific fields of report.json: paths and file digests
+RUN_SPECIFIC = ("config", "inputs")
+
+
+def run_analyze(directory: Path) -> dict:
+    graph, beta = write_inputs(directory)
+    x0 = write_x0(directory)
+    out = directory / "out"
+    code = main(["analyze", "--graph", str(graph), "--beta", str(beta), "--x0", str(x0),
+                 "--seed", "1", "--out-dir", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    for key in RUN_SPECIFIC:
+        del report[key]
+    return report
+
+
+def assert_matches(got, want, path="report"):
+    if isinstance(want, float) and isinstance(got, float):
+        assert abs(got - want) <= 1e-12, (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{path}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_analyze_report_matches_golden(tmp_path):
+    expected = json.loads((GOLDEN / "report.json").read_text(encoding="utf-8"))
+    assert_matches(run_analyze(tmp_path), expected)

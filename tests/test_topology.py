@@ -11,6 +11,7 @@ from signedfj import (
     condense,
     strongly_connected_components,
 )
+from signedfj import topology
 from instances import example_seventeen, random_instance, triangle
 from oracles import brute_force_balanced
 
@@ -20,6 +21,50 @@ def analyze(graph, beta=None):
     sccs = strongly_connected_components(graph)
     dag = condense(graph, sccs)
     return sccs, dag, classify_agents(graph, sccs, dag, beta)
+
+
+def many_sinks_instance():
+    """30 shuffled multi-member sinks (cooperative, antagonistic, unbalanced) fed by 40 followers.
+
+    Returns the graph, the shuffle, each sink's members before the shuffle
+    and each sink's expected class.
+    """
+    rng = np.random.default_rng(77)
+    kinds = [SinkClass.COOPERATIVE_SB, SinkClass.ANTAGONISTIC_SB, SinkClass.SUB] * 10
+    edges, sink_members, expected = [], [], []
+    node = 0
+    for kind in kinds:
+        size = int(rng.integers(2, 6))
+        members = list(range(node, node + size))
+        node += size
+        side = np.tile([1.0, -1.0], size)[:size]
+        if kind is SinkClass.COOPERATIVE_SB:
+            side = np.ones(size)
+        ring = [(a, (a + 1) % size) for a in range(size)]
+        chords = [(int(a), int(b)) for a, b in rng.integers(0, size, (size, 2)) if a != b]
+        links = list(dict.fromkeys(ring + chords))
+        for a, b in links:
+            edges.append((members[a], members[b], side[a] * side[b] * rng.integers(1, 4)))
+        if kind is SinkClass.SUB:
+            # flipping a ring edge makes the ring a negative cycle
+            s0, t0, w0 = edges[-len(links)]
+            edges[-len(links)] = (s0, t0, -w0)
+        edges += [(i, i, 1.0) for i in members]
+        sink_members.append(members)
+        expected.append(kind)
+    followers = range(node, node + 40)
+    for f in followers:
+        target = sink_members[int(rng.integers(len(sink_members)))]
+        edges.append((f, int(rng.choice(target)), float(rng.choice([-1.0, 1.0]))))
+        other = int(rng.integers(node, node + 40))
+        edges.append((f, other, float(rng.choice([-2.0, 2.0]))))
+    n = node + 40
+    perm = rng.permutation(n)
+    g = SignedDigraph.from_edges(
+        [f"v{i}" for i in range(n)],
+        [(int(perm[s]), int(perm[t]), float(w)) for s, t, w in edges],
+    )
+    return g, perm, sink_members, expected
 
 
 class TestScc:
@@ -139,6 +184,18 @@ class TestBalance:
         assert result.nodes == (1, 2, 4, 5)
         assert result.labels.tolist() == [1, 1, -1, -1]
 
+    def test_sides_per_piece(self):
+        # balanced piece {1, 3, 4}; unbalanced piece {0, 2, 5}: one negative edge on a 3-cycle
+        g = SignedDigraph.from_edges(
+            [f"n{i}" for i in range(6)],
+            [(3, 1, -1), (4, 3, 1), (1, 4, -1), (0, 2, 1), (2, 5, 1), (5, 0, -1)],
+        )
+        result = balance_check(g, range(6))
+        assert result.nodes == (0, 1, 2, 3, 4, 5)
+        assert result.sides.tolist() == [0, 1, 0, -1, -1, 0]
+        assert not result.balanced
+        assert result.labels is None
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -231,44 +288,10 @@ class TestClassification:
         assert follower_labels == {"1", "2", "3", "4"}
 
     def test_many_sinks_match_brute_force(self):
-        rng = np.random.default_rng(77)
-        kinds = [SinkClass.COOPERATIVE_SB, SinkClass.ANTAGONISTIC_SB, SinkClass.SUB] * 10
-        edges, sink_members, expected = [], [], []
-        node = 0
-        for kind in kinds:
-            size = int(rng.integers(2, 6))
-            members = list(range(node, node + size))
-            node += size
-            side = np.tile([1.0, -1.0], size)[:size]
-            if kind is SinkClass.COOPERATIVE_SB:
-                side = np.ones(size)
-            ring = [(a, (a + 1) % size) for a in range(size)]
-            chords = [(int(a), int(b)) for a, b in rng.integers(0, size, (size, 2)) if a != b]
-            links = list(dict.fromkeys(ring + chords))
-            for a, b in links:
-                edges.append((members[a], members[b], side[a] * side[b] * rng.integers(1, 4)))
-            if kind is SinkClass.SUB:
-                # flipping a ring edge makes the ring a negative cycle
-                s0, t0, w0 = edges[-len(links)]
-                edges[-len(links)] = (s0, t0, -w0)
-            edges += [(i, i, 1.0) for i in members]
-            sink_members.append(members)
-            expected.append(kind)
-        followers = range(node, node + 40)
-        for f in followers:
-            target = sink_members[int(rng.integers(len(sink_members)))]
-            edges.append((f, int(rng.choice(target)), float(rng.choice([-1.0, 1.0]))))
-            other = int(rng.integers(node, node + 40))
-            edges.append((f, other, float(rng.choice([-2.0, 2.0]))))
-        n = node + 40
-        perm = rng.permutation(n)
-        g = SignedDigraph.from_edges(
-            [f"v{i}" for i in range(n)],
-            [(int(perm[s]), int(perm[t]), float(w)) for s, t, w in edges],
-        )
+        g, perm, sink_members, expected = many_sinks_instance()
         _, _, cls = analyze(g)
         multi = [sink for sink in cls.sinks if len(sink.members) > 1]
-        assert len(multi) == len(kinds)
+        assert len(multi) == len(expected)
         by_members = {
             tuple(sorted(int(perm[i]) for i in m)): kind for m, kind in zip(sink_members, expected)
         }
@@ -280,6 +303,21 @@ class TestClassification:
                 assert sink.bipartition == tuple(int(x) for x in sigma)
             else:
                 assert sink.bipartition is None
+
+    def test_many_sinks_take_one_balance_check(self, monkeypatch):
+        g, _, _, expected = many_sinks_instance()
+        calls = []
+
+        def counting(graph, nodes):
+            calls.append(nodes)
+            return balance_check(graph, nodes)
+
+        monkeypatch.setattr(topology, "balance_check", counting)
+        _, _, cls = analyze(g)
+        assert len(calls) == 1
+        assert sorted(s.sink_class.value for s in cls.sinks if len(s.members) > 1) == sorted(
+            k.value for k in expected
+        )
 
     @pytest.mark.parametrize("seed", range(15))
     def test_role_iff_path_leaves_component(self, seed):
