@@ -77,13 +77,14 @@ class UpdateSystem:
         m = self.ordering.follower_count
         return self.update_matrix[:m, :m]
 
-    def coupling_block(self, sink_index: int) -> sparse.csr_matrix:
-        m = self.ordering.follower_count
-        return self.update_matrix[:m, self.ordering.sink_slice(sink_index)]
+    @cached_property
+    def _sink_blocks(self) -> tuple[sparse.csr_matrix, ...]:
+        slices = map(self.ordering.sink_slice, range(len(self.ordering.sink_offsets)))
+        return tuple(self.update_matrix[sl, sl] for sl in slices)
 
     def sink_block(self, sink_index: int) -> sparse.csr_matrix:
-        sl = self.ordering.sink_slice(sink_index)
-        return self.update_matrix[sl, sl]
+        """One sink's diagonal block, sliced once per system and shared."""
+        return self._sink_blocks[sink_index]
 
 
 def build_update_system(

@@ -60,6 +60,10 @@ DENSE_BLOCK_CUTOFF = 64
 # Up to this many nodes the influence matrix is cross-checked against the
 # direct resolvent of the whole update matrix.
 DIRECT_CHECK_CUTOFF = 200
+# Dense column panels of a block solve hold at most this many entries (8 MB):
+# k follower chains into k stubborn singletons give a Theta_F with m nonzeros
+# but one dense m x k block, so an unbounded panel would not stay O(m).
+_PANEL_ENTRIES = 1 << 20
 
 
 class Regime(str, Enum):
@@ -101,15 +105,15 @@ class SinkSolution:
     * ``EIGENPAIR``: limit is ``right_vec @ left_vec^T`` (eigenvectors of
       the block at eigenvalue 1, normalized to ``left_vec @ right_vec = 1``);
       the sink keeps a memory of all its members' initial opinions.
-    * ``RESOLVENT``: limit is ``(I - block)^{-1} @ diag(beta)``; only
-      stubborn columns are nonzero.
+    * ``RESOLVENT``: limit is the sparse ``(I - block)^{-1} @ diag(beta)``;
+      only stubborn columns are nonzero.
     * ``ZERO``: unbalanced sink with no stubborn member; the limit is 0.
     """
 
     sink_index: int
     members: tuple[int, ...]
     kind: SolutionKind
-    operator: np.ndarray | sparse.spmatrix | None = None
+    operator: sparse.csc_matrix | None = None
     right_vec: np.ndarray | None = None
     left_vec: np.ndarray | None = None
 
@@ -122,7 +126,7 @@ class SinkSolution:
             return np.zeros(self.size)
         if self.kind is SolutionKind.EIGENPAIR:
             return self.right_vec * float(self.left_vec @ x_block)
-        return np.asarray(self.operator @ x_block).ravel()
+        return self.operator @ x_block
 
     def _limit_block(self) -> np.ndarray | sparse.spmatrix:
         """The limit operator, without densifying zero or sparse blocks."""
@@ -180,6 +184,7 @@ class _ResolventSolver:
             ) from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve a 1-D ``b`` or a 2-D column panel; refinement checks the whole panel."""
         x = self._base(b)
         if not np.isfinite(x).all():
             raise InternalInconsistencyError(
@@ -196,6 +201,28 @@ class _ResolventSolver:
                 "iterative refinement stalled; block solve is unreliable"
             )
         return x
+
+    def solve_block(self, rhs: sparse.spmatrix) -> sparse.csc_matrix:
+        """Solve for every column of a sparse ``rhs`` at once; the result is sparse.
+
+        Structurally zero columns stay zero without a solve.  The others go
+        through :meth:`solve` in dense column panels of at most
+        ``_PANEL_ENTRIES`` entries.
+        """
+        rhs = sparse.csc_matrix(rhs, copy=True)
+        rhs.eliminate_zeros()
+        nonzero = np.flatnonzero(np.diff(rhs.indptr))
+        step = max(1, _PANEL_ENTRIES // rhs.shape[0])
+        counts = np.zeros(rhs.shape[1] + 1, np.int64)
+        indices, data = [np.zeros(0, np.int32)], [np.zeros(0)]
+        for start in range(0, nonzero.size, step):
+            panel = nonzero[start:start + step]
+            x = sparse.csc_matrix(self.solve(rhs[:, panel].toarray()))
+            counts[panel + 1] = np.diff(x.indptr)
+            indices.append(x.indices)
+            data.append(x.data)
+        entries = np.concatenate(data), np.concatenate(indices), np.cumsum(counts)
+        return sparse.csc_matrix(entries, shape=rhs.shape)
 
 
 def _stationary_row_vector(
@@ -378,25 +405,11 @@ def solve_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
 
     if sink.contains_stubborn:
         solver = _ResolventSolver(block, what=f"sink block {sink.sink_index}")
-        stubborn = np.flatnonzero(beta_block > 0)
-        if size < DENSE_BLOCK_CUTOFF:
-            operator: np.ndarray | sparse.spmatrix = np.zeros((size, size))
-            for j in stubborn:
-                rhs = np.zeros(size)
-                rhs[j] = beta_block[j]
-                operator[:, j] = solver.solve(rhs)
-        else:
-            cols = sparse.lil_matrix((size, size))
-            for j in stubborn:
-                rhs = np.zeros(size)
-                rhs[j] = beta_block[j]
-                cols[:, j] = solver.solve(rhs).reshape(-1, 1)
-            operator = cols.tocsc()
         return SinkSolution(
             sink_index=sink.sink_index,
             members=members,
             kind=SolutionKind.RESOLVENT,
-            operator=operator,
+            operator=solver.solve_block(sparse.diags(beta_block)),
         )
 
     # unbalanced and stubborn-free: everything inside decays to zero
@@ -430,6 +443,14 @@ def _follower_solver(system: UpdateSystem) -> _ResolventSolver | None:
     return _ResolventSolver(system.follower_block(), what="follower block")
 
 
+def _sink_limits(system: UpdateSystem, sink_solutions, x0: np.ndarray) -> np.ndarray:
+    """Every sink's limit in canonical order; zero on the followers."""
+    x = np.zeros(system.n)
+    for s in sink_solutions:
+        x[system.ordering.sink_slice(s.sink_index)] = s.apply(x0[list(s.members)])
+    return x
+
+
 def solve_followers(
     system: UpdateSystem,
     sink_solutions: tuple[SinkSolution, ...],
@@ -440,9 +461,9 @@ def solve_followers(
     """Follower limits given every sink's limit, by one linear solve.
 
     The followers' fixed point balances their own block, the coupling into
-    each sink's limit, and their own stubbornness anchor:
+    the sinks' stacked limits, and their own stubbornness anchor:
 
-        x_F = (I - P_FF)^{-1} (sum_k P_Fk x_k* + beta_F * x0_F)
+        x_F = (I - P_FF)^{-1} (P_FL x_L* + beta_F * x0_F)
 
     Returns the follower values in ascending original-index order.
     """
@@ -451,13 +472,11 @@ def solve_followers(
     if m == 0:
         return np.zeros(0)
     x0 = np.asarray(x0, dtype=np.float64)
-    perm = ordering.permutation
-    beta_c = system.stubbornness_canonical
-    rhs = beta_c[:m] * x0[perm[:m]]
-    for solution in sink_solutions:
-        limit = solution.apply(x0[list(solution.members)])
-        if np.any(limit != 0.0):
-            rhs = rhs + system.coupling_block(solution.sink_index) @ limit
+    x_sinks = _sink_limits(system, sink_solutions, x0)[m:]
+    rhs = (
+        system.stubbornness_canonical[:m] * x0[ordering.permutation[:m]]
+        + system.update_matrix[:m, m:] @ x_sinks
+    )
     solver = _solver if _solver is not None else _follower_solver(system)
     return solver.solve(rhs)
 
@@ -477,48 +496,31 @@ def influence_matrix(
 
         Theta_F = (I - P_FF)^{-1} [diag(beta_F) | P_FL Theta_L]
 
-    Only the nonzero right-hand-side columns are solved: stubborn
-    followers, stubborn sink members, and every member of a balanced
-    stubborn-free sink.  All other columns are structurally zero.  When no
-    balanced stubborn-free sink exists and the graph is small, the
+    All right-hand sides are solved together, and only the nonzero ones:
+    stubborn followers, stubborn sink members, and every member of a
+    balanced stubborn-free sink.  All other columns are structurally zero.
+    When no balanced stubborn-free sink exists and the graph is small, the
     assembly is cross-checked against the direct resolvent of the whole
     matrix.
     """
     ordering = system.ordering
     n = ordering.n
     m = ordering.follower_count
-    theta_l = sparse.block_diag(
-        [solution._limit_block() for solution in sink_solutions], format="csr"
+    # Theta_L in the sink rows; the follower rows are zero until solved
+    canonical = sparse.block_diag(
+        [sparse.csr_matrix((m, m))] + [s._limit_block() for s in sink_solutions],
+        format="csr",
     )
-    theta_l.eliminate_zeros()
-    sink_rows = theta_l.tocoo()
-    rows = [sink_rows.row + m]
-    cols = [sink_rows.col + m]
-    data = [sink_rows.data]
     if m:
         solver = _solver if _solver is not None else _follower_solver(system)
-        rhs = sparse.hstack(
-            [
-                sparse.diags(system.stubbornness_canonical[:m]),
-                system.update_matrix[:m, m:] @ theta_l,
-            ],
-            format="csc",
+        rhs = sparse.diags(system.stubbornness_canonical[:m], shape=(m, n)) + (
+            system.update_matrix[:m] @ canonical
         )
-        rhs.eliminate_zeros()
-        for c in np.flatnonzero(np.diff(rhs.indptr)):
-            entries = slice(rhs.indptr[c], rhs.indptr[c + 1])
-            b = np.zeros(m)
-            b[rhs.indices[entries]] = rhs.data[entries]
-            x = solver.solve(b)
-            nz = np.flatnonzero(x)
-            rows.append(nz)
-            cols.append(np.full(nz.size, c))
-            data.append(x[nz])
-
+        canonical = sparse.vstack([solver.solve_block(rhs), canonical[m:]])
+    canonical = canonical.tocoo()
     perm = ordering.permutation
     theta = sparse.coo_matrix(
-        (np.concatenate(data), (perm[np.concatenate(rows)], perm[np.concatenate(cols)])),
-        shape=(n, n),
+        (canonical.data, (perm[canonical.row], perm[canonical.col])), shape=(n, n)
     ).tocsr()
     theta.sort_indices()
 
@@ -598,15 +600,10 @@ class NetworkAnalysis:
         if not np.isfinite(x0).all():
             raise NumericalError("initial opinions contain non-finite entries")
         ordering = self.system.ordering
-        x_canonical = np.zeros(self.graph.n)
-        for solution in self.sink_solutions:
-            sl = ordering.sink_slice(solution.sink_index)
-            x_canonical[sl] = solution.apply(x0[list(solution.members)])
-        m = ordering.follower_count
-        if m:
-            x_canonical[:m] = solve_followers(
-                self.system, self.sink_solutions, x0, _solver=self._solver
-            )
+        x_canonical = _sink_limits(self.system, self.sink_solutions, x0)
+        x_canonical[: ordering.follower_count] = solve_followers(
+            self.system, self.sink_solutions, x0, _solver=self._solver
+        )
         x = np.empty(self.graph.n)
         x[ordering.permutation] = x_canonical
         return x

@@ -22,6 +22,7 @@ import pytest
 
 from signedfj import analyze_network, parse_edge_list, read_stubbornness
 from signedfj.cli import main
+from signedfj.solve import _ResolventSolver
 
 GOLDEN = Path(__file__).parent / "golden"
 FOLLOWERS = 72
@@ -117,16 +118,38 @@ def test_centrality_exports_match_golden(tmp_path, name):
                 assert g == w, (got_line, want_line)
 
 
-def test_golden_instance_covers_every_limit_kind(tmp_path):
-    graph_path, beta_path = write_inputs(tmp_path)
+def load_analysis(directory: Path):
+    graph_path, beta_path = write_inputs(directory)
     graph = parse_edge_list(graph_path.read_text(encoding="utf-8"))
     beta, _ = read_stubbornness(beta_path.read_text(encoding="utf-8"), graph)
-    analysis = analyze_network(graph, beta)
+    return analyze_network(graph, beta)
+
+
+def test_golden_instance_covers_every_limit_kind(tmp_path):
+    analysis = load_analysis(tmp_path)
     m = analysis.system.ordering.follower_count
     assert m == FOLLOWERS
     assert np.count_nonzero(analysis.system.stubbornness_canonical[:m]) == 9
     kinds = sorted(s.kind.value for s in analysis.sink_solutions)
     assert kinds == ["eigenpair", "eigenpair", "resolvent", "zero"]
+
+
+def test_follower_rows_take_one_block_solve(tmp_path, monkeypatch):
+    analysis = load_analysis(tmp_path)
+    # the sink solves and the follower factorization run before counting
+    analysis.sink_solutions
+    analysis._solver
+    panels = []
+    real_solve = _ResolventSolver.solve
+
+    def counting_solve(self, b):
+        panels.append(np.shape(b))
+        return real_solve(self, b)
+
+    monkeypatch.setattr(_ResolventSolver, "solve", counting_solve)
+    analysis.influence
+    assert len(panels) == 1
+    assert panels[0][0] == FOLLOWERS
 
 
 # run-specific fields of report.json: paths and file digests

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from signedfj import (
     Regime,
@@ -443,6 +444,65 @@ class TestLargeBlockSolves:
         # influential columns are exactly the two stubborn members
         centrality = analysis.influence.centrality
         assert set(np.flatnonzero(centrality > 1e-12)) == {m + 5, m + 40}
+
+
+def _chains_into_stubborn_singletons(chains: int, length: int):
+    """``chains`` follower chains, each feeding its own stubborn singleton sink."""
+    labels, edges = [], []
+    for c in range(chains):
+        nodes = [f"c{c}f{i}" for i in range(length)] + [f"c{c}z"]
+        labels += nodes
+        edges += [(v, v, 1.0) for v in nodes]
+        edges += [(a, b, -1.0 if c % 2 else 1.0) for a, b in zip(nodes, nodes[1:])]
+    beta = np.array([0.5 if label.endswith("z") else 0.0 for label in labels])
+    return SignedDigraph.from_edges(labels, edges), beta
+
+
+class TestBlockSolve:
+    """One multi-column solve per block, in dense panels of bounded size."""
+
+    def test_panels_stay_within_budget(self, monkeypatch):
+        import signedfj.solve
+        from signedfj.solve import _ResolventSolver
+
+        chains, length = 7, 4
+        graph, beta = _chains_into_stubborn_singletons(chains, length)
+        analysis = analyze_network(graph, beta)
+        m = analysis.system.ordering.follower_count
+        assert m == chains * length
+        budget = 3 * m  # three columns per panel
+        monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", budget)
+        analysis.sink_solutions  # the singleton solves are not counted
+        panels = []
+        real_solve = _ResolventSolver.solve
+
+        def recording_solve(self, b):
+            panels.append(np.size(b))
+            return real_solve(self, b)
+
+        monkeypatch.setattr(_ResolventSolver, "solve", recording_solve)
+        theta = analysis.influence.matrix
+        # one right-hand side per chain, three to a panel
+        assert len(panels) == 3
+        assert max(panels) <= budget
+        assert theta.nnz == chains * (length + 1)
+        expected = influence_by_iteration(graph, beta)
+        assert np.max(np.abs(theta.toarray() - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("size", [1, 5, 70])
+    def test_resolvent_operator_is_sparse(self, size):
+        edges = [(i, i, 1.0) for i in range(size)]
+        edges += [(i, (i + 1) % size, 1.0) for i in range(size) if size > 1]
+        graph = SignedDigraph.from_edges([f"n{i}" for i in range(size)], edges)
+        beta = np.zeros(size)
+        beta[0], beta[size // 2] = 0.3, 0.6
+        analysis = analyze_network(graph, beta)
+        solution = analysis.sink_solutions[0]
+        assert solution.kind is SolutionKind.RESOLVENT
+        assert sparse.issparse(solution.operator)
+        block = analysis.system.sink_block(0).toarray()
+        expected = np.linalg.solve(np.eye(size) - block, np.diag(beta))
+        assert np.max(np.abs(solution.operator.toarray() - expected)) <= 1e-12
 
 
 class TestNumericsInternals:
