@@ -15,7 +15,9 @@ import logging
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .errors import GraphFormatError, InternalInconsistencyError, NumericalError
 from .graph import (
     SignedDigraph,
     ValidationReport,
+    _csv_fields,
     _format_weight,
     ensure_self_loops,
     flip_edges,
@@ -240,10 +243,15 @@ def _input_provenance(config: RunConfig) -> dict:
     return prov
 
 
-def _write(out_dir: str, name: str, content: str) -> Path:
+def _write(out_dir: str, name: str, content: str | Callable[[TextIO], None]) -> Path:
+    """Write ``content``, or let a streaming writer fill the open file; return its path."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        if isinstance(content, str):
+            out.write(content)
+        else:
+            content(out)
     return path
 
 
@@ -346,8 +354,8 @@ def cmd_simulate(config: RunConfig) -> int:
         patience=config.patience,
     )
     _write(config.out_dir, "trajectory_long.csv",
-           trajectory_long_csv(trajectory, report.graph.labels))
-    _write(config.out_dir, "trajectory_wide.csv", trajectory_wide_csv(trajectory))
+           partial(trajectory_long_csv, trajectory, report.graph.labels))
+    _write(config.out_dir, "trajectory_wide.csv", partial(trajectory_wide_csv, trajectory))
     summary = {
         "config": asdict(config),
         "inputs": _input_provenance(config),
@@ -377,9 +385,9 @@ def cmd_centrality(config: RunConfig) -> int:
     labels = report.graph.labels
     _write(config.out_dir, "centrality.csv",
            centrality_csv(result.centrality, result.ranking, labels))
-    _write(config.out_dir, "theta.csv", influence_triplets_csv(result.matrix, labels))
+    _write(config.out_dir, "theta.csv", partial(influence_triplets_csv, result.matrix, labels))
     _write(config.out_dir, "theta_scatter.csv",
-           influence_scatter_csv(result.matrix, labels))
+           partial(influence_scatter_csv, result.matrix, labels))
     for rank, node in enumerate(result.ranking[: config.top], start=1):
         print(f"{rank}\t{labels[node]}\t{float(result.centrality[node])!r}")
     return EXIT_OK
@@ -445,8 +453,9 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
     ]
 
     graph_path = _write(config.out_dir, "modified_graph.csv", serialize_edge_list(modified_graph))
+    fields = _csv_fields(modified_graph.labels)
     beta_lines = [
-        f"{modified_graph.labels[i]},{_format_weight(float(new_beta[i]))}"
+        f"{fields[i]},{_format_weight(float(new_beta[i]))}"
         for i in range(modified_graph.n)
         if new_beta[i] != 0.0
     ]

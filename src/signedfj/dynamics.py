@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TextIO
 
 import numpy as np
 from scipy import sparse
 
 from .errors import InternalInconsistencyError, NumericalError
-from .graph import SignedDigraph
+from .graph import SignedDigraph, _csv_chunks, _csv_fields
 from .topology import CanonicalOrdering
 
 __all__ = [
@@ -233,19 +234,26 @@ def simulate(
     )
 
 
-def trajectory_long_csv(trajectory: Trajectory, labels: tuple[str, ...]) -> str:
-    """Plot-ready long format: one ``k,node,opinion`` row per node per record."""
-    lines = ["k,node,opinion"]
-    for k, state in zip(trajectory.ks, trajectory.states):
-        for label, value in zip(labels, state):
-            lines.append(f"{k},{label},{float(value)!r}")
-    return "\n".join(lines) + "\n"
+def trajectory_long_csv(trajectory: Trajectory, labels: tuple[str, ...], out: TextIO) -> None:
+    """Write the plot-ready long format to ``out``: one ``k,node,opinion`` row per node per record.
+
+    Labels are CSV-quoted.  Records are written one at a time, each in chunks
+    of at most ``_CSV_CHUNK_ROWS`` rows.
+    """
+    fields = _csv_fields(labels)
+    out.write("k,node,opinion\n")
+    for k, state in zip(trajectory.ks.tolist(), trajectory.states):
+        for start, stop in _csv_chunks(len(fields)):
+            values = state[start:stop].tolist()
+            out.write("".join([f"{k},{f},{x!r}\n" for f, x in zip(fields[start:stop], values)]))
 
 
-def trajectory_wide_csv(trajectory: Trajectory) -> str:
-    """Wide format: ``k`` plus one ``x_<i>`` column per node index."""
+def trajectory_wide_csv(trajectory: Trajectory, out: TextIO) -> None:
+    """Write the wide format to ``out``: ``k`` plus one ``x_<i>`` column per node index.
+
+    Each record is one row, written as soon as it is formatted.
+    """
     n = trajectory.states.shape[1]
-    lines = ["k," + ",".join(f"x_{i}" for i in range(n))]
-    for k, state in zip(trajectory.ks, trajectory.states):
-        lines.append(str(k) + "," + ",".join(repr(float(v)) for v in state))
-    return "\n".join(lines) + "\n"
+    out.write("k," + ",".join(f"x_{i}" for i in range(n)) + "\n")
+    for k, state in zip(trajectory.ks.tolist(), trajectory.states):
+        out.write(f"{k},{','.join(map(repr, state.tolist()))}\n")

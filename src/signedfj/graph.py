@@ -12,6 +12,7 @@ used consistently by every downstream module.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -275,12 +276,39 @@ def _format_weight(w: float) -> str:
     return repr(float(w))
 
 
+# Streaming CSV writers format and write at most this many rows at a time
+# (about 1 MB of Python strings), so their memory does not grow with the output.
+_CSV_CHUNK_ROWS = 1 << 12
+
+
+def _csv_fields(labels: Iterable[str]) -> list[str]:
+    """Each label as one CSV field, quoted when it holds ``,``, ``"`` or a line break.
+
+    This is ``csv``'s minimal quoting, so :func:`parse_edge_list` and the
+    profile readers read every written label back unchanged; plain labels
+    keep their bytes.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)  # its "\r\n" terminator makes both line breaks quote
+    fields = []
+    for label in labels:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((label,))
+        fields.append(buffer.getvalue()[:-2])
+    return fields
+
+
+def _csv_chunks(count: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` bounds cutting ``count`` rows into chunks of ``_CSV_CHUNK_ROWS``."""
+    for start in range(0, count, _CSV_CHUNK_ROWS):
+        yield start, min(start + _CSV_CHUNK_ROWS, count)
+
+
 def serialize_edge_list(graph: SignedDigraph) -> str:
-    """Inverse of :func:`parse_edge_list`; preserves edge order."""
-    lines = [
-        f"{graph.labels[s]},{graph.labels[t]},{_format_weight(w)}"
-        for s, t, w in graph.edge_triples()
-    ]
+    """Inverse of :func:`parse_edge_list`; preserves edge order and CSV-quotes labels."""
+    fields = _csv_fields(graph.labels)
+    lines = [f"{fields[s]},{fields[t]},{_format_weight(w)}" for s, t, w in graph.edge_triples()]
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterator, TextIO
 
 import numpy as np
 from scipy import linalg as dense_linalg
@@ -23,7 +24,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs, splu
 
 from .dynamics import UpdateSystem, build_update_system
 from .errors import InternalInconsistencyError, NumericalError
-from .graph import SignedDigraph
+from .graph import SignedDigraph, _csv_chunks, _csv_fields
 from .topology import (
     AgentClassification,
     CondensationDag,
@@ -643,31 +644,54 @@ def influence(graph: SignedDigraph, beta) -> InfluenceResult:
 # Exports
 # ---------------------------------------------------------------------------
 
-def influence_triplets_csv(theta: sparse.spmatrix, labels: tuple[str, ...]) -> str:
-    """Sparse triplets ``row_node,col_node,theta`` in row-major order."""
-    coo = theta.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = ["row_node,col_node,theta"]
-    for i in order:
-        lines.append(f"{labels[coo.row[i]]},{labels[coo.col[i]]},{float(coo.data[i])!r}")
-    return "\n".join(lines) + "\n"
+def _theta_chunks(
+    theta: sparse.spmatrix, labels: tuple[str, ...]
+) -> Iterator[Iterator[tuple[str, str, float]]]:
+    """Theta's entries in row-major order, as chunks of ``(row field, column field, value)``.
+
+    A CSR walk with sorted indices and summed duplicates is already that
+    order, so no sorted copy of the triplets is made.
+    """
+    csr = sparse.csr_matrix(theta)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    fields = _csv_fields(labels)
+    for start, stop in _csv_chunks(csr.nnz):
+        rows = np.searchsorted(csr.indptr, np.arange(start, stop), side="right") - 1
+        yield zip(
+            map(fields.__getitem__, rows.tolist()),
+            map(fields.__getitem__, csr.indices[start:stop].tolist()),
+            csr.data[start:stop].tolist(),
+        )
 
 
-def influence_scatter_csv(theta: sparse.spmatrix, labels: tuple[str, ...]) -> str:
-    """Triplets plus a +1/-1 sign column, ready for a colored scatter plot."""
-    coo = theta.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = ["row_node,col_node,theta,sign"]
-    for i in order:
-        sign = 1 if coo.data[i] > 0 else -1
-        lines.append(f"{labels[coo.row[i]]},{labels[coo.col[i]]},{float(coo.data[i])!r},{sign}")
-    return "\n".join(lines) + "\n"
+def influence_triplets_csv(theta: sparse.spmatrix, labels: tuple[str, ...], out: TextIO) -> None:
+    """Write sparse triplets ``row_node,col_node,theta`` in row-major order to ``out``.
+
+    Labels are CSV-quoted; the rows are formatted and written a chunk at a time.
+    """
+    out.write("row_node,col_node,theta\n")
+    for chunk in _theta_chunks(theta, labels):
+        out.write("".join([f"{r},{c},{x!r}\n" for r, c, x in chunk]))
+
+
+def influence_scatter_csv(theta: sparse.spmatrix, labels: tuple[str, ...], out: TextIO) -> None:
+    """Write the triplets plus a +1/-1 sign column, ready for a colored scatter plot.
+
+    Labels are CSV-quoted; the rows are formatted and written a chunk at a time.
+    """
+    out.write("row_node,col_node,theta,sign\n")
+    for chunk in _theta_chunks(theta, labels):
+        out.write("".join([f"{r},{c},{x!r},{1 if x > 0 else -1}\n" for r, c, x in chunk]))
 
 
 def centrality_csv(
     centrality: np.ndarray, ranking: np.ndarray, labels: tuple[str, ...]
 ) -> str:
+    """``rank,node,centrality`` rows in ranking order, with CSV-quoted labels."""
+    fields = _csv_fields(labels)
     lines = ["rank,node,centrality"]
     for rank, node in enumerate(ranking, start=1):
-        lines.append(f"{rank},{labels[node]},{float(centrality[node])!r}")
+        lines.append(f"{rank},{fields[node]},{float(centrality[node])!r}")
     return "\n".join(lines) + "\n"

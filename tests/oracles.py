@@ -2,8 +2,9 @@
 
 Each oracle deliberately takes a different route than the implementation
 it checks: union-find vs scipy for weak components, exhaustive bipartition
-enumeration vs the signed double cover for balance, and plain iteration of
-the update rule vs the closed-form solver for limits.
+enumeration vs the signed double cover for balance, plain iteration of
+the update rule vs the closed-form solver for limits, and whole-text,
+entry-by-entry CSV writers vs the chunked streaming ones.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from signedfj import SignedDigraph, simulate
+from signedfj.dynamics import Trajectory
 
 
 def union_find_components(n: int, pairs) -> int:
@@ -68,3 +70,54 @@ def influence_by_iteration(graph: SignedDigraph, beta, *, tol=1e-13) -> np.ndarr
         e[j] = 1.0
         theta[:, j] = limit_by_iteration(graph, beta, e, tol=tol)
     return theta
+
+
+def quoted(label: str) -> str:
+    """A label as one CSV field, quoted by hand where ``csv`` would quote it."""
+    if any(ch in label for ch in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
+def influence_triplets_text(theta, labels) -> str:
+    """Reference ``theta.csv``: a lexsort of the COO triplets, one f-string per entry."""
+    coo = theta.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    lines = ["row_node,col_node,theta"]
+    for i in order:
+        lines.append(
+            f"{quoted(labels[coo.row[i]])},{quoted(labels[coo.col[i]])},{float(coo.data[i])!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def influence_scatter_text(theta, labels) -> str:
+    """Reference ``theta_scatter.csv``: the triplets plus a +1/-1 sign column."""
+    coo = theta.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    lines = ["row_node,col_node,theta,sign"]
+    for i in order:
+        sign = 1 if coo.data[i] > 0 else -1
+        lines.append(
+            f"{quoted(labels[coo.row[i]])},{quoted(labels[coo.col[i]])},"
+            f"{float(coo.data[i])!r},{sign}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_long_text(trajectory: Trajectory, labels) -> str:
+    """Reference ``trajectory_long.csv``: one ``k,node,opinion`` row per node per record."""
+    lines = ["k,node,opinion"]
+    for k, state in zip(trajectory.ks, trajectory.states):
+        for label, value in zip(labels, state):
+            lines.append(f"{k},{quoted(label)},{float(value)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_wide_text(trajectory: Trajectory) -> str:
+    """Reference ``trajectory_wide.csv``: ``k`` plus one ``x_<i>`` column per node index."""
+    n = trajectory.states.shape[1]
+    lines = ["k," + ",".join(f"x_{i}" for i in range(n))]
+    for k, state in zip(trajectory.ks, trajectory.states):
+        lines.append(str(k) + "," + ",".join(repr(float(v)) for v in state))
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from signedfj import parse_edge_list, read_stubbornness
 from signedfj.cli import main
 
 ANTAGONISTIC = "a,a,1\na,b,-1\nb,a,-1\nb,b,1\n"
@@ -235,6 +237,48 @@ class TestModify:
         assert "inert" in capsys.readouterr().err
         beta_rows = (out_dir / "modified_beta.csv").read_text().strip().splitlines()
         assert beta_rows == ["b,0.5"]
+
+
+class TestCsvQuoting:
+    # labels holding a comma and a quote, written quoted in the input
+    GRAPH = (
+        '"x,1","x,1",1\n"x,1","q""t",1\n"q""t","q""t",2\n'
+        '"q""t",p,-1\np,p,1\np,"x,1",1\n'
+    )
+    LABELS = {"x,1", 'q"t', "p"}
+    # files with no header row, and their column count
+    HEADERLESS = {"modified_graph.csv": 3, "modified_beta.csv": 2}
+
+    def test_every_csv_output_reads_back_field_for_field(self, tmp_path):
+        graph = write(tmp_path / "g.csv", self.GRAPH)
+        beta = write(tmp_path / "b.csv", '"x,1",0.5\n')
+        common = ["--graph", graph, "--beta", beta]
+        assert run(["centrality", *common, "--out-dir", tmp_path / "out"]) == 0
+        assert run(["simulate", *common, "--out-dir", tmp_path / "out"]) == 0
+        assert run(["modify", *common, "--out-dir", tmp_path / "out",
+                    "--flip-edge", "p,p", "--set-beta", 'q"t=0.25']) == 0
+
+        written = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
+        assert written == [
+            "centrality.csv", "modified_beta.csv", "modified_graph.csv", "theta.csv",
+            "theta_scatter.csv", "trajectory_long.csv", "trajectory_wide.csv",
+        ]
+        for name in written:
+            with (tmp_path / "out" / name).open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            width = self.HEADERLESS.get(name) or len(rows.pop(0))
+            assert rows and all(len(row) == width for row in rows), name
+
+        out = tmp_path / "out"
+        theta = list(csv.reader((out / "theta.csv").open(newline="", encoding="utf-8")))
+        assert {row[0] for row in theta[1:]} == self.LABELS
+        modified = parse_edge_list((out / "modified_graph.csv").read_text(encoding="utf-8"))
+        assert set(modified.labels) == self.LABELS
+        new_beta, _ = read_stubbornness(
+            (out / "modified_beta.csv").read_text(encoding="utf-8"), modified
+        )
+        assert new_beta[modified.index("x,1")] == 0.5
+        assert new_beta[modified.index('q"t')] == 0.25
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -189,7 +191,9 @@ class TestTrajectoryExport:
         graph, _ = micro_antagonistic()
         trajectory = simulate(graph, np.zeros(2), np.array([1.0, 0.0]), max_iters=2,
                               tol=1e-13)
-        text = trajectory_long_csv(trajectory, graph.labels)
+        out = io.StringIO()
+        trajectory_long_csv(trajectory, graph.labels, out)
+        text = out.getvalue()
         lines = text.strip().splitlines()
         assert lines[0] == "k,node,opinion"
         assert lines[1] == "0,a,1.0"
@@ -199,7 +203,9 @@ class TestTrajectoryExport:
         graph, _ = micro_antagonistic()
         trajectory = simulate(graph, np.zeros(2), np.array([1.0, 0.0]), max_iters=2,
                               tol=1e-13)
-        text = trajectory_wide_csv(trajectory)
+        out = io.StringIO()
+        trajectory_wide_csv(trajectory, out)
+        text = out.getvalue()
         lines = text.strip().splitlines()
         assert lines[0] == "k,x_0,x_1"
         assert lines[1] == "0,1.0,0.0"

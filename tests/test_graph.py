@@ -115,6 +115,17 @@ class TestRoundTrip:
         assert edge_map == edge_map2
 
 
+    def test_labels_needing_quotes_round_trip(self):
+        g = SignedDigraph.from_edges(
+            ["x,1", 'q"t', "plain"], [(0, 1, 1.0), (1, 2, -2.5), (2, 0, 1.0)]
+        )
+        text = serialize_edge_list(g)
+        assert text.splitlines() == ['"x,1","q""t",1', '"q""t",plain,-2.5', 'plain,"x,1",1']
+        g2 = parse_edge_list(text)
+        assert g2.labels == g.labels
+        assert list(g2.edge_triples()) == list(g.edge_triples())
+
+
 class TestValidate:
     def test_fully_stubborn_rewritten_as_sink(self):
         g = SignedDigraph.from_edges(
