@@ -9,6 +9,7 @@ fixed exit-code taxonomy: 0 success, 2 validation error, 3 non-convergence,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -121,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mod = sub.add_parser("modify", help="flip edge signs / set stubbornness, write new files")
     add_common(p_mod)
     p_mod.add_argument("--flip-edge", action="append", default=[], metavar="SRC,TGT",
-                       help="negate this edge's weight (repeatable)")
+                       help="negate this edge's weight (repeatable); quote a label "
+                            "holding a comma as in CSV")
     p_mod.add_argument("--set-beta", action="append", default=[], metavar="NODE=VALUE",
                        help="set this node's stubbornness (repeatable)")
     return parser
@@ -400,7 +402,8 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
 
     flips = []
     for spec in flip_specs:
-        parts = spec.split(",")
+        # CSV rules, so a label holding a comma can be quoted: '"x,1",p'
+        parts = next(csv.reader([spec]), [])
         if len(parts) != 2:
             raise GraphFormatError(f"--flip-edge expects 'SRC,TGT', got {spec!r}")
         flips.append((parts[0].strip(), parts[1].strip()))

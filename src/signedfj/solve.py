@@ -12,14 +12,16 @@ opinions; its absolute column sums are the centrality scores.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, TextIO
 
 import numpy as np
-from scipy import linalg as dense_linalg
 from scipy import sparse
+from scipy.linalg import LinAlgError, LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, splu
 
 from .dynamics import UpdateSystem, build_update_system
@@ -56,8 +58,12 @@ __all__ = [
     "centrality_csv",
 ]
 
-# Blocks below this size are solved densely; larger ones go through sparse LU.
+# Blocks below this size are solved densely.
 DENSE_BLOCK_CUTOFF = 64
+# Larger blocks are factored densely up to this many nodes (a 134 MB factor)
+# when their largest strongly connected piece has at least DENSE_BLOCK_CUTOFF
+# nodes; all others go through sparse LU.
+_DENSE_FACTOR_NODES = 4096
 # Up to this many nodes the influence matrix is cross-checked against the
 # direct resolvent of the whole update matrix.
 DIRECT_CHECK_CUTOFF = 200
@@ -156,7 +162,14 @@ class InfluenceResult:
 # ---------------------------------------------------------------------------
 
 class _ResolventSolver:
-    """Solves ``(I - M) y = b`` with a prefactored LU and iterative refinement."""
+    """Solves ``(I - M) y = b`` with a prefactored LU and iterative refinement.
+
+    A strongly connected piece of many nodes makes sparse LU fill the block
+    towards dense (a third of dense on a Bitcoin-Alpha-shaped follower
+    block), where dense LAPACK is several times faster; see
+    :func:`_factors_densely` for the rule.  Acyclic or tree-like blocks and
+    blocks above the dense budget keep SuperLU.
+    """
 
     def __init__(self, m_block, *, what: str = "block"):
         size = m_block.shape[0]
@@ -164,25 +177,19 @@ class _ResolventSolver:
         self._a = sparse.csr_matrix(eye - m_block)
         self._what = what
         try:
-            if size < DENSE_BLOCK_CUTOFF:
-                import warnings
-
-                with warnings.catch_warnings():
-                    # lu_factor only warns on exact singularity; the zero
-                    # pivot is caught explicitly below
-                    warnings.simplefilter("ignore", dense_linalg.LinAlgWarning)
-                    lu = dense_linalg.lu_factor(self._a.toarray())
-                if np.any(np.diag(lu[0]) == 0.0) or not np.all(np.isfinite(lu[0])):
-                    raise dense_linalg.LinAlgError("exactly singular")
-                self._base = lambda b: dense_linalg.lu_solve(lu, b)
+            if _factors_densely(self._a):
+                self._base = _dense_factor(self._a)
             else:
-                factor = splu(self._a.tocsc())
-                self._base = factor.solve
-        except (RuntimeError, np.linalg.LinAlgError, dense_linalg.LinAlgError) as exc:
+                self._base = splu(self._a.tocsc()).solve
+        except (RuntimeError, LinAlgError) as exc:
             raise InternalInconsistencyError(
                 f"(I - {what}) is singular; the convergence classification "
                 "says this cannot happen, so the classification is buggy"
             ) from exc
+
+    def release(self) -> None:
+        """Free the factorization; no solve is possible afterwards."""
+        del self._base
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve a 1-D ``b`` or a 2-D column panel; refinement checks the whole panel."""
@@ -218,12 +225,58 @@ class _ResolventSolver:
         indices, data = [np.zeros(0, np.int32)], [np.zeros(0)]
         for start in range(0, nonzero.size, step):
             panel = nonzero[start:start + step]
-            x = sparse.csc_matrix(self.solve(rhs[:, panel].toarray()))
-            counts[panel + 1] = np.diff(x.indptr)
-            indices.append(x.indices)
-            data.append(x.data)
-        entries = np.concatenate(data), np.concatenate(indices), np.cumsum(counts)
-        return sparse.csc_matrix(entries, shape=rhs.shape)
+            counts[panel + 1], rows, values = _column_nonzeros(
+                self.solve(rhs[:, panel].toarray())
+            )
+            indices.append(rows)
+            data.append(values)
+        # rebinding frees each list's pieces as soon as they are joined
+        data = np.concatenate(data)
+        indices = np.concatenate(indices)
+        return sparse.csc_matrix((data, indices, np.cumsum(counts)), shape=rhs.shape)
+
+
+def _column_nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column counts, row indices and values of a dense panel's nonzeros.
+
+    Column-major, as CSC stores them.  A boolean mask picks them, so no
+    COO coordinate arrays are made.
+    """
+    kept = x.T != 0.0
+    rows = np.broadcast_to(np.arange(x.shape[0], dtype=np.int32), kept.shape)
+    return kept.sum(axis=1), rows[kept], x.T[kept]
+
+
+def _factors_densely(a: sparse.csr_matrix) -> bool:
+    """Whether ``a`` is factored by dense LAPACK rather than SuperLU.
+
+    Blocks under ``DENSE_BLOCK_CUTOFF`` nodes always are.  Blocks of up to
+    ``_DENSE_FACTOR_NODES`` nodes are when their largest strongly connected
+    piece has at least ``DENSE_BLOCK_CUTOFF`` nodes.  Only cycles make
+    SuperLU fill; an acyclic or tree-like block factors sparse with little
+    fill, and a dense factor would only cost it time and memory.
+    """
+    size = a.shape[0]
+    if size < DENSE_BLOCK_CUTOFF:
+        return True
+    if size > _DENSE_FACTOR_NODES:
+        return False
+    _, labels = connected_components(a, directed=True, connection="strong")
+    return int(np.bincount(labels).max()) >= DENSE_BLOCK_CUTOFF
+
+
+def _dense_factor(a: sparse.csr_matrix):
+    """Dense LU of ``a``, factored in place; returns its solve function."""
+    with warnings.catch_warnings():
+        # lu_factor only warns on exact singularity; the zero pivot is
+        # caught explicitly below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        # a Fortran-order array is factored in place, without an m x m copy
+        lu, piv = lu_factor(a.toarray(order="F"), overwrite_a=True, check_finite=False)
+    # the sum is non-finite whenever an entry is, and needs no m x m mask
+    if np.any(np.diag(lu) == 0.0) or not np.isfinite(lu.sum()):
+        raise LinAlgError("exactly singular")
+    return lambda b: lu_solve((lu, piv), b, check_finite=False)
 
 
 def _stationary_row_vector(
@@ -500,9 +553,11 @@ def influence_matrix(
     All right-hand sides are solved together, and only the nonzero ones:
     stubborn followers, stubborn sink members, and every member of a
     balanced stubborn-free sink.  All other columns are structurally zero.
-    When no balanced stubborn-free sink exists and the graph is small, the
-    assembly is cross-checked against the direct resolvent of the whole
-    matrix.
+    The follower factorization is released once those rows are solved, so
+    it is not alive while Theta is permuted into original order; a
+    ``_solver`` handed in is released too.  When no balanced stubborn-free
+    sink exists and the graph is small, the assembly is cross-checked
+    against the direct resolvent of the whole matrix.
     """
     ordering = system.ordering
     n = ordering.n
@@ -517,12 +572,15 @@ def influence_matrix(
         rhs = sparse.diags(system.stubbornness_canonical[:m], shape=(m, n)) + (
             system.update_matrix[:m] @ canonical
         )
-        canonical = sparse.vstack([solver.solve_block(rhs), canonical[m:]])
-    canonical = canonical.tocoo()
-    perm = ordering.permutation
-    theta = sparse.coo_matrix(
-        (canonical.data, (perm[canonical.row], perm[canonical.col])), shape=(n, n)
-    ).tocsr()
+        follower_rows = solver.solve_block(rhs)
+        solver.release()
+        follower_rows = follower_rows.tocsr()
+        canonical = sparse.vstack([follower_rows, canonical[m:]], format="csr")
+        del follower_rows
+    # original order: permute the rows, then renumber the columns
+    theta = canonical[ordering.inverse]
+    del canonical
+    theta.indices = ordering.permutation.astype(theta.indices.dtype)[theta.indices]
     theta.sort_indices()
 
     if not classification.s_ns and n <= DIRECT_CHECK_CUTOFF:
@@ -582,13 +640,20 @@ class NetworkAnalysis:
 
     @cached_property
     def _solver(self) -> _ResolventSolver | None:
-        """The follower block's factorization, shared by every solve."""
+        """The follower block's factorization, shared by every solve.
+
+        ``influence`` takes it out of the cache and releases it before Theta
+        is assembled; a ``steady_state`` after that factors again.
+        """
         return _follower_solver(self.system)
 
     @cached_property
     def influence(self) -> InfluenceResult:
         theta = influence_matrix(
-            self.system, self.classification, self.sink_solutions, _solver=self._solver
+            self.system,
+            self.classification,
+            self.sink_solutions,
+            _solver=self.__dict__.pop("_solver", None),
         )
         centrality, ranking = absolute_centrality(theta)
         return InfluenceResult(matrix=theta, centrality=centrality, ranking=ranking)

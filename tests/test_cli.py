@@ -229,6 +229,25 @@ class TestModify:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_flip_edge_with_a_comma_in_a_label(self, tmp_path, out_dir):
+        graph = write(tmp_path / "g.csv", '"x,1",p,1\n"x,1","x,1",1\np,p,1\n')
+        code = run(["modify", "--graph", graph, "--out-dir", out_dir,
+                    "--flip-edge", '"x,1",p'])
+        assert code == 0
+        manifest = json.loads((out_dir / "modify_manifest.json").read_text())
+        assert manifest["flips"] == [
+            {"source": "x,1", "target": "p", "old_weight": 1.0, "new_weight": -1.0}
+        ]
+        modified = parse_edge_list((out_dir / "modified_graph.csv").read_text(encoding="utf-8"))
+        assert modified.adjacency[modified.index("x,1"), modified.index("p")] == -1.0
+
+    def test_unquoted_comma_in_flip_edge_exits_2(self, tmp_path, out_dir, capsys):
+        graph = write(tmp_path / "g.csv", '"x,1",p,1\n"x,1","x,1",1\np,p,1\n')
+        code = run(["modify", "--graph", graph, "--out-dir", out_dir,
+                    "--flip-edge", "x,1,p"])
+        assert code == 2
+        assert "SRC,TGT" in capsys.readouterr().err
+
     def test_set_beta_on_singleton_sink_warns(self, tmp_path, out_dir, capsys):
         graph = write(tmp_path / "g.csv", CHAIN)
         code = run(["modify", "--graph", graph, "--out-dir", out_dir,

@@ -363,26 +363,166 @@ class TestSpectralOracle:
         self.assert_matches_whole_matrix(analysis)
 
 
+def _count_factorizations(monkeypatch) -> dict[str, list[tuple[int, int]]]:
+    """Record the shape of every dense and sparse LU the solver starts."""
+    import signedfj.solve
+
+    shapes = {"lu_factor": [], "splu": []}
+    for name in shapes:
+        real = getattr(signedfj.solve, name)
+
+        def counting(a, *args, _real=real, _name=name, **kwargs):
+            shapes[_name].append(a.shape)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(signedfj.solve, name, counting)
+    return shapes
+
+
+def _leaky_follower_ring(followers: int) -> tuple[SignedDigraph, np.ndarray]:
+    """A signed follower ring, every fifth follower leaking into one stubborn sink.
+
+    Every fourth follower is stubborn, so Theta's follower rows have a
+    dense column per stubborn follower plus the sink's.
+    """
+    labels = [f"f{i}" for i in range(followers)] + ["z"]
+    edges = [(f"f{i}", f"f{i}", 1.0) for i in range(followers)]
+    edges += [(f"f{i}", f"f{(i + 1) % followers}", -1.0 if i % 7 == 0 else 1.0)
+              for i in range(followers)]
+    edges += [(f"f{i}", "z", 0.25) for i in range(0, followers, 5)]
+    edges += [("z", "z", 1.0)]
+    beta = np.zeros(followers + 1)
+    beta[:followers:4] = 0.05
+    beta[-1] = 0.5
+    return SignedDigraph.from_edges(labels, edges), beta
+
+
 class TestFollowerFactorization:
     def test_follower_block_is_factored_once_per_analysis(self, monkeypatch):
-        import signedfj.solve
-
-        followers = 80  # past the dense cutoff, so the sparse LU runs
+        followers = 80  # past the dense cutoff, so the structural routing decides
         graph, beta = _leaky_ring(followers, sink_beta=0.0)
         analysis = analyze_network(graph, beta)
         assert analysis.spectral.regime is Regime.SEMI_CONVERGENT
-        shapes = []
-        real_splu = signedfj.solve.splu
-
-        def counting_splu(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return real_splu(a, *args, **kwargs)
-
-        monkeypatch.setattr(signedfj.solve, "splu", counting_splu)
+        shapes = _count_factorizations(monkeypatch)
         x = analysis.steady_state(np.linspace(-1.0, 1.0, followers + 1))
         theta = analysis.influence.matrix
-        assert shapes.count((followers, followers)) == 1
+        factored = shapes["lu_factor"] + shapes["splu"]
+        assert factored.count((followers, followers)) == 1
         assert np.allclose(theta @ np.linspace(-1.0, 1.0, followers + 1), x, atol=1e-12)
+
+    def test_influence_releases_the_follower_factor(self):
+        graph, beta = _leaky_ring(80, sink_beta=0.0)
+        analysis = analyze_network(graph, beta)
+        x0 = np.linspace(-1.0, 1.0, 81)
+        before = analysis.steady_state(x0)
+        solver = analysis._solver
+        analysis.influence
+        assert not hasattr(solver, "_base")
+        assert "_solver" not in analysis.__dict__
+        # a later steady state factors again and gives the same answer
+        assert np.array_equal(analysis.steady_state(x0), before)
+
+
+class TestFactorRouting:
+    """Dense LAPACK for cycle-rich blocks within the budget, SuperLU otherwise."""
+
+    def test_leaky_ring_is_factored_densely(self, monkeypatch):
+        followers = 70
+        graph, beta = _leaky_follower_ring(followers)
+        analysis = analyze_network(graph, beta)
+        analysis.sink_solutions  # the singleton sink's solve is not counted
+        shapes = _count_factorizations(monkeypatch)
+        theta = analysis.influence.matrix
+        assert shapes == {"lu_factor": [(followers, followers)], "splu": []}
+        # the iteration stops on its step, and the ring contracts slowly
+        # enough that a 1e-13 step leaves about 1e-12 of error
+        expected = influence_by_iteration(graph, beta, tol=1e-15)
+        assert np.max(np.abs(theta.toarray() - expected)) <= 1e-12
+
+    def test_acyclic_chain_keeps_sparse_lu(self, monkeypatch):
+        length = 80
+        graph, beta = _chains_into_stubborn_singletons(1, length)
+        beta[: length : 3] = 0.2  # stubborn followers along the chain
+        analysis = analyze_network(graph, beta)
+        assert analysis.system.ordering.follower_count == length
+        analysis.sink_solutions
+        shapes = _count_factorizations(monkeypatch)
+        theta = analysis.influence.matrix
+        assert shapes["lu_factor"] == []
+        assert shapes["splu"] == [(length, length)]
+        expected = influence_by_iteration(graph, beta)
+        assert np.max(np.abs(theta.toarray() - expected)) <= 1e-12
+
+    def test_block_above_the_budget_keeps_sparse_lu(self, monkeypatch):
+        import signedfj.solve
+
+        followers = 70
+        graph, beta = _leaky_follower_ring(followers)
+        dense = analyze_network(graph, beta).influence.matrix
+        monkeypatch.setattr(signedfj.solve, "_DENSE_FACTOR_NODES", followers - 1)
+        analysis = analyze_network(graph, beta)
+        analysis.sink_solutions
+        shapes = _count_factorizations(monkeypatch)
+        theta = analysis.influence.matrix
+        assert shapes == {"lu_factor": [], "splu": [(followers, followers)]}
+        assert np.array_equal(theta.indptr, dense.indptr)
+        assert np.array_equal(theta.indices, dense.indices)
+        assert np.max(np.abs(theta.data - dense.data)) <= 1e-12
+
+    def test_theta_assembly_memory_is_bounded(self, monkeypatch):
+        """Peak traced memory of ``influence_matrix`` against Theta's own bytes.
+
+        Up to the factor's release, the peak beyond the dense factor is
+        measured; after it, while Theta is assembled, the whole peak.  The
+        panel budget is scaled down with the instance so that a panel stands
+        to Theta as it does on a Bitcoin-Alpha-shaped graph (2^20 entries
+        against 2.09M nonzeros); at the full budget this Theta would fit in
+        one panel, and the solve phase would measure that panel's refinement
+        temporaries, which the budget bounds on its own.
+        """
+        import tracemalloc
+
+        import signedfj.solve
+        from signedfj import (
+            build_update_system,
+            canonical_ordering,
+            classify_agents,
+            condense,
+            strongly_connected_components,
+        )
+        from signedfj.solve import _ResolventSolver
+
+        followers = 1000
+        graph, beta = _leaky_follower_ring(followers)
+        # the pieces influence_matrix needs, without the spectral check
+        sccs = strongly_connected_components(graph)
+        classification = classify_agents(graph, sccs, condense(graph, sccs), beta)
+        system = build_update_system(graph, beta, canonical_ordering(classification))
+        solutions = tuple(solve_sink(system, sink) for sink in classification.sinks)
+        monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", 1 << 17)
+        shapes = _count_factorizations(monkeypatch)
+        solve_peaks = []
+        real_release = _ResolventSolver.release
+
+        def measured_release(self):
+            solve_peaks.append(tracemalloc.get_traced_memory()[1])
+            real_release(self)
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(_ResolventSolver, "release", measured_release)
+        tracemalloc.start()
+        try:
+            theta = influence_matrix(system, classification, solutions)
+            assembly_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes["lu_factor"] == [(followers, followers)]
+        assert theta.nnz >= 200_000
+        factor_bytes = followers * followers * 8
+        theta_bytes = theta.data.nbytes + theta.indices.nbytes + theta.indptr.nbytes
+        assert len(solve_peaks) == 1
+        assert solve_peaks[0] - factor_bytes <= 2.5 * theta_bytes
+        assert assembly_peak <= 2.5 * theta_bytes
 
 
 class TestLargeBlockSolves:
@@ -593,6 +733,37 @@ class TestNumericsInternals:
 
         with pytest.raises(InternalInconsistencyError, match="singular"):
             _ResolventSolver(sparse.identity(5, format="csr"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_raises_internal_inconsistency(self, bad):
+        from signedfj import InternalInconsistencyError
+        from signedfj.solve import _ResolventSolver
+
+        block = np.full((4, 4), 0.1)
+        block[2, 1] = bad
+        with pytest.raises(InternalInconsistencyError, match="singular"):
+            _ResolventSolver(sparse.csr_matrix(block))
+
+    def test_dense_factor_makes_no_second_copy(self):
+        import tracemalloc
+
+        from signedfj.solve import _ResolventSolver
+
+        size = 600
+        ring = sparse.diags([np.full(size, 0.5), np.full(size - 1, -0.45)], [0, 1])
+        block = sparse.csr_matrix(ring + sparse.csr_matrix(([0.45], ([size - 1], [0])),
+                                                           shape=(size, size)))
+        factor_bytes = size * size * 8
+        tracemalloc.start()
+        try:
+            solver = _ResolventSolver(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x = solver.solve(np.ones(size))
+        assert np.max(np.abs(x - block @ x - 1.0)) <= 1e-12
+        # the factor itself, but neither a C-order copy nor an m x m mask
+        assert peak <= factor_bytes + factor_bytes // 16
 
 
 class TestGranularApi:
