@@ -21,7 +21,6 @@ from typing import Iterator, TextIO
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, splu
 
 from .dynamics import UpdateSystem, build_update_system
@@ -58,11 +57,11 @@ __all__ = [
     "centrality_csv",
 ]
 
-# Blocks below this size are solved densely.
+# Below this size a sink's stationary vector comes from a dense solve, and up
+# to eight times it a block's spectral radius from dense eigenvalues.
 DENSE_BLOCK_CUTOFF = 64
-# Larger blocks are factored densely up to this many nodes (a 134 MB factor)
-# when their largest strongly connected piece has at least DENSE_BLOCK_CUTOFF
-# nodes; all others go through sparse LU.
+# Resolvent blocks of up to this many nodes are factored densely (a 134 MB
+# factor); larger ones go through sparse LU.
 _DENSE_FACTOR_NODES = 4096
 # Up to this many nodes the influence matrix is cross-checked against the
 # direct resolvent of the whole update matrix.
@@ -164,11 +163,10 @@ class InfluenceResult:
 class _ResolventSolver:
     """Solves ``(I - M) y = b`` with a prefactored LU and iterative refinement.
 
-    A strongly connected piece of many nodes makes sparse LU fill the block
-    towards dense (a third of dense on a Bitcoin-Alpha-shaped follower
-    block), where dense LAPACK is several times faster; see
-    :func:`_factors_densely` for the rule.  Acyclic or tree-like blocks and
-    blocks above the dense budget keep SuperLU.
+    Blocks of up to ``_DENSE_FACTOR_NODES`` nodes are factored by dense
+    LAPACK: sparse LU fills a cycle-rich block towards dense (a third of
+    dense on a Bitcoin-Alpha-shaped follower block), where dense LAPACK is
+    several times faster.  Larger blocks keep SuperLU.
     """
 
     def __init__(self, m_block, *, what: str = "block"):
@@ -177,7 +175,7 @@ class _ResolventSolver:
         self._a = sparse.csr_matrix(eye - m_block)
         self._what = what
         try:
-            if _factors_densely(self._a):
+            if size <= _DENSE_FACTOR_NODES:
                 self._base = _dense_factor(self._a)
             else:
                 self._base = splu(self._a.tocsc()).solve
@@ -186,10 +184,6 @@ class _ResolventSolver:
                 f"(I - {what}) is singular; the convergence classification "
                 "says this cannot happen, so the classification is buggy"
             ) from exc
-
-    def release(self) -> None:
-        """Free the factorization; no solve is possible afterwards."""
-        del self._base
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve a 1-D ``b`` or a 2-D column panel; refinement checks the whole panel."""
@@ -245,24 +239,6 @@ def _column_nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     kept = x.T != 0.0
     rows = np.broadcast_to(np.arange(x.shape[0], dtype=np.int32), kept.shape)
     return kept.sum(axis=1), rows[kept], x.T[kept]
-
-
-def _factors_densely(a: sparse.csr_matrix) -> bool:
-    """Whether ``a`` is factored by dense LAPACK rather than SuperLU.
-
-    Blocks under ``DENSE_BLOCK_CUTOFF`` nodes always are.  Blocks of up to
-    ``_DENSE_FACTOR_NODES`` nodes are when their largest strongly connected
-    piece has at least ``DENSE_BLOCK_CUTOFF`` nodes.  Only cycles make
-    SuperLU fill; an acyclic or tree-like block factors sparse with little
-    fill, and a dense factor would only cost it time and memory.
-    """
-    size = a.shape[0]
-    if size < DENSE_BLOCK_CUTOFF:
-        return True
-    if size > _DENSE_FACTOR_NODES:
-        return False
-    _, labels = connected_components(a, directed=True, connection="strong")
-    return int(np.bincount(labels).max()) >= DENSE_BLOCK_CUTOFF
 
 
 def _dense_factor(a: sparse.csr_matrix):
@@ -553,11 +529,11 @@ def influence_matrix(
     All right-hand sides are solved together, and only the nonzero ones:
     stubborn followers, stubborn sink members, and every member of a
     balanced stubborn-free sink.  All other columns are structurally zero.
-    The follower factorization is released once those rows are solved, so
-    it is not alive while Theta is permuted into original order; a
-    ``_solver`` handed in is released too.  When no balanced stubborn-free
-    sink exists and the graph is small, the assembly is cross-checked
-    against the direct resolvent of the whole matrix.
+    The follower factorization is dropped once those rows are solved, so
+    unless the caller keeps a ``_solver`` it hands in, the factor is freed
+    before Theta is assembled.  When no balanced stubborn-free sink exists
+    and the graph is small, the assembly is cross-checked against the
+    direct resolvent of the whole matrix.
     """
     ordering = system.ordering
     n = ordering.n
@@ -573,7 +549,7 @@ def influence_matrix(
             system.update_matrix[:m] @ canonical
         )
         follower_rows = solver.solve_block(rhs)
-        solver.release()
+        del solver, _solver  # frees the factor before Theta is assembled
         follower_rows = follower_rows.tocsr()
         canonical = sparse.vstack([follower_rows, canonical[m:]], format="csr")
         del follower_rows
@@ -642,8 +618,9 @@ class NetworkAnalysis:
     def _solver(self) -> _ResolventSolver | None:
         """The follower block's factorization, shared by every solve.
 
-        ``influence`` takes it out of the cache and releases it before Theta
-        is assembled; a ``steady_state`` after that factors again.
+        ``influence`` takes it out of the cache, so the factor is freed
+        before Theta is assembled; a ``steady_state`` after that factors
+        again.
         """
         return _follower_solver(self.system)
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -379,6 +381,32 @@ def _count_factorizations(monkeypatch) -> dict[str, list[tuple[int, int]]]:
     return shapes
 
 
+def _on_assembly(monkeypatch, probe) -> list:
+    """Record ``probe()`` each time ``influence_matrix`` starts assembling Theta.
+
+    Assembly starts with the solved follower rows' conversion to CSR.
+    """
+    from signedfj.solve import _ResolventSolver
+
+    seen = []
+    real_solve_block = _ResolventSolver.solve_block
+
+    def solve_block(self, rhs):
+        rows = real_solve_block(self, rhs)
+        # held weakly: a strong reference here would keep the block alive
+        rows_ref = weakref.ref(rows)
+
+        def tocsr(*args, **kwargs):
+            seen.append(probe())
+            return type(rows_ref()).tocsr(rows_ref(), *args, **kwargs)
+
+        rows.tocsr = tocsr
+        return rows
+
+    monkeypatch.setattr(_ResolventSolver, "solve_block", solve_block)
+    return seen
+
+
 def _leaky_follower_ring(followers: int) -> tuple[SignedDigraph, np.ndarray]:
     """A signed follower ring, every fifth follower leaking into one stubborn sink.
 
@@ -399,7 +427,7 @@ def _leaky_follower_ring(followers: int) -> tuple[SignedDigraph, np.ndarray]:
 
 class TestFollowerFactorization:
     def test_follower_block_is_factored_once_per_analysis(self, monkeypatch):
-        followers = 80  # past the dense cutoff, so the structural routing decides
+        followers = 80
         graph, beta = _leaky_ring(followers, sink_beta=0.0)
         analysis = analyze_network(graph, beta)
         assert analysis.spectral.regime is Regime.SEMI_CONVERGENT
@@ -410,21 +438,22 @@ class TestFollowerFactorization:
         assert factored.count((followers, followers)) == 1
         assert np.allclose(theta @ np.linspace(-1.0, 1.0, followers + 1), x, atol=1e-12)
 
-    def test_influence_releases_the_follower_factor(self):
+    def test_influence_releases_the_follower_factor(self, monkeypatch):
         graph, beta = _leaky_ring(80, sink_beta=0.0)
         analysis = analyze_network(graph, beta)
         x0 = np.linspace(-1.0, 1.0, 81)
         before = analysis.steady_state(x0)
-        solver = analysis._solver
+        solver = weakref.ref(analysis._solver)
+        alive = _on_assembly(monkeypatch, lambda: solver() is not None)
         analysis.influence
-        assert not hasattr(solver, "_base")
+        assert alive == [False]
         assert "_solver" not in analysis.__dict__
         # a later steady state factors again and gives the same answer
         assert np.array_equal(analysis.steady_state(x0), before)
 
 
 class TestFactorRouting:
-    """Dense LAPACK for cycle-rich blocks within the budget, SuperLU otherwise."""
+    """Dense LAPACK for blocks within the node budget, SuperLU above it."""
 
     def test_leaky_ring_is_factored_densely(self, monkeypatch):
         followers = 70
@@ -439,7 +468,7 @@ class TestFactorRouting:
         expected = influence_by_iteration(graph, beta, tol=1e-15)
         assert np.max(np.abs(theta.toarray() - expected)) <= 1e-12
 
-    def test_acyclic_chain_keeps_sparse_lu(self, monkeypatch):
+    def test_acyclic_chain_is_factored_densely(self, monkeypatch):
         length = 80
         graph, beta = _chains_into_stubborn_singletons(1, length)
         beta[: length : 3] = 0.2  # stubborn followers along the chain
@@ -448,8 +477,7 @@ class TestFactorRouting:
         analysis.sink_solutions
         shapes = _count_factorizations(monkeypatch)
         theta = analysis.influence.matrix
-        assert shapes["lu_factor"] == []
-        assert shapes["splu"] == [(length, length)]
+        assert shapes == {"lu_factor": [(length, length)], "splu": []}
         expected = influence_by_iteration(graph, beta)
         assert np.max(np.abs(theta.toarray() - expected)) <= 1e-12
 
@@ -472,8 +500,8 @@ class TestFactorRouting:
     def test_theta_assembly_memory_is_bounded(self, monkeypatch):
         """Peak traced memory of ``influence_matrix`` against Theta's own bytes.
 
-        Up to the factor's release, the peak beyond the dense factor is
-        measured; after it, while Theta is assembled, the whole peak.  The
+        Until Theta's assembly starts, the peak beyond the dense factor is
+        measured; after that, with the factor freed, the whole peak.  The
         panel budget is scaled down with the instance so that a panel stands
         to Theta as it does on a Bitcoin-Alpha-shaped graph (2^20 entries
         against 2.09M nonzeros); at the full budget this Theta would fit in
@@ -490,7 +518,6 @@ class TestFactorRouting:
             condense,
             strongly_connected_components,
         )
-        from signedfj.solve import _ResolventSolver
 
         followers = 1000
         graph, beta = _leaky_follower_ring(followers)
@@ -501,15 +528,13 @@ class TestFactorRouting:
         solutions = tuple(solve_sink(system, sink) for sink in classification.sinks)
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", 1 << 17)
         shapes = _count_factorizations(monkeypatch)
-        solve_peaks = []
-        real_release = _ResolventSolver.release
 
-        def measured_release(self):
-            solve_peaks.append(tracemalloc.get_traced_memory()[1])
-            real_release(self)
+        def solve_peak():
+            peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
+            return peak
 
-        monkeypatch.setattr(_ResolventSolver, "release", measured_release)
+        solve_peaks = _on_assembly(monkeypatch, solve_peak)
         tracemalloc.start()
         try:
             theta = influence_matrix(system, classification, solutions)
@@ -526,7 +551,8 @@ class TestFactorRouting:
 
 
 class TestLargeBlockSolves:
-    """Blocks past the dense cutoff take the sparse LU / sparse gauge routes."""
+    """Blocks past the dense cutoff take the sparse gauge route, and blocks
+    past a (lowered) dense factor budget take SuperLU."""
 
     @staticmethod
     def _balanced_ring(size, *, negatives, offset=0):
@@ -557,10 +583,15 @@ class TestLargeBlockSolves:
         assert trajectory.converged
         assert np.max(np.abs(closed - trajectory.final)) <= 1e-8
 
-    def test_sparse_resolvent_and_follower_blocks(self):
+    def test_sparse_resolvent_and_follower_blocks(self, monkeypatch):
+        import signedfj.solve
+
         # 80 followers in a chain feeding a 70-node positive sink with two
-        # stubborn members: both (I - block) solves run on sparse LU
+        # stubborn members; with the dense budget below 70 nodes, both
+        # (I - block) solves run on sparse LU
         m, s = 80, 70
+        monkeypatch.setattr(signedfj.solve, "_DENSE_FACTOR_NODES", s - 1)
+        shapes = _count_factorizations(monkeypatch)
         edges = [(i, i + 1, 1.0) for i in range(m)]  # chain ends at the sink's door
         for k in range(s):
             i = m + k
@@ -584,6 +615,8 @@ class TestLargeBlockSolves:
         # influential columns are exactly the two stubborn members
         centrality = analysis.influence.centrality
         assert set(np.flatnonzero(centrality > 1e-12)) == {m + 5, m + 40}
+        assert shapes["lu_factor"] == []
+        assert sorted(shapes["splu"]) == [(s, s), (m, m)]
 
 
 def _chains_into_stubborn_singletons(chains: int, length: int):
