@@ -39,12 +39,7 @@ from .graph import (
     validate,
     weak_components,
 )
-from .solve import (
-    analyze_network,
-    centrality_csv,
-    influence_scatter_csv,
-    influence_triplets_csv,
-)
+from .solve import analyze_network, centrality_csv, influence_triplets_csv
 from .topology import classification_to_dict, condense, strongly_connected_components
 
 EXIT_OK = 0
@@ -387,9 +382,9 @@ def cmd_centrality(config: RunConfig) -> int:
     labels = report.graph.labels
     _write(config.out_dir, "centrality.csv",
            centrality_csv(result.centrality, result.ranking, labels))
-    _write(config.out_dir, "theta.csv", partial(influence_triplets_csv, result.matrix, labels))
-    _write(config.out_dir, "theta_scatter.csv",
-           partial(influence_scatter_csv, result.matrix, labels))
+    # one walk writes both Theta files; each is closed when its own _write returns
+    _write(config.out_dir, "theta_scatter.csv", lambda scatter: _write(config.out_dir, "theta.csv",
+           partial(influence_triplets_csv, result.matrix, labels, scatter=scatter)))
     for rank, node in enumerate(result.ranking[: config.top], start=1):
         print(f"{rank}\t{labels[node]}\t{float(result.centrality[node])!r}")
     return EXIT_OK

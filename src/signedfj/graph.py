@@ -321,10 +321,14 @@ def ensure_self_loops(graph: SignedDigraph, weight: float) -> SignedDigraph:
     weight = float(weight)
     if not np.isfinite(weight) or weight <= 0:
         raise ValueError("self-loop weight must be positive and finite")
-    have = graph.self_loop_weights != 0
-    edges = list(graph.edge_triples())
-    edges.extend((i, i, weight) for i in range(graph.n) if not have[i])
-    return SignedDigraph.from_edges(graph.labels, edges)
+    # the graph's invariants hold, so no edge is resolved or checked again
+    missing = np.flatnonzero(graph.self_loop_weights == 0)
+    return SignedDigraph(
+        labels=graph.labels,
+        sources=_readonly(np.concatenate([graph.sources, missing])),
+        targets=_readonly(np.concatenate([graph.targets, missing])),
+        weights=_readonly(np.concatenate([graph.weights, np.full(missing.size, weight)])),
+    )
 
 
 def flip_edges(graph: SignedDigraph, pairs: Iterable[tuple[str, str]]) -> SignedDigraph:

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 from scipy import sparse
@@ -187,18 +187,20 @@ class _ResolventSolver:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve a 1-D ``b`` or a 2-D column panel; refinement checks the whole panel."""
-        x = self._base(b)
+        x = np.ascontiguousarray(self._base(b))  # so the residual's product copies no panel
         if not np.isfinite(x).all():
             raise InternalInconsistencyError(
                 f"solve against (I - {self._what}) produced non-finite values"
             )
         scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-        for _ in range(4):
-            r = b - self._a @ x
-            if float(np.max(np.abs(r)) if r.size else 0.0) <= 1e-12 * scale:
-                return x
-            x = x + self._base(r)
-        if float(np.max(np.abs(b - self._a @ x)) if b.size else 0.0) > 1e-6 * scale:
+        for refinements in range(5):
+            r = self._a @ x
+            np.subtract(b, r, out=r)  # in place: one panel beside b and x, not two
+            residual = float(max(r.max(), -r.min())) if r.size else 0.0
+            if residual <= 1e-12 * scale or refinements == 4:
+                break
+            x += self._base(r)
+        if residual > 1e-6 * scale:
             raise InternalInconsistencyError(
                 "iterative refinement stalled; block solve is unreliable"
             )
@@ -686,46 +688,45 @@ def influence(graph: SignedDigraph, beta) -> InfluenceResult:
 # Exports
 # ---------------------------------------------------------------------------
 
-def _theta_chunks(
-    theta: sparse.spmatrix, labels: tuple[str, ...]
-) -> Iterator[Iterator[tuple[str, str, float]]]:
-    """Theta's entries in row-major order, as chunks of ``(row field, column field, value)``.
+def influence_triplets_csv(
+    theta: sparse.spmatrix, labels: tuple[str, ...], out: TextIO | None,
+    scatter: TextIO | None = None,
+) -> None:
+    """Write sparse triplets ``row_node,col_node,theta`` in row-major order to ``out``.
 
-    A CSR walk with sorted indices and summed duplicates is already that
-    order, so no sorted copy of the triplets is made.
+    Given a ``scatter`` handle, the same walk writes :func:`influence_scatter_csv`'s
+    rows to it, formatting each value once for both files; ``out`` may then be
+    None.  Rows go out a chunk at a time with CSV-quoted labels, in the order
+    of a CSR walk with sorted indices and summed duplicates: no sorted copy.
     """
     csr = sparse.csr_matrix(theta)
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
     fields = _csv_fields(labels)
+    if out is not None:
+        out.write("row_node,col_node,theta\n")
+    if scatter is not None:
+        scatter.write("row_node,col_node,theta,sign\n")
     for start, stop in _csv_chunks(csr.nnz):
         rows = np.searchsorted(csr.indptr, np.arange(start, stop), side="right") - 1
-        yield zip(
+        values = csr.data[start:stop]
+        # repr of the values is most of the cost, so each prefix serves both files
+        prefixes = [f"{r},{c},{x!r}" for r, c, x in zip(
             map(fields.__getitem__, rows.tolist()),
             map(fields.__getitem__, csr.indices[start:stop].tolist()),
-            csr.data[start:stop].tolist(),
-        )
-
-
-def influence_triplets_csv(theta: sparse.spmatrix, labels: tuple[str, ...], out: TextIO) -> None:
-    """Write sparse triplets ``row_node,col_node,theta`` in row-major order to ``out``.
-
-    Labels are CSV-quoted; the rows are formatted and written a chunk at a time.
-    """
-    out.write("row_node,col_node,theta\n")
-    for chunk in _theta_chunks(theta, labels):
-        out.write("".join([f"{r},{c},{x!r}\n" for r, c, x in chunk]))
+            values.tolist(),
+        )]
+        if out is not None:
+            out.write("\n".join(prefixes) + "\n")
+        if scatter is not None:
+            signs = map((",-1\n", ",1\n").__getitem__, (values > 0).tolist())
+            scatter.write("".join(map(str.__add__, prefixes, signs)))
 
 
 def influence_scatter_csv(theta: sparse.spmatrix, labels: tuple[str, ...], out: TextIO) -> None:
-    """Write the triplets plus a +1/-1 sign column, ready for a colored scatter plot.
-
-    Labels are CSV-quoted; the rows are formatted and written a chunk at a time.
-    """
-    out.write("row_node,col_node,theta,sign\n")
-    for chunk in _theta_chunks(theta, labels):
-        out.write("".join([f"{r},{c},{x!r},{1 if x > 0 else -1}\n" for r, c, x in chunk]))
+    """Write the triplets plus a +1/-1 sign column, ready for a colored scatter plot."""
+    influence_triplets_csv(theta, labels, None, out)
 
 
 def centrality_csv(

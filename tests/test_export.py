@@ -10,6 +10,7 @@ inside trajectory records.
 import io
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,13 +40,26 @@ def written(writer, *args) -> str:
     return out.getvalue()
 
 
+def written_jointly(theta, labels) -> tuple[str, str]:
+    """Both Theta files from one walk: ``influence_triplets_csv`` given a scatter handle."""
+    out, scatter = io.StringIO(), io.StringIO()
+    influence_triplets_csv(theta, labels, out, scatter)
+    return out.getvalue(), scatter.getvalue()
+
+
 def assert_theta_exports_match(theta, labels):
-    assert written(influence_triplets_csv, theta, labels) == oracles.influence_triplets_text(
-        theta, labels
-    )
-    assert written(influence_scatter_csv, theta, labels) == oracles.influence_scatter_text(
-        theta, labels
-    )
+    triplets = oracles.influence_triplets_text(theta, labels)
+    scatter = oracles.influence_scatter_text(theta, labels)
+    assert written(influence_triplets_csv, theta, labels) == triplets
+    assert written(influence_scatter_csv, theta, labels) == scatter
+    assert written_jointly(theta, labels) == (triplets, scatter)
+
+
+def signed_theta(n: int, nnz: int, seed: int) -> sparse.csr_matrix:
+    """An n x n Theta with ``nnz`` entries of both signs at random cells."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(n * n, nnz, replace=False)
+    return sparse.csr_matrix((rng.uniform(-1.0, 1.0, nnz), divmod(cells, n)), shape=(n, n))
 
 
 def assert_trajectory_exports_match(trajectory, labels):
@@ -75,6 +89,16 @@ class TestMatchesReference:
         assert theta.nnz == 0
         assert_theta_exports_match(theta, QUOTED_LABELS)
         assert written(influence_triplets_csv, theta, QUOTED_LABELS) == "row_node,col_node,theta\n"
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_nnz_at_chunk_boundary(self, offset, chunk):
+        nnz = graph_module._CSV_CHUNK_ROWS + offset
+        n = 70  # 4900 cells hold the default chunk of 4096 rows and one more
+        theta = signed_theta(n, nnz, 8700 + offset)
+        assert theta.nnz == nnz
+        assert (theta.data < 0).any() and (theta.data > 0).any()
+        labels = QUOTED_LABELS + tuple(str(i) for i in range(n - len(QUOTED_LABELS)))
+        assert_theta_exports_match(theta, labels)
 
     def test_unsorted_csr_is_written_sorted_and_left_unchanged(self, chunk):
         indptr = np.array([0, 3, 3, 5, 6])
@@ -120,6 +144,17 @@ class TestBoundedMemory:
         peak = traced_peak(path, lambda out: influence_triplets_csv(theta, labels, out))
         assert peak < path.stat().st_size / 4
 
+    def test_joint_theta_export(self, tmp_path):
+        n = 2000
+        theta = signed_theta(n, 240_000, 7)
+        labels = tuple(str(i) for i in range(n))
+        path, scatter_path = tmp_path / "theta.csv", tmp_path / "theta_scatter.csv"
+        with scatter_path.open("w", encoding="utf-8") as scatter:
+            peak = traced_peak(
+                path, lambda out: influence_triplets_csv(theta, labels, out, scatter)
+            )
+        assert peak < (path.stat().st_size + scatter_path.stat().st_size) / 4
+
     def test_long_trajectory_export(self, tmp_path):
         records, n = 2500, 100
         trajectory = Trajectory(
@@ -146,22 +181,49 @@ TRACED_WRITERS = [
 
 
 def test_cli_calls_each_traced_writer_once(tmp_path, monkeypatch):
+    """Every export the CLI makes is written inside a writer call the tracer times.
+
+    ``centrality`` writes both Theta files in one ``influence_triplets_csv``
+    call given a scatter handle, so it never calls ``influence_scatter_csv``.
+    The tracer also reads each file's size when its ``_write`` returns, so
+    every file is complete by then.
+    """
     calls = Counter()
+    bytes_in_call = {}
     for module, name in TRACED_WRITERS:
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            _original(*args, **kwargs)
+            for handle in (*args, *kwargs.values()):
+                if isinstance(handle, io.TextIOBase):
+                    bytes_in_call[Path(handle.name).name] = handle.tell()
 
         # replaced in every namespace that holds it, as the tracer does
         for holder in (cli, solve, dynamics):
             if getattr(holder, name, None) is original:
                 monkeypatch.setattr(holder, name, counting)
 
+    sizes_at_return = {}
+    original_write = cli._write
+
+    def recording_write(*args):
+        path = original_write(*args)
+        sizes_at_return[path] = path.stat().st_size
+        return path
+
+    monkeypatch.setattr(cli, "_write", recording_write)
+
     graph, beta = write_inputs(tmp_path)
     x0 = write_x0(tmp_path)
     common = ["--graph", str(graph), "--beta", str(beta)]
     assert main(["centrality", *common, "--out-dir", str(tmp_path / "centrality")]) == 0
     assert main(["simulate", *common, "--x0", str(x0), "--out-dir", str(tmp_path / "sim")]) == 0
-    assert calls == {name: 1 for _, name in TRACED_WRITERS}
+    assert calls == {"influence_triplets_csv": 1, "trajectory_long_csv": 1,
+                     "trajectory_wide_csv": 1}
+    exports = {path.name: path.stat().st_size for path in sizes_at_return}
+    assert bytes_in_call == {name: exports[name] for name in (
+        "theta.csv", "theta_scatter.csv", "trajectory_long.csv", "trajectory_wide.csv")}
+    assert all(bytes_in_call.values())
+    assert sizes_at_return == {path: path.stat().st_size for path in sizes_at_return}

@@ -250,6 +250,21 @@ class TestEditing:
         # already-present loops are untouched
         assert ensure_self_loops(g2, 9.0).self_loop_weights.tolist() == [0.5, 0.5]
 
+    def test_ensure_self_loops_matches_from_edges(self):
+        # b and c carry loops already; a and d get theirs after every existing edge
+        g = parse_edge_list("a,b,1\nc,c,2\nb,a,-3\nd,c,1\nb,b,4")
+        g2 = ensure_self_loops(g, 0.5)
+        rebuilt = SignedDigraph.from_edges(
+            g.labels, [*g.edge_triples(), (0, 0, 0.5), (3, 3, 0.5)]
+        )
+        for name in ("sources", "targets", "weights"):
+            array, expected = getattr(g2, name), getattr(rebuilt, name)
+            np.testing.assert_array_equal(array, expected)
+            assert array.dtype == expected.dtype
+            assert not array.flags.writeable
+        assert g2.sources.tolist() == [0, 2, 1, 3, 1, 0, 3]
+        assert g2.labels == g.labels
+
     def test_flip_edges(self):
         g = parse_edge_list("a,b,2\nb,a,1")
         g2 = flip_edges(g, [("a", "b")])
