@@ -23,7 +23,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import __version__
-from .dynamics import simulate, trajectory_long_csv, trajectory_wide_csv
+from .dynamics import simulate, trajectory_long_csv
 from .errors import GraphFormatError, InternalInconsistencyError, NumericalError
 from .graph import (
     SignedDigraph,
@@ -169,7 +169,8 @@ def _sha256(path: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # untranslated, as csv wants it: a quoted label may hold "\r\n" or "\r"
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -350,9 +351,10 @@ def cmd_simulate(config: RunConfig) -> int:
         stride=config.stride,
         patience=config.patience,
     )
-    _write(config.out_dir, "trajectory_long.csv",
-           partial(trajectory_long_csv, trajectory, report.graph.labels))
-    _write(config.out_dir, "trajectory_wide.csv", partial(trajectory_wide_csv, trajectory))
+    # one walk writes both trajectory files; each is closed when its own _write returns
+    _write(config.out_dir, "trajectory_wide.csv", lambda wide: _write(
+        config.out_dir, "trajectory_long.csv",
+        partial(trajectory_long_csv, trajectory, report.graph.labels, wide=wide)))
     summary = {
         "config": asdict(config),
         "inputs": _input_provenance(config),

@@ -13,6 +13,7 @@ Rows with no edges at all keep their opinion (unit row).
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TextIO
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InternalInconsistencyError, NumericalError
-from .graph import SignedDigraph, _csv_chunks, _csv_fields
+from .graph import SignedDigraph, _csv_fields, _formatted_chunks
 from .topology import CanonicalOrdering
 
 __all__ = [
@@ -234,26 +235,45 @@ def simulate(
     )
 
 
-def trajectory_long_csv(trajectory: Trajectory, labels: tuple[str, ...], out: TextIO) -> None:
+def trajectory_long_csv(
+    trajectory: Trajectory, labels: tuple[str, ...], out: TextIO | None,
+    wide: TextIO | None = None,
+) -> None:
     """Write the plot-ready long format to ``out``: one ``k,node,opinion`` row per node per record.
 
-    Labels are CSV-quoted.  Records are written one at a time, each in chunks
-    of at most ``_CSV_CHUNK_ROWS`` rows.
+    Given a ``wide`` handle, the same walk writes :func:`trajectory_wide_csv`'s
+    rows to it, formatting each value once for both files; ``out`` may then be
+    None.  Labels are CSV-quoted.  Records go out a chunk of whole records at a
+    time, at most ``_CSV_CHUNK_ROWS`` values unless one record holds more, and
+    the chunks are formatted on every available CPU (see ``_formatted_chunks``).
     """
+    ks, states = trajectory.ks.tolist(), trajectory.states
     fields = _csv_fields(labels)
-    out.write("k,node,opinion\n")
-    for k, state in zip(trajectory.ks.tolist(), trajectory.states):
-        for start, stop in _csv_chunks(len(fields)):
-            values = state[start:stop].tolist()
-            out.write("".join([f"{k},{f},{x!r}\n" for f, x in zip(fields[start:stop], values)]))
+    to_out, to_wide = out is not None, wide is not None
+    if to_out:
+        out.write("k,node,opinion\n")
+    if to_wide:
+        wide.write("k," + ",".join(f"x_{i}" for i in range(states.shape[1])) + "\n")
+
+    def format_records(start: int, stop: int) -> tuple[str, str]:
+        long_text, wide_text = [], []
+        for k, state in zip(ks[start:stop], states[start:stop].tolist()):
+            values = list(map(repr, state))
+            if to_out:
+                head = f"{k},"  # formatted once per record, not once per row
+                long_text.extend([f"{head}{f},{x}\n" for f, x in zip(fields, values)])
+            if to_wide:
+                wide_text.append(f"{k},{','.join(values)}\n")
+        return "".join(long_text), "".join(wide_text)
+
+    with closing(_formatted_chunks(format_records, len(ks), states.shape[1])) as chunks:
+        for long_text, wide_text in chunks:
+            if to_out:
+                out.write(long_text)
+            if to_wide:
+                wide.write(wide_text)
 
 
 def trajectory_wide_csv(trajectory: Trajectory, out: TextIO) -> None:
-    """Write the wide format to ``out``: ``k`` plus one ``x_<i>`` column per node index.
-
-    Each record is one row, written as soon as it is formatted.
-    """
-    n = trajectory.states.shape[1]
-    out.write("k," + ",".join(f"x_{i}" for i in range(n)) + "\n")
-    for k, state in zip(trajectory.ks.tolist(), trajectory.states):
-        out.write(f"{k},{','.join(map(repr, state.tolist()))}\n")
+    """Write the wide format to ``out``: ``k`` plus one ``x_<i>`` column per node index."""
+    trajectory_long_csv(trajectory, (), None, out)

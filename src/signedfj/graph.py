@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+from warnings import catch_warnings, filterwarnings
 
 import numpy as np
 from scipy import sparse
@@ -38,20 +42,18 @@ __all__ = [
 ]
 
 
-def _iter_lines(source) -> Iterator[tuple[int, str]]:
-    """Yield ``(1-based line number, line)`` from a string, file object, or iterable."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = [str(ln).rstrip("\r\n") for ln in source]
-    for no, raw in enumerate(lines, start=1):
-        yield no, raw
+def _csv_rows(source) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, stripped fields)`` for each non-blank CSV record.
 
-
-def _split_fields(line: str) -> list[str]:
-    return [f.strip() for f in next(csv.reader([line]))]
+    ``source`` is text, a file object, or an iterable of lines.  One reader
+    parses all of it, so a quoted field may hold a line break; a record's
+    line number is that of its last line.
+    """
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    for row in reader:
+        fields = [f.strip() for f in row]
+        if len(fields) > 1 or (fields and fields[0]):
+            yield reader.line_num, fields
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -202,11 +204,9 @@ def parse_edge_list(
 
     labels: list[str] = []
     index: dict[str, int] = {}
-    order: list[tuple[int, int]] = []
     weight_at: dict[tuple[int, int], float] = {}
     first_line: dict[tuple[int, int], int] = {}
     header_pending = has_header
-    saw_data = False
 
     def node_id(label: str) -> int:
         if label not in index:
@@ -214,13 +214,10 @@ def parse_edge_list(
             labels.append(label)
         return index[label]
 
-    for lineno, raw in _iter_lines(source):
-        if not raw.strip():
-            continue
+    for lineno, fields in _csv_rows(source):
         if header_pending:
             header_pending = False
             continue
-        fields = _split_fields(raw)
         if len(fields) < 3:
             raise GraphFormatError(
                 f"expected 'source,target,weight', got {len(fields)} column(s)", line=lineno
@@ -243,7 +240,6 @@ def parse_edge_list(
         if w == 0.0:
             raise GraphFormatError("zero weight is not allowed", line=lineno)
 
-        saw_data = True
         key = (node_id(src_label), node_id(tgt_label))
         if key in weight_at:
             if merge_duplicates != "sum":
@@ -257,16 +253,25 @@ def parse_edge_list(
                 raise GraphFormatError(
                     f"duplicate edges ({src_label!r}, {tgt_label!r}) sum to zero", line=lineno
                 )
+            if not np.isfinite(weight_at[key]):
+                raise GraphFormatError(
+                    f"duplicate edges ({src_label!r}, {tgt_label!r}) sum to a non-finite weight",
+                    line=lineno,
+                )
         else:
             weight_at[key] = w
             first_line[key] = lineno
-            order.append(key)
 
-    if not saw_data:
+    if not weight_at:
         raise GraphFormatError("empty input: no edge lines found")
 
-    return SignedDigraph.from_edges(
-        labels, [(s, t, weight_at[(s, t)]) for s, t in order]
+    # every invariant of from_edges is checked above, so no edge is resolved again
+    ends = np.array(list(weight_at), dtype=np.int64).reshape(-1, 2)
+    return SignedDigraph(
+        labels=tuple(labels),
+        sources=_readonly(ends[:, 0].copy()),
+        targets=_readonly(ends[:, 1].copy()),
+        weights=_readonly(np.fromiter(weight_at.values(), np.float64, len(weight_at))),
     )
 
 
@@ -299,10 +304,101 @@ def _csv_fields(labels: Iterable[str]) -> list[str]:
     return fields
 
 
-def _csv_chunks(count: int) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` bounds cutting ``count`` rows into chunks of ``_CSV_CHUNK_ROWS``."""
-    for start in range(0, count, _CSV_CHUNK_ROWS):
-        yield start, min(start + _CSV_CHUNK_ROWS, count)
+def _csv_chunks(count: int, item_rows: int = 1) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` bounds cutting ``count`` items of ``item_rows`` rows each into
+    chunks of at most ``_CSV_CHUNK_ROWS`` rows, and at least one item."""
+    step = max(1, _CSV_CHUNK_ROWS // max(item_rows, 1))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
+# Each worker is handed at most this many chunks ahead of the writer, so the text
+# in flight is O(workers x chunk) however slowly the output drains.
+_CHUNKS_PER_WORKER = 2
+
+
+def _format_tasks(format_chunk: Callable[[int, int], object], conn) -> None:
+    """A worker's loop: format each ``(start, stop)`` received until ``None`` arrives.
+
+    An exception is sent back in place of the chunk, for the writer to raise.
+    An interrupt is left to the writer, which stops the workers.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for start, stop in iter(conn.recv, None):
+        try:
+            chunk = format_chunk(start, stop)
+        except Exception as exc:
+            chunk = exc
+        conn.send(chunk)
+
+
+def _formatted_chunks(
+    format_chunk: Callable[[int, int], object], count: int, item_rows: int = 1
+) -> Iterator:
+    """``format_chunk(start, stop)`` for each of :func:`_csv_chunks`' bounds, in order.
+
+    Where the ``fork`` start method exists, the process's affinity set holds
+    more than one CPU and there is more than one chunk, one forked worker per
+    CPU (and at most one per chunk) formats the chunks; otherwise this process
+    does.  The workers inherit ``format_chunk`` and the arrays it reads through
+    fork, so only the formatted chunks are pickled.  Chunk ``i`` goes to worker
+    ``i % workers`` and is read back from that worker's pipe, so the order is
+    kept; a new chunk is handed out only when one has been written, so at most
+    ``_CHUNKS_PER_WORKER`` chunks per worker are in flight.  Iterate inside
+    ``contextlib.closing`` so that the workers are gone when the writer
+    returns or raises.
+    """
+    bounds = list(_csv_chunks(count, item_rows))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(bounds))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        for start, stop in bounds:
+            yield format_chunk(start, stop)
+        return
+    context = multiprocessing.get_context("fork")
+    processes, conns = [], []
+    try:
+        with catch_warnings():
+            # Python 3.12+ warns that forking a process with threads (OpenBLAS's
+            # here) may deadlock the child; the workers only format strings, so
+            # they never enter BLAS or wait on a lock its threads may hold
+            filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                DeprecationWarning,
+            )
+            for _ in range(workers):
+                conn, worker_conn = context.Pipe()
+                conns.append(conn)
+                with worker_conn:  # the worker holds its own copy
+                    process = context.Process(
+                        target=_format_tasks, args=(format_chunk, worker_conn), daemon=True)
+                    process.start()
+                processes.append(process)
+        window = _CHUNKS_PER_WORKER * workers
+        try:
+            for i, task in enumerate(bounds[:window]):
+                conns[i % workers].send(task)
+            for i in range(len(bounds)):
+                chunk = conns[i % workers].recv()
+                if isinstance(chunk, Exception):
+                    raise chunk
+                yield chunk
+                if i + window < len(bounds):
+                    conns[i % workers].send(bounds[i + window])
+            for conn in conns:
+                conn.send(None)
+        except (EOFError, ConnectionError):  # a worker was killed, say by the OOM killer
+            raise ChildProcessError("a CSV formatting worker exited early") from None
+    except BaseException:
+        for process in processes:
+            process.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for process in processes:
+            process.join()
 
 
 def serialize_edge_list(graph: SignedDigraph) -> str:
@@ -340,10 +436,13 @@ def flip_edges(graph: SignedDigraph, pairs: Iterable[tuple[str, str]]) -> Signed
         if s is None or t is None or not graph.has_edge(s, t):
             raise GraphFormatError(f"edge ({src_label!r}, {tgt_label!r}) not found")
         flips.add((s, t))
-    edges = [
-        (s, t, -w if (s, t) in flips else w) for s, t, w in graph.edge_triples()
-    ]
-    return SignedDigraph.from_edges(graph.labels, edges)
+    weights = graph.weights.copy()
+    at = [graph._edge_positions[pair] for pair in flips]
+    weights[at] = -weights[at]
+    return SignedDigraph(
+        labels=graph.labels, sources=graph.sources, targets=graph.targets,
+        weights=_readonly(weights),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +461,10 @@ def _read_node_values(
 ) -> dict[int, float]:
     values: dict[int, float] = {}
     header_pending = has_header
-    for lineno, raw in _iter_lines(source):
-        if not raw.strip():
-            continue
+    for lineno, fields in _csv_rows(source):
         if header_pending:
             header_pending = False
             continue
-        fields = _split_fields(raw)
         if len(fields) != 2:
             raise GraphFormatError(
                 f"expected 'node,{what}', got {len(fields)} column(s)", line=lineno

@@ -13,6 +13,7 @@ opinions; its absolute column sums are the centrality scores.
 from __future__ import annotations
 
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -25,7 +26,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs, splu
 
 from .dynamics import UpdateSystem, build_update_system
 from .errors import InternalInconsistencyError, NumericalError
-from .graph import SignedDigraph, _csv_chunks, _csv_fields
+from .graph import SignedDigraph, _csv_fields, _formatted_chunks
 from .topology import (
     AgentClassification,
     CondensationDag,
@@ -698,17 +699,20 @@ def influence_triplets_csv(
     rows to it, formatting each value once for both files; ``out`` may then be
     None.  Rows go out a chunk at a time with CSV-quoted labels, in the order
     of a CSR walk with sorted indices and summed duplicates: no sorted copy.
+    The chunks are formatted on every available CPU (see ``_formatted_chunks``).
     """
     csr = sparse.csr_matrix(theta)
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
     fields = _csv_fields(labels)
-    if out is not None:
+    to_out, to_scatter = out is not None, scatter is not None
+    if to_out:
         out.write("row_node,col_node,theta\n")
-    if scatter is not None:
+    if to_scatter:
         scatter.write("row_node,col_node,theta,sign\n")
-    for start, stop in _csv_chunks(csr.nnz):
+
+    def format_chunk(start: int, stop: int) -> tuple[str, str]:
         rows = np.searchsorted(csr.indptr, np.arange(start, stop), side="right") - 1
         values = csr.data[start:stop]
         # repr of the values is most of the cost, so each prefix serves both files
@@ -717,11 +721,18 @@ def influence_triplets_csv(
             map(fields.__getitem__, csr.indices[start:stop].tolist()),
             values.tolist(),
         )]
-        if out is not None:
-            out.write("\n".join(prefixes) + "\n")
-        if scatter is not None:
-            signs = map((",-1\n", ",1\n").__getitem__, (values > 0).tolist())
-            scatter.write("".join(map(str.__add__, prefixes, signs)))
+        triplet_text = "\n".join(prefixes) + "\n" if to_out else ""
+        if not to_scatter:
+            return triplet_text, ""
+        signs = map((",-1\n", ",1\n").__getitem__, (values > 0).tolist())
+        return triplet_text, "".join(map(str.__add__, prefixes, signs))
+
+    with closing(_formatted_chunks(format_chunk, csr.nnz)) as chunks:
+        for triplet_text, scatter_text in chunks:
+            if to_out:
+                out.write(triplet_text)
+            if to_scatter:
+                scatter.write(scatter_text)
 
 
 def influence_scatter_csv(theta: sparse.spmatrix, labels: tuple[str, ...], out: TextIO) -> None:

@@ -215,6 +215,16 @@ class TestModify:
         report = json.loads((analysis_dir / "report.json").read_text())
         assert report["classification"]["sinks"][0]["class"] == "sub"
 
+    def test_labels_with_line_breaks_round_trip(self, tmp_path, out_dir):
+        original = b'"line\nbreak",p,1\np,"cr\r\nlf",-1\n"cr\r\nlf","line\nbreak",2\n'
+        (tmp_path / "g.csv").write_bytes(original)
+        assert run(["modify", "--graph", tmp_path / "g.csv", "--out-dir", out_dir]) == 0
+        assert (out_dir / "modified_graph.csv").read_bytes() == original
+        again = out_dir / "again"
+        assert run(["modify", "--graph", out_dir / "modified_graph.csv", "--out-dir", again,
+                    "--flip-edge", '"cr\r\nlf","line\nbreak"']) == 0
+        assert (again / "modified_graph.csv").read_bytes() == original.replace(b",2\n", b",-2\n")
+
     def test_empty_modification_preserves_bytes(self, tmp_path, out_dir):
         original = "p,q,1\nq,r,1\nr,p,1\np,p,1\nq,q,1\nr,r,1\n"
         graph = write(tmp_path / "g.csv", original)

@@ -3,13 +3,21 @@ memory, and the calls the benchmark tracer times.
 
 The references in ``oracles.py`` format every entry on its own and join the
 whole text, as the writers did before they streamed.  Every case also runs
-with a chunk of 3 rows, so chunk boundaries fall inside Theta's rows and
-inside trajectory records.
+with a chunk of 3 rows, so chunk boundaries fall inside Theta's rows and each
+trajectory record is a chunk of its own: once with the chunks formatted by
+forked workers (two CPUs in the affinity set), once in process (one CPU).
 """
 
+import errno
 import io
+import multiprocessing
+import os
+import signal
 import tracemalloc
+import warnings
 from collections import Counter
+from contextlib import closing
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +36,39 @@ from test_golden import load_analysis, write_inputs, write_x0
 QUOTED_LABELS = ("x,1", 'q"t', "plain", "line\nbreak")
 
 
-@pytest.fixture(params=[None, 3], ids=["default_chunk", "chunk_3"])
+def set_cpus(monkeypatch, count: int) -> None:
+    """Make the process's affinity set hold ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class Chunking:
+    """How a test's exports are cut and where they are formatted."""
+
+    def __init__(self, monkeypatch, mode: str):
+        self.mode = mode
+        self.workers_started = 0
+        if mode == "default_chunk":
+            return
+        monkeypatch.setattr(graph_module, "_CSV_CHUNK_ROWS", 3)
+        set_cpus(monkeypatch, 2 if mode == "chunk_3" else 1)
+        original = multiprocessing.context.ForkProcess.start
+
+        def counting_start(process):
+            self.workers_started += 1
+            original(process)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+
+    def check_workers_used(self, multi_chunk: bool = True) -> None:
+        """Workers format the chunks in the workers mode, only there, and only for several."""
+        used = self.mode == "chunk_3" and multi_chunk
+        assert (self.workers_started > 0) == used
+
+
+@pytest.fixture(params=["default_chunk", "chunk_3", "chunk_3_one_cpu"])
 def chunk(request, monkeypatch):
-    if request.param is not None:
-        monkeypatch.setattr(graph_module, "_CSV_CHUNK_ROWS", request.param)
+    yield Chunking(monkeypatch, request.param)
+    assert multiprocessing.active_children() == []
 
 
 def written(writer, *args) -> str:
@@ -74,6 +111,7 @@ class TestMatchesReference:
         analysis = load_analysis(tmp_path)
         assert analysis.influence.matrix.nnz > 0
         assert_theta_exports_match(analysis.influence.matrix, analysis.graph.labels)
+        chunk.check_workers_used()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances(self, seed, chunk):
@@ -83,12 +121,14 @@ class TestMatchesReference:
         assert_theta_exports_match(influence(report.graph, report.beta).matrix, labels)
         trajectory = simulate(report.graph, report.beta, x0, max_iters=25, stride=4)
         assert_trajectory_exports_match(trajectory, labels)
+        chunk.check_workers_used()
 
     def test_empty_theta(self, chunk):
         theta = sparse.csr_matrix((4, 4))
         assert theta.nnz == 0
         assert_theta_exports_match(theta, QUOTED_LABELS)
         assert written(influence_triplets_csv, theta, QUOTED_LABELS) == "row_node,col_node,theta\n"
+        chunk.check_workers_used(multi_chunk=False)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_nnz_at_chunk_boundary(self, offset, chunk):
@@ -99,6 +139,7 @@ class TestMatchesReference:
         assert (theta.data < 0).any() and (theta.data > 0).any()
         labels = QUOTED_LABELS + tuple(str(i) for i in range(n - len(QUOTED_LABELS)))
         assert_theta_exports_match(theta, labels)
+        chunk.check_workers_used(multi_chunk=offset > 0)
 
     def test_unsorted_csr_is_written_sorted_and_left_unchanged(self, chunk):
         indptr = np.array([0, 3, 3, 5, 6])
@@ -109,6 +150,7 @@ class TestMatchesReference:
         assert_theta_exports_match(theta, QUOTED_LABELS)
         np.testing.assert_array_equal(theta.indices, indices)
         np.testing.assert_array_equal(theta.data, data)
+        chunk.check_workers_used()
 
     def test_one_state_trajectory(self, chunk):
         trajectory = Trajectory(
@@ -119,6 +161,161 @@ class TestMatchesReference:
             iterations_used=0,
         )
         assert_trajectory_exports_match(trajectory, QUOTED_LABELS)
+        chunk.check_workers_used(multi_chunk=False)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Chunks of 3 rows formatted by two forked workers; none may outlive the test."""
+    monkeypatch.setattr(graph_module, "_CSV_CHUNK_ROWS", 3)
+    set_cpus(monkeypatch, 2)
+    yield
+    assert multiprocessing.active_children() == []
+
+
+class FullDisk(io.StringIO):
+    """A handle that fails as a full disk does once it holds more than three lines."""
+
+    def write(self, text):
+        if self.getvalue().count("\n") > 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+class TestWorkers:
+    def test_chunks_come_back_in_order_from_forked_workers(self, two_workers):
+        def where(start, stop):  # a closure: it reaches the workers through fork
+            return start, stop, os.getpid()
+
+        with closing(graph_module._formatted_chunks(where, 40)) as chunks:
+            results = list(chunks)
+        assert [r[:2] for r in results] == list(graph_module._csv_chunks(40))
+        pids = {r[2] for r in results}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_at_most_two_chunks_per_worker_in_flight(self, two_workers, monkeypatch):
+        handed_out = []
+        original_send = Connection.send
+
+        def recording_send(conn, obj):
+            if obj is not None:
+                handed_out.append(obj)
+            original_send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", recording_send)
+        in_flight = []
+        with closing(graph_module._formatted_chunks(lambda start, stop: start, 60)) as chunks:
+            for done, start in enumerate(chunks):
+                assert start == 3 * done
+                # chunks handed out and not yet written, the one in hand included
+                in_flight.append(len(handed_out) - done)
+        assert len(handed_out) == 20
+        assert max(in_flight) == 2 * 2
+
+    def test_no_warning_even_where_fork_warns_about_threads(self, two_workers, monkeypatch):
+        original_fork = os.fork
+
+        def warning_fork():  # word for word as Python 3.12+ in a process with threads
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return original_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        theta = signed_theta(12, 40, 8800)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_theta_exports_match(theta, QUOTED_LABELS + tuple("abcdefgh"))
+
+    def test_worker_exception_is_raised_by_the_writer(self, two_workers):
+        def failing(start, stop):
+            if start == 9:
+                raise ValueError("cannot format chunk 3")
+            return start
+
+        with pytest.raises(ValueError, match="chunk 3"):
+            with closing(graph_module._formatted_chunks(failing, 40)) as chunks:
+                for _ in chunks:
+                    pass
+
+    def test_a_worker_that_dies_fails_the_export_as_an_os_error(self, two_workers):
+        parent = os.getpid()
+
+        def dying(start, stop):
+            if os.getpid() != parent and start == 9:
+                os._exit(1)
+            return start
+
+        with pytest.raises(ChildProcessError, match="exited early"):
+            with closing(graph_module._formatted_chunks(dying, 40)) as chunks:
+                for _ in chunks:
+                    pass
+
+    def test_workers_leave_an_interrupt_to_the_writer(self, two_workers):
+        parent = os.getpid()
+
+        def interrupted(start, stop):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)  # as Ctrl-C reaches the process group
+            return start
+
+        with closing(graph_module._formatted_chunks(interrupted, 40)) as chunks:
+            assert list(chunks) == list(range(0, 40, 3))
+
+    def test_daemonic_process_formats_in_process(self, two_workers, monkeypatch):
+        class Daemon:
+            daemon = True
+
+        monkeypatch.setattr(multiprocessing, "current_process", Daemon)
+        with closing(graph_module._formatted_chunks(lambda start, stop: os.getpid(), 40)) as chunks:
+            assert set(chunks) == {os.getpid()}
+
+    def test_handle_error_mid_walk_stops_the_workers(self, two_workers):
+        theta = signed_theta(12, 40, 8801)
+        labels = tuple("abcdefghijkl")
+        with pytest.raises(OSError, match="No space"):
+            influence_triplets_csv(theta, labels, FullDisk(), io.StringIO())
+        with pytest.raises(OSError, match="No space"):
+            influence_triplets_csv(theta, labels, None, FullDisk())
+        graph, beta, x0 = random_instance(8802, n_max=30)
+        trajectory = simulate(graph, beta, x0, max_iters=25, stride=1)
+        assert len(trajectory.ks) > 4
+        with pytest.raises(OSError, match="No space"):
+            trajectory_long_csv(trajectory, graph.labels, FullDisk(), io.StringIO())
+        with pytest.raises(OSError, match="No space"):
+            trajectory_wide_csv(trajectory, FullDisk())
+
+    @pytest.mark.parametrize("command, name", [
+        ("centrality", "theta.csv"), ("centrality", "theta_scatter.csv"),
+        ("simulate", "trajectory_long.csv"), ("simulate", "trajectory_wide.csv"),
+    ])
+    def test_cli_exits_4_with_no_worker_left(self, two_workers, tmp_path, monkeypatch,
+                                             capsys, command, name):
+        original_write = cli._write
+
+        def full_disk_write(out_dir, file_name, content):
+            if file_name != name:
+                return original_write(out_dir, file_name, content)
+
+            def failing(handle):
+                def write(text):
+                    if handle.tell() > 1000:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    return type(handle).write(handle, text)
+
+                handle.write = write
+                content(handle)
+
+            return original_write(out_dir, file_name, failing)
+
+        monkeypatch.setattr(cli, "_write", full_disk_write)
+        graph, beta = write_inputs(tmp_path)
+        argv = [command, "--graph", str(graph), "--beta", str(beta),
+                "--out-dir", str(tmp_path / "out")]
+        if command == "simulate":
+            argv += ["--x0", str(write_x0(tmp_path))]
+        assert main(argv) == 4
+        assert "No space left on device" in capsys.readouterr().err
 
 
 def traced_peak(path, write) -> int:
@@ -184,7 +381,9 @@ def test_cli_calls_each_traced_writer_once(tmp_path, monkeypatch):
     """Every export the CLI makes is written inside a writer call the tracer times.
 
     ``centrality`` writes both Theta files in one ``influence_triplets_csv``
-    call given a scatter handle, so it never calls ``influence_scatter_csv``.
+    call given a scatter handle, so it never calls ``influence_scatter_csv``;
+    ``simulate`` writes both trajectory files in one ``trajectory_long_csv``
+    call given a wide handle, so it never calls ``trajectory_wide_csv``.
     The tracer also reads each file's size when its ``_write`` returns, so
     every file is complete by then.
     """
@@ -220,8 +419,7 @@ def test_cli_calls_each_traced_writer_once(tmp_path, monkeypatch):
     common = ["--graph", str(graph), "--beta", str(beta)]
     assert main(["centrality", *common, "--out-dir", str(tmp_path / "centrality")]) == 0
     assert main(["simulate", *common, "--x0", str(x0), "--out-dir", str(tmp_path / "sim")]) == 0
-    assert calls == {"influence_triplets_csv": 1, "trajectory_long_csv": 1,
-                     "trajectory_wide_csv": 1}
+    assert calls == {"influence_triplets_csv": 1, "trajectory_long_csv": 1}
     exports = {path.name: path.stat().st_size for path in sizes_at_return}
     assert bytes_in_call == {name: exports[name] for name in (
         "theta.csv", "theta_scatter.csv", "trajectory_long.csv", "trajectory_wide.csv")}

@@ -83,6 +83,39 @@ class TestParseEdgeList:
         g = parse_edge_list("a,b,1\n\n\nb,a,2\n")
         assert g.edge_count == 2
 
+    def test_duplicates_summing_past_the_float_range_rejected(self):
+        with pytest.raises(GraphFormatError, match="line 2.*non-finite"):
+            parse_edge_list("a,b,1e308\na,b,1e308", merge_duplicates="sum")
+
+    @pytest.mark.parametrize("merge_duplicates", [None, "sum"])
+    def test_matches_from_edges(self, merge_duplicates):
+        text = "b,a,2\na,a,1\nc,b,-1.5\nb,b,4\na,c,3\n"
+        if merge_duplicates:
+            text += "c,b,0.5\nb,a,-7\n"
+        g = parse_edge_list(text, merge_duplicates=merge_duplicates)
+        weights = [2.0, 1.0, -1.5, 4.0, 3.0] if not merge_duplicates else [-5.0, 1.0, -1.0, 4.0, 3.0]
+        rebuilt = SignedDigraph.from_edges(
+            ["b", "a", "c"], [(0, 1, weights[0]), (1, 1, weights[1]), (2, 0, weights[2]),
+                              (0, 0, weights[3]), (1, 2, weights[4])]
+        )
+        assert g.labels == rebuilt.labels
+        for name in ("sources", "targets", "weights"):
+            array, expected = getattr(g, name), getattr(rebuilt, name)
+            np.testing.assert_array_equal(array, expected)
+            assert array.dtype == expected.dtype
+            assert not array.flags.writeable
+
+    def test_crlf_and_whitespace_only_lines(self):
+        g = parse_edge_list("a,b,1\r\n  \r\n\r\nb , a ,2\r\n")
+        assert g.labels == ("a", "b")
+        assert list(g.edge_triples()) == [(0, 1, 1.0), (1, 0, 2.0)]
+
+    def test_line_numbers_count_the_lines_of_a_quoted_line_break(self):
+        with pytest.raises(GraphFormatError, match="line 3"):
+            parse_edge_list('"line\nbreak",p,1\np,q')
+        with pytest.raises(GraphFormatError, match="line 4"):
+            read_stubbornness('"line\nbreak",0.5\n\np,x', parse_edge_list('"line\nbreak",p,1'))
+
 
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
@@ -124,6 +157,20 @@ class TestRoundTrip:
         g2 = parse_edge_list(text)
         assert g2.labels == g.labels
         assert list(g2.edge_triples()) == list(g.edge_triples())
+
+    def test_labels_with_line_breaks_round_trip(self):
+        labels = ["line\nbreak", "p", "cr\r\nlf"]
+        g = SignedDigraph.from_edges(labels, [(0, 1, 1.0), (1, 0, -2.0), (2, 0, 0.5)])
+        text = serialize_edge_list(g)
+        for source in (text, io.StringIO(text, newline=""), text.splitlines(keepends=True)):
+            g2 = parse_edge_list(source)
+            assert g2.labels == g.labels
+            assert list(g2.edge_triples()) == list(g.edge_triples())
+        beta, _ = read_stubbornness('"line\nbreak",0.5\np,1\n', g)
+        x0, warnings = read_initial_opinions('"cr\r\nlf",-1\n"line\nbreak",0.25\n', g)
+        assert beta.tolist() == [0.5, 1.0, 0.0]
+        assert x0.tolist() == [0.25, 0.0, -1.0]
+        assert [w.ref for w in warnings] == ["p"]
 
 
 class TestValidate:
@@ -270,6 +317,20 @@ class TestEditing:
         g2 = flip_edges(g, [("a", "b")])
         assert g2.weight_of(0, 1) == -2.0
         assert g2.weight_of(1, 0) == 1.0
+
+    def test_flip_edges_matches_from_edges(self):
+        g = parse_edge_list("a,b,2\nb,a,1\na,a,1\nb,c,-3")
+        g2 = flip_edges(g, [("b", "c"), ("a", "b"), ("b", "c")])
+        rebuilt = SignedDigraph.from_edges(
+            g.labels, [(0, 1, -2.0), (1, 0, 1.0), (0, 0, 1.0), (1, 2, 3.0)]
+        )
+        for name in ("sources", "targets", "weights"):
+            array, expected = getattr(g2, name), getattr(rebuilt, name)
+            np.testing.assert_array_equal(array, expected)
+            assert array.dtype == expected.dtype
+            assert not array.flags.writeable
+        assert g2.labels == g.labels
+        assert g.weights.tolist() == [2.0, 1.0, 1.0, -3.0]
 
     def test_flip_unknown_edge(self):
         g = parse_edge_list("a,b,2")
