@@ -80,13 +80,16 @@ class UpdateSystem:
         return self.update_matrix[:m, :m]
 
     @cached_property
-    def _sink_blocks(self) -> tuple[sparse.csr_matrix, ...]:
-        slices = map(self.ordering.sink_slice, range(len(self.ordering.sink_offsets)))
-        return tuple(self.update_matrix[sl, sl] for sl in slices)
+    def _sink_blocks(self) -> dict[int, sparse.csr_matrix]:
+        return {}
 
     def sink_block(self, sink_index: int) -> sparse.csr_matrix:
-        """One sink's diagonal block, sliced once per system and shared."""
-        return self._sink_blocks[sink_index]
+        """One sink's diagonal block, sliced on first use and shared."""
+        block = self._sink_blocks.get(sink_index)
+        if block is None:
+            sl = self.ordering.sink_slice(sink_index)
+            block = self._sink_blocks[sink_index] = self.update_matrix[sl, sl]
+        return block
 
 
 def build_update_system(

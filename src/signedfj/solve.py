@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import TextIO
@@ -58,18 +58,21 @@ __all__ = [
     "centrality_csv",
 ]
 
-# Below this size a sink's stationary vector comes from a dense solve, and up
-# to eight times it a block's spectral radius from dense eigenvalues.
+# Below this size a free sink's stationary vector comes from a stacked dense
+# power iteration, and up to eight times it (_STACK_NODES) a block's spectral
+# radius from dense eigenvalues; sinks up to that size are stacked by _SinkBatch.
 DENSE_BLOCK_CUTOFF = 64
+_STACK_NODES = DENSE_BLOCK_CUTOFF * 8
 # Resolvent blocks of up to this many nodes are factored densely (a 134 MB
 # factor); larger ones go through sparse LU.
 _DENSE_FACTOR_NODES = 4096
 # Up to this many nodes the influence matrix is cross-checked against the
 # direct resolvent of the whole update matrix.
 DIRECT_CHECK_CUTOFF = 200
-# Dense column panels of a block solve hold at most this many entries (8 MB):
-# k follower chains into k stubborn singletons give a Theta_F with m nonzeros
-# but one dense m x k block, so an unbounded panel would not stay O(m).
+# Dense column panels of a block solve, and dense stacks of sink blocks, hold
+# at most this many entries (8 MB): k follower chains into k stubborn
+# singletons give a Theta_F with m nonzeros but one dense m x k block, so an
+# unbounded panel would not stay O(m).
 _PANEL_ENTRIES = 1 << 20
 
 
@@ -115,6 +118,11 @@ class SinkSolution:
     * ``RESOLVENT``: limit is the sparse ``(I - block)^{-1} @ diag(beta)``;
       only stubborn columns are nonzero.
     * ``ZERO``: unbalanced sink with no stubborn member; the limit is 0.
+
+    Eigenpairs of sinks under ``DENSE_BLOCK_CUTOFF`` nodes come from a
+    stacked power iteration over every sink of the same size (see
+    :class:`_SinkBatch`), so their vectors may be rows of a shared stack;
+    each holds the bits a stack of one would give.
     """
 
     sink_index: int
@@ -135,17 +143,12 @@ class SinkSolution:
             return self.right_vec * float(self.left_vec @ x_block)
         return self.operator @ x_block
 
-    def _limit_block(self) -> np.ndarray | sparse.spmatrix:
-        """The limit operator, without densifying zero or sparse blocks."""
+    def limit_matrix(self) -> np.ndarray:
         if self.kind is SolutionKind.ZERO:
-            return sparse.csr_matrix((self.size, self.size))
+            return np.zeros((self.size, self.size))
         if self.kind is SolutionKind.EIGENPAIR:
             return np.outer(self.right_vec, self.left_vec)
-        return self.operator
-
-    def limit_matrix(self) -> np.ndarray:
-        block = self._limit_block()
-        return block.toarray() if sparse.issparse(block) else np.asarray(block)
+        return self.operator.toarray()
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,18 +261,50 @@ def _dense_factor(a: sparse.csr_matrix):
     return lambda b: lu_solve((lu, piv), b, check_finite=False)
 
 
+def _stationary_rows(
+    blocks: np.ndarray, *, residual_target: float = 1e-12, max_iters: int = 100_000
+) -> np.ndarray:
+    """Stationary distributions of a stack of primitive row-stochastic matrices.
+
+    Power iteration from the uniform vector (deterministic), one stacked
+    ``np.matmul`` per step for the blocks still moving.  Each block stops at
+    its own step, with the bits it would get alone.  A block that does not
+    settle falls back to :func:`_stationary_direct`.
+    """
+    count, size = blocks.shape[:2]
+    out = np.empty((count, size))
+    live = np.arange(count)
+    pi = np.full((count, 1, size), 1.0 / size)
+    for _ in range(max_iters):
+        if not live.size:
+            return out
+        nxt = np.matmul(pi, blocks)
+        nxt /= nxt.sum(axis=2, keepdims=True)
+        moving = ~(np.abs(nxt - pi).sum(axis=2)[:, 0] <= residual_target)
+        if not moving.all():
+            out[live[~moving]] = nxt[~moving, 0]
+            live, blocks, nxt = live[moving], blocks[moving], nxt[moving]
+        pi = nxt
+    for k, block in zip(live, blocks):
+        out[k] = _stationary_direct(block)
+    return out
+
+
 def _stationary_row_vector(
     m, *, residual_target: float = 1e-12, max_iters: int = 100_000
 ) -> np.ndarray:
-    """Stationary distribution of a primitive row-stochastic matrix.
+    """Stationary distribution of one primitive row-stochastic matrix.
 
-    Power iteration from the uniform vector (deterministic); on
-    non-convergence falls back to a sparse direct solve of
-    ``pi (M - I) = 0`` with the normalization replacing the last equation.
+    A dense ``m`` goes through :func:`_stationary_rows` as a stack of one; a
+    sparse one through the same power iteration on sparse products.
     """
     size = m.shape[0]
     if size == 1:
         return np.ones(1)
+    if not sparse.issparse(m):
+        return _stationary_rows(
+            np.asarray(m)[None], residual_target=residual_target, max_iters=max_iters
+        )[0]
     pi = np.full(size, 1.0 / size)
     for _ in range(max_iters):
         nxt = pi @ m
@@ -277,6 +312,12 @@ def _stationary_row_vector(
         if float(np.abs(nxt - pi).sum()) <= residual_target:
             return nxt
         pi = nxt
+    return _stationary_direct(m)
+
+
+def _stationary_direct(m) -> np.ndarray:
+    """Sparse direct solve of ``pi (M - I) = 0``, the normalization replacing the last equation."""
+    size = m.shape[0]
     a = (sparse.csr_matrix(m).T - sparse.identity(size, format="csr")).tolil()
     a[-1, :] = 1.0
     b = np.zeros(size)
@@ -320,7 +361,7 @@ def _block_radius(block) -> tuple[float, bool]:
     size = block.shape[0]
     if size == 0:
         return 0.0, False
-    if size <= DENSE_BLOCK_CUTOFF * 8:
+    if size <= _STACK_NODES:
         dense = block.toarray() if sparse.issparse(block) else np.asarray(block)
         return float(np.max(np.abs(np.linalg.eigvals(dense)))), False
     try:
@@ -340,26 +381,24 @@ def _block_radius(block) -> tuple[float, bool]:
 
 
 def spectral_check(
-    system: UpdateSystem, classification: AgentClassification
+    system: UpdateSystem,
+    classification: AgentClassification,
+    *,
+    _batch: _SinkBatch | None = None,
 ) -> SpectralReport:
     """Decide the regime structurally and attach numerical radius estimates.
 
     Semi-convergent iff some balanced sink has no stubborn member;
     otherwise all block radii sit strictly below one and powers of the
-    update matrix vanish.
+    update matrix vanish.  The sink radii come from one :class:`_SinkBatch`
+    pass over every sink (the analysis's own, when it hands one in): sinks
+    of up to ``_STACK_NODES`` nodes are stacked densely by size, with one
+    ``np.linalg.eigvals`` on ``B`` and one on ``|B|`` per stack; larger sinks
+    get their radii one by one.
     """
     regime = Regime.SEMI_CONVERGENT if classification.s_ns else Regime.CONVERGENT
-    approximate = False
-    sink_radii = []
-    sink_radii_abs = []
-    for k in range(len(classification.sinks)):
-        block = system.sink_block(k)
-        r, approx = _block_radius(block)
-        sink_radii.append(r)
-        approximate |= approx
-        r_abs, approx = _block_radius(abs(block))
-        sink_radii_abs.append(r_abs)
-        approximate |= approx
+    batch = _batch if _batch is not None else _SinkBatch(system, classification.sinks)
+    sink_radii, sink_radii_abs, approximate = batch.radii
     radius = max(sink_radii, default=0.0)
     radius_abs = max(sink_radii_abs, default=0.0)
     if regime is Regime.CONVERGENT:
@@ -386,58 +425,180 @@ def spectral_check(
 # Per-sink limit operators
 # ---------------------------------------------------------------------------
 
-def solve_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
+class _SinkBatch:
+    """The sink blocks of one analysis, solved together in dense stacks.
+
+    One pass copies every sink block of up to ``_STACK_NODES`` nodes out of
+    the sink rows of the update matrix into stacks of equal-size dense
+    blocks, each of at most ``_PANEL_ENTRIES`` entries.  Per stack, one
+    ``np.linalg.eigvals`` on ``B`` and one on ``|B|`` give the radii, and
+    every stubborn-free balanced sink under ``DENSE_BLOCK_CUTOFF`` nodes gets
+    its eigenpair from one stacked power iteration.  Each block gets the
+    bits it would get in a stack of its own.  Larger sinks, resolvent sinks
+    and zero sinks take the per-sink route of :func:`_solve_single_sink`.
+
+    ``sinks`` have consecutive sink indices: all of ``classification.sinks``,
+    or one sink.  Without ``radii`` only the eigenpairs are stacked.
+    """
+
+    def __init__(
+        self, system: UpdateSystem, sinks: tuple[SinkInfo, ...], *, radii: bool = True
+    ):
+        self.system = system
+        self.sinks = tuple(sinks)
+        self._with_radii = radii
+
+    @property
+    def radii(self) -> tuple[list[float], list[float], bool]:
+        """Per-sink radii of ``B`` and of ``|B|``, and whether any is approximate."""
+        return self._pass[:3]
+
+    def solution(self, sink: SinkInfo) -> SinkSolution:
+        stacked = self._pass[3].get(sink.sink_index)
+        return stacked if stacked is not None else _solve_single_sink(self.system, sink)
+
+    @cached_property
+    def _pass(self) -> tuple[list[float], list[float], bool, dict[int, SinkSolution]]:
+        system, sinks = self.system, self.sinks
+        count = len(sinks)
+        first = sinks[0].sink_index if sinks else 0
+        offsets = np.asarray(system.ordering.sink_offsets[first:first + count], np.int64)
+        sizes = np.asarray(system.ordering.sink_sizes[first:first + count], np.int64)
+        small_free = np.array([s.in_s_ns for s in sinks], dtype=bool) & (
+            sizes < DENSE_BLOCK_CUTOFF
+        )
+        radii, radii_abs = np.zeros(count), np.zeros(count)
+        approximate = False
+        solutions: dict[int, SinkSolution] = {}
+        if self._with_radii:
+            stacked = sizes <= _STACK_NODES
+            for k in np.flatnonzero(~stacked):
+                block = system.sink_block(first + int(k))
+                radii[k], approx = _block_radius(block)
+                radii_abs[k], approx_abs = _block_radius(abs(block))
+                approximate |= approx | approx_abs
+        else:
+            stacked = small_free
+        for panel, blocks in self._stacks(offsets, sizes, stacked):
+            gauged = np.abs(blocks)
+            if self._with_radii:
+                radii[panel] = np.abs(np.linalg.eigvals(blocks)).max(axis=1)
+                radii_abs[panel] = np.abs(np.linalg.eigvals(gauged)).max(axis=1)
+            pick = small_free[panel]
+            if pick.any():
+                eigenpairs = self._eigenpairs(panel[pick], blocks[pick], gauged[pick])
+                solutions.update((s.sink_index, s) for s in eigenpairs)
+        return radii.tolist(), radii_abs.tolist(), approximate, solutions
+
+    def _stacks(self, offsets: np.ndarray, sizes: np.ndarray, chosen: np.ndarray):
+        """Yield ``(positions, dense blocks)`` for the chosen sinks, grouped by size.
+
+        The entries of every sink row are read once and sorted by stack, so
+        each stack is filled by one scatter.
+        """
+        if not chosen.any():
+            return
+        p = self.system.update_matrix
+        lo, hi = int(offsets[0]), int(offsets[-1] + sizes[-1])
+        counts = np.diff(p.indptr[lo:hi + 1])
+        owner = np.repeat(np.repeat(np.arange(offsets.size), sizes), counts)
+        entries = slice(p.indptr[lo], p.indptr[hi])
+        rows = np.repeat(np.arange(lo, hi), counts) - offsets[owner]
+        cols = p.indices[entries] - offsets[owner]
+        data = p.data[entries]
+
+        order = np.flatnonzero(chosen)
+        order = order[np.argsort(sizes[order], kind="stable")]
+        stack_of = np.full(offsets.size, -1, np.int64)
+        slot = np.zeros(offsets.size, np.int64)
+        stacks = []
+        for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+            per_stack = max(1, _PANEL_ENTRIES // int(sizes[group[0]]) ** 2)
+            for start in range(0, group.size, per_stack):
+                stack = group[start:start + per_stack]
+                stack_of[stack] = len(stacks)
+                slot[stack] = np.arange(stack.size)
+                stacks.append(stack)
+        entry_stack = stack_of[owner]
+        by_stack = np.argsort(entry_stack, kind="stable")
+        bounds = np.searchsorted(entry_stack[by_stack], np.arange(len(stacks) + 1))
+        for k, stack in enumerate(stacks):
+            size = int(sizes[stack[0]])
+            blocks = np.zeros((stack.size, size, size))
+            e = by_stack[bounds[k]:bounds[k + 1]]
+            blocks[slot[owner[e]], rows[e], cols[e]] = data[e]
+            yield stack, blocks
+
+    def _eigenpairs(
+        self, positions: np.ndarray, blocks: np.ndarray, gauged: np.ndarray
+    ) -> list[SinkSolution]:
+        """Eigenpairs at 1 of a stack of stubborn-free balanced sinks; ``gauged`` is ``|B|``."""
+        sinks = [self.sinks[k] for k in positions]
+        count, size = blocks.shape[:2]
+        if size == 1:
+            v, w = np.ones((count, 1)), np.ones((count, 1))
+        else:
+            sigma = np.array([s.bipartition for s in sinks], dtype=np.float64)
+            _check_gauge(
+                (sigma[:, :, None] * blocks * sigma[:, None, :]).min(axis=(1, 2)),
+                gauged.sum(axis=2),
+                sinks,
+            )
+            v, w = sigma, _left_vectors(sigma, _stationary_rows(gauged))
+        _check_eigenpairs(
+            np.matmul(blocks, v[:, :, None])[:, :, 0],
+            np.matmul(w[:, None, :], blocks)[:, 0],
+            v,
+            w,
+            sinks,
+        )
+        return [
+            SinkSolution(
+                sink_index=s.sink_index,
+                members=s.members,
+                kind=SolutionKind.EIGENPAIR,
+                right_vec=right,
+                left_vec=left,
+            )
+            for s, right, left in zip(sinks, v, w)
+        ]
+
+
+def solve_sink(
+    system: UpdateSystem, sink: SinkInfo, *, _batch: _SinkBatch | None = None
+) -> SinkSolution:
     """Compute the limit operator of one sink block.
 
     Balanced stubborn-free sinks get the eigenvector pair at eigenvalue 1.
     Rather than a generic nonsymmetric eigensolve, the block is gauged by
-    its bipartition signs: flipping the sign of one side turns the block
-    into a nonnegative row-stochastic matrix with positive diagonal, whose
-    stationary distribution (by power iteration, deterministic) is the
-    left eigenvector up to the same sign flips.  The right eigenvector is
-    the bipartition itself, so the sign convention (+1 on the sink's
-    smallest member) comes for free and the normalization is exact.
+    its bipartition signs: on a balanced sink ``diag(sigma) B diag(sigma)``
+    is exactly ``|B|``, a nonnegative row-stochastic matrix with positive
+    diagonal, whose stationary distribution (by power iteration,
+    deterministic) is the left eigenvector up to the same sign flips.  The
+    right eigenvector is the bipartition itself, so the sign convention (+1
+    on the sink's smallest member) comes for free and the normalization is
+    exact.
+
+    Given the analysis's ``_batch``, the answer is looked up from its
+    stacked pass; without one, the same pass runs on a batch of this sink
+    alone, so a sink's limit does not depend on how it was asked for.
     """
+    batch = _batch if _batch is not None else _SinkBatch(system, (sink,), radii=False)
+    return batch.solution(sink)
+
+
+def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
+    """The limit of a sink outside the stacks: zero, a resolvent, or a large eigenpair."""
     members = sink.members
-    size = len(members)
-    block = system.sink_block(sink.sink_index)
-    beta_block = system.stubbornness[list(members)]
-
-    if sink.in_s_ns:
-        if size == 1:
-            v = np.ones(1)
-            w = np.ones(1)
-        else:
-            sigma = np.asarray(sink.bipartition, dtype=np.float64)
-            # diag(sigma) @ block @ diag(sigma), entry by entry; products of
-            # signs are exact
-            gauged = block.copy()
-            rows = np.repeat(np.arange(size), np.diff(block.indptr))
-            gauged.data = block.data * sigma[rows] * sigma[block.indices]
-            lo = float(gauged.data.min())
-            row_err = float(np.max(np.abs(np.asarray(gauged.sum(axis=1)).ravel() - 1.0)))
-            if lo < -1e-12 or row_err > 1e-9:
-                raise InternalInconsistencyError(
-                    f"gauged sink {sink.sink_index} is not row stochastic; "
-                    "the bipartition disagrees with the edge signs"
-                )
-            pi = _stationary_row_vector(
-                gauged.toarray() if size < DENSE_BLOCK_CUTOFF else gauged
-            )
-            v = sigma.copy()
-            w = sigma * pi
-            w = w / float(w @ v)
-        _check_eigenpair(block, v, w, sink)
+    if not sink.in_s_ns and not sink.contains_stubborn:
+        # unbalanced and stubborn-free: everything inside decays to zero
         return SinkSolution(
-            sink_index=sink.sink_index,
-            members=members,
-            kind=SolutionKind.EIGENPAIR,
-            right_vec=v,
-            left_vec=w,
+            sink_index=sink.sink_index, members=members, kind=SolutionKind.ZERO
         )
-
+    block = system.sink_block(sink.sink_index)
     if sink.contains_stubborn:
         solver = _ResolventSolver(block, what=f"sink block {sink.sink_index}")
+        beta_block = system.stubbornness[list(members)]
         return SinkSolution(
             sink_index=sink.sink_index,
             members=members,
@@ -445,24 +606,60 @@ def solve_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
             operator=solver.solve_block(sparse.diags(beta_block)),
         )
 
-    # unbalanced and stubborn-free: everything inside decays to zero
+    # a free balanced sink of at least DENSE_BLOCK_CUTOFF nodes, kept sparse
+    sigma = np.asarray(sink.bipartition, dtype=np.float64)
+    gauged = abs(block)
+    rows = np.repeat(np.arange(len(members)), np.diff(block.indptr))
+    _check_gauge(
+        np.array([(block.data * sigma[rows] * sigma[block.indices]).min()]),
+        np.asarray(gauged.sum(axis=1)).T,
+        [sink],
+    )
+    v = sigma[None]
+    w = _left_vectors(v, _stationary_row_vector(gauged)[None])
+    _check_eigenpairs((block @ v[0])[None], (w[0] @ block)[None], v, w, [sink])
     return SinkSolution(
-        sink_index=sink.sink_index, members=members, kind=SolutionKind.ZERO
+        sink_index=sink.sink_index,
+        members=members,
+        kind=SolutionKind.EIGENPAIR,
+        right_vec=v[0],
+        left_vec=w[0],
     )
 
 
-def _check_eigenpair(block, v: np.ndarray, w: np.ndarray, sink: SinkInfo) -> None:
-    right_err = float(np.max(np.abs(block @ v - v)))
-    left_err = float(np.max(np.abs(w @ block - w)))
-    norm_err = abs(float(w @ v) - 1.0)
-    if right_err > 1e-10 or left_err > 1e-10 or norm_err > 1e-10:
+def _left_vectors(sigma: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Left eigenvectors at 1 from ``|B|``'s stationary rows, normalized against ``sigma``."""
+    w = sigma * pi
+    w /= np.matmul(w[:, None, :], sigma[:, :, None])[:, 0]
+    return w
+
+
+def _check_gauge(lowest: np.ndarray, row_sums: np.ndarray, sinks) -> None:
+    """Per sink: the least gauged entry and the row sums of ``|B|``."""
+    bad = (lowest < -1e-12) | (np.abs(row_sums - 1.0).max(axis=1) > 1e-9)
+    if bad.any():
         raise InternalInconsistencyError(
-            f"eigenvector pair of sink {sink.sink_index} failed verification "
-            f"(right {right_err:.2e}, left {left_err:.2e}, normalization {norm_err:.2e})"
+            f"gauged sink {sinks[int(np.argmax(bad))].sink_index} is not row stochastic; "
+            "the bipartition disagrees with the edge signs"
         )
-    if np.any(w == 0.0):
+
+
+def _check_eigenpairs(bv: np.ndarray, wb: np.ndarray, v: np.ndarray, w: np.ndarray, sinks):
+    """Verify stacked eigenpairs at 1, given ``B v`` and ``w B`` for each sink."""
+    right_err = np.abs(bv - v).max(axis=1)
+    left_err = np.abs(wb - w).max(axis=1)
+    norm_err = np.abs(np.matmul(w[:, None, :], v[:, :, None])[:, 0, 0] - 1.0)
+    failed = (right_err > 1e-10) | (left_err > 1e-10) | (norm_err > 1e-10)
+    zero = (w == 0.0).any(axis=1)
+    for k in np.flatnonzero(failed | zero)[:1]:
+        if failed[k]:
+            raise InternalInconsistencyError(
+                f"eigenvector pair of sink {sinks[k].sink_index} failed verification "
+                f"(right {right_err[k]:.2e}, left {left_err[k]:.2e}, "
+                f"normalization {norm_err[k]:.2e})"
+            )
         raise InternalInconsistencyError(
-            f"left eigenvector of sink {sink.sink_index} has a zero entry"
+            f"left eigenvector of sink {sinks[k].sink_index} has a zero entry"
         )
 
 
@@ -476,12 +673,66 @@ def _follower_solver(system: UpdateSystem) -> _ResolventSolver | None:
     return _ResolventSolver(system.follower_block(), what="follower block")
 
 
-def _sink_limits(system: UpdateSystem, sink_solutions, x0: np.ndarray) -> np.ndarray:
-    """Every sink's limit in canonical order; zero on the followers."""
-    x = np.zeros(system.n)
+def _eigenpair_stacks(system: UpdateSystem, sink_solutions):
+    """Yield ``(canonical slots, right vectors, left vectors)`` per size of eigenpair sink.
+
+    ``slots[k]`` lists the canonical positions of the k-th sink of that size.
+    """
+    groups: dict[int, list[SinkSolution]] = {}
     for s in sink_solutions:
-        x[system.ordering.sink_slice(s.sink_index)] = s.apply(x0[list(s.members)])
+        if s.kind is SolutionKind.EIGENPAIR:
+            groups.setdefault(s.size, []).append(s)
+    offsets = system.ordering.sink_offsets
+    for size, group in groups.items():
+        first = np.array([offsets[s.sink_index] for s in group], dtype=np.int64)
+        yield (
+            first[:, None] + np.arange(size),
+            np.stack([s.right_vec for s in group]),
+            np.stack([s.left_vec for s in group]),
+        )
+
+
+def _sink_limits(system: UpdateSystem, sink_solutions, x0: np.ndarray) -> np.ndarray:
+    """Every sink's limit in canonical order; zero on the followers.
+
+    Eigenpair sinks of one size are applied together, one stacked dot per
+    sink, with the bits of :meth:`SinkSolution.apply`.
+    """
+    x = np.zeros(system.n)
+    x0_canonical = x0[system.ordering.permutation]
+    for slots, right, left in _eigenpair_stacks(system, sink_solutions):
+        x[slots] = right * np.matmul(left[:, None, :], x0_canonical[slots][:, :, None])[:, 0]
+    for s in sink_solutions:
+        if s.kind is SolutionKind.RESOLVENT:
+            sl = system.ordering.sink_slice(s.sink_index)
+            x[sl] = s.operator @ x0_canonical[sl]
     return x
+
+
+def _sink_rows(system: UpdateSystem, sink_solutions) -> sparse.csr_matrix:
+    """``Theta_L``: the sinks' limit operators on the diagonal, zero follower rows.
+
+    Eigenpair blocks ``v w^T`` of one size are formed together, and zero
+    entries are not stored.
+    """
+    rows, cols, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for slots, right, left in _eigenpair_stacks(system, sink_solutions):
+        outer = right[:, :, None] * left[:, None, :]
+        kept = outer != 0.0
+        rows.append(np.broadcast_to(slots[:, :, None], outer.shape)[kept])
+        cols.append(np.broadcast_to(slots[:, None, :], outer.shape)[kept])
+        values.append(outer[kept])
+    for s in sink_solutions:
+        if s.kind is SolutionKind.RESOLVENT:
+            block = s.operator.tocoo()
+            offset = system.ordering.sink_offsets[s.sink_index]
+            rows.append(block.row + offset)
+            cols.append(block.col + offset)
+            values.append(block.data)
+    return sparse.csr_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(system.n, system.n),
+    )
 
 
 def solve_followers(
@@ -524,7 +775,8 @@ def influence_matrix(
     """Assemble the linear map from initial to final opinions.
 
     In canonical order the map is block triangular.  Its sink rows are the
-    block diagonal ``Theta_L`` of the sinks' limit operators, and its
+    block diagonal ``Theta_L`` of the sinks' limit operators (eigenpair
+    blocks formed a stack per sink size, see :func:`_sink_rows`), and its
     follower rows are one solve against the follower block:
 
         Theta_F = (I - P_FF)^{-1} [diag(beta_F) | P_FL Theta_L]
@@ -542,10 +794,7 @@ def influence_matrix(
     n = ordering.n
     m = ordering.follower_count
     # Theta_L in the sink rows; the follower rows are zero until solved
-    canonical = sparse.block_diag(
-        [sparse.csr_matrix((m, m))] + [s._limit_block() for s in sink_solutions],
-        format="csr",
-    )
+    canonical = _sink_rows(system, sink_solutions)
     if m:
         solver = _solver if _solver is not None else _follower_solver(system)
         rhs = sparse.diags(system.stubbornness_canonical[:m], shape=(m, n)) + (
@@ -601,7 +850,12 @@ def absolute_centrality(theta: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class NetworkAnalysis:
-    """Everything derivable from a validated ``(graph, beta)`` pair."""
+    """Everything derivable from a validated ``(graph, beta)`` pair.
+
+    ``_batch`` holds every sink block's stacked radii and eigenpairs, from
+    one pass that :func:`analyze_network` runs for the spectral check; the
+    sink solves look their answers up in it.
+    """
 
     graph: SignedDigraph
     beta: np.ndarray
@@ -610,11 +864,13 @@ class NetworkAnalysis:
     classification: AgentClassification
     system: UpdateSystem
     spectral: SpectralReport
+    _batch: _SinkBatch = field(repr=False)
 
     @cached_property
     def sink_solutions(self) -> tuple[SinkSolution, ...]:
         return tuple(
-            solve_sink(self.system, sink) for sink in self.classification.sinks
+            solve_sink(self.system, sink, _batch=self._batch)
+            for sink in self.classification.sinks
         )
 
     @cached_property
@@ -663,7 +919,7 @@ def analyze_network(graph: SignedDigraph, beta) -> NetworkAnalysis:
     classification = classify_agents(graph, sccs, dag, beta)
     ordering = canonical_ordering(classification)
     system = build_update_system(graph, beta, ordering)
-    spectral = spectral_check(system, classification)
+    batch = _SinkBatch(system, classification.sinks)
     return NetworkAnalysis(
         graph=graph,
         beta=beta,
@@ -671,7 +927,8 @@ def analyze_network(graph: SignedDigraph, beta) -> NetworkAnalysis:
         dag=dag,
         classification=classification,
         system=system,
-        spectral=spectral,
+        spectral=spectral_check(system, classification, _batch=batch),
+        _batch=batch,
     )
 
 

@@ -298,15 +298,20 @@ def classification_to_dict(
     classification: AgentClassification, labels: tuple[str, ...]
 ) -> dict:
     """JSON-ready view: per-node role/sink, per-sink class and members, s_ns."""
+    side = {
+        i: s
+        for sink in classification.sinks
+        if sink.bipartition is not None
+        for i, s in zip(sink.members, sink.bipartition)
+    }
     nodes = []
     for i, role in enumerate(classification.roles):
         entry: dict = {"node": labels[i], "role": role.value}
         k = int(classification.sink_of[i])
         if k >= 0:
             entry["sink"] = k
-            sink = classification.sinks[k]
-            if sink.bipartition is not None:
-                entry["side"] = sink.bipartition[sink.members.index(i)]
+            if i in side:
+                entry["side"] = side[i]
         nodes.append(entry)
     sinks = [
         {

@@ -166,3 +166,78 @@ def weak_two_sinks(*, stubborn_leader: float = 0.0):
     beta = np.zeros(5)
     beta[1] = stubborn_leader
     return graph, beta
+
+
+# ---------------------------------------------------------------------------
+# Many sinks
+# ---------------------------------------------------------------------------
+
+def many_two_node_sinks(sinks: int, *, seed: int = 0):
+    """``sinks`` antagonistic two-node sinks fed by a follower ring, nobody stubborn.
+
+    Follower ``f`` rates the next follower on the ring and one member of
+    sink ``f``; each sink is a mutually negative pair with positive
+    self-loops, so every sink is balanced, free, and keeps an eigenpair.
+    Node indices are shuffled.  Returns the graph, beta and initial opinions.
+    """
+    rng = np.random.default_rng(seed)
+    n = 3 * sinks
+    label = rng.permutation(n)
+    follower, a, b = label[:sinks], label[sinks:2 * sinks], label[2 * sinks:]
+    fed = np.where(rng.random(sinks) < 0.5, a, b)
+    sources = np.concatenate([follower, follower, a, b, a, b])
+    targets = np.concatenate([np.roll(follower, -1), fed, b, a, a, b])
+    magnitude = rng.integers(1, 11, 6 * sinks).astype(np.float64)
+    sign = np.concatenate([np.where(rng.random(2 * sinks) < 0.2, -1.0, 1.0),
+                           -np.ones(2 * sinks), np.ones(2 * sinks)])
+    graph = SignedDigraph.from_edges(
+        [str(i) for i in range(n)],
+        list(zip(sources.tolist(), targets.tolist(), (sign * magnitude).tolist())),
+    )
+    return graph, np.zeros(n), rng.uniform(-1.0, 1.0, n)
+
+
+def mixed_sinks(sizes=(1, 2, 3, 63, 64, 65), copies: int = 2):
+    """Sinks of every given size and kind, each fed by a short follower chain.
+
+    Kinds per size: cooperative, antagonistic, unbalanced (SUB) and
+    cooperative with one stubborn member; a single node is only free or
+    stubborn.  Every sink is a ring with chords and positive self-loops,
+    and comes ``copies`` times, so stacks of one size hold several blocks.
+    Returns the graph, beta and initial opinions.
+    """
+    rng = np.random.default_rng(5)
+    edges, stubborn = [], []
+    node = 0
+    for size in sizes:
+        kinds = ("free", "stubborn") if size == 1 else (
+            "cooperative", "antagonistic", "sub", "stubborn")
+        for kind in kinds * copies:
+            members = np.arange(node, node + size)
+            node += size
+            side = np.ones(size)
+            if kind == "antagonistic":
+                side = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+                side[0], side[-1] = 1.0, -1.0
+            pairs = [(k, (k + 1) % size) for k in range(size) if size > 1]
+            pairs += [(int(p), int(q)) for p, q in rng.integers(0, size, (size // 2, 2))
+                      if p != q]
+            links = list(dict.fromkeys(pairs))
+            for p, q in links:
+                edges.append((int(members[p]), int(members[q]),
+                              side[p] * side[q] * float(rng.integers(1, 5))))
+            if kind == "sub":
+                # flipping a ring edge makes the ring a negative cycle
+                s0, t0, w0 = edges[-len(links)]
+                edges[-len(links)] = (s0, t0, -w0)
+            edges += [(int(i), int(i), float(rng.integers(1, 4))) for i in members]
+            if kind == "stubborn":
+                stubborn.append(int(members[0]))
+            # a two-node follower chain into the sink
+            edges += [(node, node + 1, 1.0), (node + 1, int(members[-1]), -1.0),
+                      (node, int(members[0]), 2.0)]
+            node += 2
+    beta = np.zeros(node)
+    beta[stubborn] = 0.4
+    graph = SignedDigraph.from_edges([f"v{i}" for i in range(node)], edges)
+    return graph, beta, np.random.default_rng(6).uniform(-1.0, 1.0, node)

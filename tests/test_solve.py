@@ -21,9 +21,11 @@ from signedfj import (
     validate,
 )
 from instances import (
+    many_two_node_sinks,
     micro_antagonistic,
     micro_chain,
     micro_stubborn,
+    mixed_sinks,
     random_instance,
     sc_cooperative,
     sc_unbalanced,
@@ -812,3 +814,117 @@ class TestGranularApi:
         c, ranking = absolute_centrality(theta)
         assert c.shape == (5,)
         assert np.array_equal(theta.toarray(), analysis.influence.matrix.toarray())
+
+
+def _assert_same_solution(batched, alone):
+    """Field-by-field bit equality of two sink solutions."""
+    assert batched.sink_index == alone.sink_index
+    assert batched.members == alone.members
+    assert batched.kind is alone.kind
+    for name in ("right_vec", "left_vec"):
+        a, b = getattr(batched, name), getattr(alone, name)
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b)
+    assert (batched.operator is None) == (alone.operator is None)
+    if batched.operator is not None:
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(batched.operator, name), getattr(alone.operator, name))
+
+
+def _assert_batch_matches_single_sinks(analysis):
+    from signedfj.solve import _SinkBatch
+
+    system, classification = analysis.system, analysis.classification
+    for sink, batched in zip(classification.sinks, analysis.sink_solutions, strict=True):
+        _assert_same_solution(batched, solve_sink(system, sink))
+    radii, radii_abs, _ = analysis._batch.radii
+    for k, sink in enumerate(classification.sinks):
+        alone, alone_abs, _ = _SinkBatch(system, (sink,)).radii
+        assert alone == [radii[k]] and alone_abs == [radii_abs[k]]
+    fresh = spectral_check(system, classification)
+    for name in ("regime", "spectral_radius", "spectral_radius_abs",
+                 "sink_spectral_radii", "approximate"):
+        assert getattr(fresh, name) == getattr(analysis.spectral, name)
+
+
+class TestSinkBatch:
+    """The stacked sink pass gives every sink the bits of a stack of its own."""
+
+    def test_mixed_sizes_and_kinds_match_single_sinks(self):
+        graph, beta, _ = mixed_sinks()
+        report = validate(graph, beta)
+        analysis = analyze_network(report.graph, report.beta)
+        kinds = {(len(s.members), s.sink_class, s.contains_stubborn)
+                 for s in analysis.classification.sinks}
+        for size in (2, 3, 63, 64, 65):
+            assert {(size, SinkClass.COOPERATIVE_SB, False), (size, SinkClass.SUB, False),
+                    (size, SinkClass.ANTAGONISTIC_SB, False),
+                    (size, SinkClass.COOPERATIVE_SB, True)} <= kinds
+        _assert_batch_matches_single_sinks(analysis)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_instances_match_single_sinks(self, seed):
+        # the instances of tests/test_invariants.py
+        graph, beta, _ = random_instance(8600 + seed, n_max=40)
+        report = validate(graph, beta)
+        _assert_batch_matches_single_sinks(analyze_network(report.graph, report.beta))
+
+    @pytest.mark.parametrize("size", [4, 70])
+    def test_wrong_bipartition_is_caught(self, size):
+        # a stacked sink under DENSE_BLOCK_CUTOFF nodes, and a sparse one above it
+        import dataclasses
+
+        from signedfj import InternalInconsistencyError
+
+        edges, _ = TestLargeBlockSolves._balanced_ring(size, negatives=[size // 2])
+        g = SignedDigraph.from_edges([f"n{i}" for i in range(size)], edges)
+        analysis = analyze_network(g, np.zeros(size))
+        sink = analysis.classification.sinks[0]
+        flipped = (sink.bipartition[0],) + tuple(-s for s in sink.bipartition[1:])
+        with pytest.raises(InternalInconsistencyError, match="row stochastic"):
+            solve_sink(analysis.system, dataclasses.replace(sink, bipartition=flipped))
+
+    def test_no_per_sink_slices(self, monkeypatch):
+        from signedfj import UpdateSystem
+
+        graph, beta, x0 = many_two_node_sinks(1000)
+        slices = []
+        real = UpdateSystem.sink_block
+        monkeypatch.setattr(UpdateSystem, "sink_block",
+                            lambda self, k: slices.append(k) or real(self, k))
+        analysis = analyze_network(graph, beta)
+        assert len(analysis.sink_solutions) == 1000
+        analysis.steady_state(x0)
+        assert slices == []
+
+    @staticmethod
+    def _count_eigvals(monkeypatch) -> list:
+        calls = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real(a))
+        return calls
+
+    def test_eigvals_calls_do_not_grow_with_sinks(self, monkeypatch):
+        calls = self._count_eigvals(monkeypatch)
+        counts = []
+        for sinks in (10, 1000):
+            graph, beta, _ = many_two_node_sinks(sinks)
+            del calls[:]
+            analyze_network(graph, beta).sink_solutions
+            counts.append(len(calls))
+        assert counts == [2, 2]  # one stack, on B and on |B|
+
+    def test_small_stacks_give_the_same_bits(self, monkeypatch):
+        import signedfj.solve
+
+        graph, beta, x0 = many_two_node_sinks(1000)
+        whole = analyze_network(graph, beta)
+        calls = self._count_eigvals(monkeypatch)
+        monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", 4 * 64)  # 64 sinks a stack
+        split = analyze_network(graph, beta)
+        assert len(calls) == 2 * 16
+        assert all(shape[0] <= 64 for shape in calls)
+        for a, b in zip(whole.sink_solutions, split.sink_solutions, strict=True):
+            _assert_same_solution(a, b)
+        assert whole.spectral.sink_spectral_radii == split.spectral.sink_spectral_radii
+        assert np.array_equal(whole.steady_state(x0), split.steady_state(x0))

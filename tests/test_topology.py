@@ -344,6 +344,19 @@ class TestClassification:
         assert stubbed.s_ns <= base.s_ns
 
 
+    def test_to_dict_sides_follow_the_bipartition(self):
+        g, _, _, _ = many_sinks_instance()
+        _, _, cls = analyze(g)
+        view = topology.classification_to_dict(cls, g.labels)
+        for i, entry in enumerate(view["nodes"]):
+            k = int(cls.sink_of[i])
+            keys = ["node", "role"] + (["sink"] if k >= 0 else [])
+            sink = cls.sinks[k] if k >= 0 else None
+            if sink is not None and sink.bipartition is not None:
+                keys.append("side")
+                assert entry["side"] == sink.bipartition[sink.members.index(i)]
+            assert list(entry) == keys
+
 class TestCanonicalOrdering:
     def test_single_scc_has_no_followers(self):
         g = triangle([1, 1, 1])
