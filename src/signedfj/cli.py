@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -145,8 +146,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _check_config(config: RunConfig) -> str | None:
     """Return a complaint for out-of-range numeric options, or None."""
-    if config.tol <= 0:
-        return f"--tol must be positive, got {config.tol!r}"
+    if not 0 < config.tol < math.inf:
+        return f"--tol must be positive and finite, got {config.tol!r}"
     if config.max_iters < 1:
         return f"--max-iters must be at least 1, got {config.max_iters!r}"
     if config.stride is not None and config.stride < 1:
@@ -155,8 +156,9 @@ def _check_config(config: RunConfig) -> str | None:
         return f"--patience must be at least 1, got {config.patience!r}"
     if config.top < 0:
         return f"--top must be nonnegative, got {config.top!r}"
-    if config.ensure_self_loops is not None and not config.ensure_self_loops > 0:
-        return f"--ensure-self-loops needs a positive weight, got {config.ensure_self_loops!r}"
+    if config.ensure_self_loops is not None and not 0 < config.ensure_self_loops < math.inf:
+        return ("--ensure-self-loops needs a positive finite weight, "
+                f"got {config.ensure_self_loops!r}")
     return None
 
 
@@ -414,9 +416,12 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
         if node not in graph.label_index:
             raise GraphFormatError(f"unknown node label {node!r}")
         try:
-            beta_changes.append((node, float(value)))
+            number = float(value)
         except ValueError:
             raise GraphFormatError(f"stubbornness {value!r} is not a real number")
+        if not 0.0 <= number <= 1.0:  # also refuses nan
+            raise GraphFormatError(f"stubbornness {value!r} for {node!r} is outside [0, 1]")
+        beta_changes.append((node, number))
 
     modified_graph = flip_edges(graph, flips) if flips else graph  # validates refs
     flip_manifest = [

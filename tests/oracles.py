@@ -3,7 +3,8 @@
 Each oracle deliberately takes a different route than the implementation
 it checks: union-find vs scipy for weak components, exhaustive bipartition
 enumeration vs the signed double cover for balance, plain iteration of
-the update rule vs the closed-form solver for limits, and whole-text,
+the update rule vs the closed-form solver for limits, a list of freshly
+allocated states vs ``simulate``'s in-place record array, and whole-text,
 entry-by-entry CSV writers vs the chunked streaming ones.
 """
 
@@ -13,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from signedfj import SignedDigraph, simulate
+from signedfj import SignedDigraph, row_normalized, simulate
 from signedfj.dynamics import Trajectory
 
 
@@ -59,6 +60,54 @@ def limit_by_iteration(graph: SignedDigraph, beta, x0, *, tol=1e-13):
     trajectory = simulate(graph, beta, x0, tol=tol, patience=20)
     assert trajectory.converged, "iteration oracle failed to converge"
     return trajectory.final
+
+
+def simulate_by_list(graph: SignedDigraph, beta, x0, *, tol=1e-10, max_iters=1_000_000,
+                     stride=None, patience=10) -> Trajectory:
+    """Reference ``simulate``: fresh arrays every step, records kept in a list and stacked."""
+    beta = np.asarray(beta, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    if stride is None:
+        stride = 1 if graph.n <= 100 else 10
+    q = row_normalized(graph)
+    keep = 1.0 - beta
+    hold = beta * x0
+
+    ks = [0]
+    states = [x0.copy()]
+    x = x0.copy()
+    residual = np.inf
+    streak = 0
+    converged = False
+    k = 0
+    while k < max_iters:
+        k += 1
+        x_next = keep * (q @ x) + hold
+        assert np.isfinite(x_next).all(), f"non-finite opinion at iteration {k}"
+        residual = float(np.max(np.abs(x_next - x))) if graph.n else 0.0
+        x = x_next
+        if k % stride == 0:
+            ks.append(k)
+            states.append(x.copy())
+        if residual <= tol:
+            streak += 1
+            if streak >= patience:
+                converged = True
+                break
+        else:
+            streak = 0
+
+    if ks[-1] != k:
+        ks.append(k)
+        states.append(x.copy())
+
+    return Trajectory(
+        ks=np.asarray(ks, dtype=np.int64),
+        states=np.asarray(states),
+        converged=converged,
+        final_residual=residual,
+        iterations_used=k,
+    )
 
 
 def influence_by_iteration(graph: SignedDigraph, beta, *, tol=1e-13) -> np.ndarray:

@@ -96,6 +96,17 @@ class TestAnalyze:
                     "--ensure-self-loops", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("option,value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+        ("--ensure-self-loops", "inf"), ("--ensure-self-loops", "nan"),
+    ])
+    def test_non_finite_numeric_option_exits_2(self, tmp_path, out_dir, capsys, option, value):
+        graph = write(tmp_path / "g.csv", STUBBORN_PAIR)
+        code = run(["simulate", "--graph", graph, "--out-dir", out_dir, option, value])
+        assert code == 2
+        assert option in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_steady_state_uses_x0(self, tmp_path, out_dir):
         graph = write(tmp_path / "g.csv", STUBBORN_PAIR)
         beta = write(tmp_path / "b.csv", "a,0.5\n")
@@ -257,6 +268,15 @@ class TestModify:
                     "--flip-edge", "x,1,p"])
         assert code == 2
         assert "SRC,TGT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "1.5"])
+    def test_set_beta_outside_unit_interval_exits_2(self, tmp_path, out_dir, capsys, value):
+        graph = write(tmp_path / "g.csv", CHAIN)
+        code = run(["modify", "--graph", graph, "--out-dir", out_dir,
+                    "--set-beta", f"a={value}"])
+        assert code == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_set_beta_on_singleton_sink_warns(self, tmp_path, out_dir, capsys):
         graph = write(tmp_path / "g.csv", CHAIN)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from signedfj import (
     row_normalized,
     simulate,
     strongly_connected_components,
+    validate,
 )
 from signedfj.dynamics import trajectory_long_csv, trajectory_wide_csv
 from instances import (
@@ -22,6 +24,7 @@ from instances import (
     sc_unbalanced,
     triangle,
 )
+from oracles import simulate_by_list
 
 
 def make_system(graph, beta):
@@ -184,6 +187,73 @@ class TestSimulate:
         assert trajectory.ks[-1] == trajectory.iterations_used
         mid = trajectory.ks[1:-1]
         assert np.all(mid % 7 == 0)
+
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        graph, beta = micro_stubborn()
+        with pytest.raises(ValueError, match="tol"):
+            simulate(graph, beta, np.array([1.0, 0.0]), tol=tol)
+
+
+def assert_same_trajectory(got, expected):
+    assert got.ks.dtype == np.int64 and got.ks.tolist() == expected.ks.tolist()
+    assert got.states.dtype == np.float64 and got.states.flags.c_contiguous
+    assert got.states.shape == (len(got.ks), expected.states.shape[1])
+    assert got.states.tobytes() == expected.states.tobytes()
+    assert got.converged == expected.converged
+    assert got.iterations_used == expected.iterations_used
+    assert repr(got.final_residual) == repr(expected.final_residual)
+
+
+class TestRecording:
+    """``simulate`` against the list-of-states reference loop, bit for bit."""
+
+    @staticmethod
+    def instance(seed):
+        graph, beta, x0 = random_instance(8600 + seed, n_max=40)
+        report = validate(graph, beta)
+        return report.graph, report.beta, x0
+
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_reference_loop(self, seed, stride):
+        graph, beta, x0 = self.instance(seed)
+        kwargs = dict(tol=1e-12, max_iters=2000, stride=stride)
+        assert_same_trajectory(simulate(graph, beta, x0, **kwargs),
+                               simulate_by_list(graph, beta, x0, **kwargs))
+
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    @pytest.mark.parametrize("max_iters", [1, 7, 63, 64, 128])  # 64-row blocks
+    def test_budget_exhaustion_matches_reference_loop(self, max_iters, stride):
+        graph, beta, x0 = self.instance(0)
+        kwargs = dict(tol=1e-300, max_iters=max_iters, stride=stride)
+        got = simulate(graph, beta, x0, **kwargs)
+        assert not got.converged and got.iterations_used == max_iters
+        assert_same_trajectory(got, simulate_by_list(graph, beta, x0, **kwargs))
+
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    def test_zero_start_matches_reference_loop(self, stride):
+        graph, beta, _ = self.instance(1)
+        x0 = np.zeros(graph.n)
+        got = simulate(graph, beta, x0, stride=stride)
+        assert got.converged and got.final_residual == 0.0
+        assert_same_trajectory(got, simulate_by_list(graph, beta, x0, stride=stride))
+
+    def test_records_cost_one_array(self):
+        # a 600-node positive cycle rotates its opinions forever: every step is recorded
+        n, steps = 600, 1200
+        g = SignedDigraph.from_edges([f"v{i}" for i in range(n)],
+                                     [(i, (i + 1) % n, 1.0) for i in range(n)])
+        x0 = np.random.default_rng(0).uniform(-1, 1, n)
+        tracemalloc.start()
+        try:
+            trajectory = simulate(g, np.zeros(n), x0, max_iters=steps, stride=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trajectory.ks) == steps + 1
+        assert peak < 1.25 * trajectory.states.nbytes
 
 
 class TestTrajectoryExport:
