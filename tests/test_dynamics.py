@@ -188,7 +188,6 @@ class TestSimulate:
         mid = trajectory.ks[1:-1]
         assert np.all(mid % 7 == 0)
 
-
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         graph, beta = micro_stubborn()
