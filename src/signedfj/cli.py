@@ -30,6 +30,7 @@ from .graph import (
     SignedDigraph,
     ValidationReport,
     _csv_fields,
+    _csv_rows,
     _format_weight,
     ensure_self_loops,
     flip_edges,
@@ -176,19 +177,28 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _parse_with_header_retry(text: str, parse):
-    """Parse; if only the very first line is malformed, treat it as a header."""
-    try:
-        return parse(text, has_header=False)
-    except GraphFormatError as exc:
-        if exc.line == 1:
-            return parse(text, has_header=True)
-        raise
+def _parse_headed_or_not(text: str, parse, value_column: int):
+    """Parse, skipping line 1 as a header only when it looks like one.
+
+    Line 1 is a header when its numeric field (column ``value_column``) is
+    present and does not parse as a number, as in ``source,target,weight``
+    or ``node,beta``.  Any other first line is data, so a bad one (a zero
+    weight, an unknown label, a missing column, ``nan``) is reported as an
+    error on line 1.
+    """
+    lineno, fields = next(_csv_rows(text), (0, []))
+    has_header = False
+    if lineno == 1 and len(fields) > value_column:
+        try:
+            float(fields[value_column])
+        except ValueError:
+            has_header = True
+    return parse(text, has_header=has_header)
 
 
 def _load_graph(config: RunConfig) -> SignedDigraph:
     text = _read_text(config.graph_path)
-    graph = _parse_with_header_retry(
+    graph = _parse_headed_or_not(
         text,
         lambda t, has_header: parse_edge_list(
             t,
@@ -196,6 +206,7 @@ def _load_graph(config: RunConfig) -> SignedDigraph:
             ignore_extra_columns=config.ignore_extra_columns,
             merge_duplicates=config.merge_duplicates,
         ),
+        2,
     )
     if config.ensure_self_loops is not None:
         graph = ensure_self_loops(graph, config.ensure_self_loops)
@@ -210,16 +221,16 @@ def _load_profiles(config: RunConfig, graph: SignedDigraph):
     warnings = []
     if config.beta_path:
         text = _read_text(config.beta_path)
-        beta, w = _parse_with_header_retry(
-            text, lambda t, has_header: read_stubbornness(t, graph, has_header=has_header)
+        beta, w = _parse_headed_or_not(
+            text, lambda t, has_header: read_stubbornness(t, graph, has_header=has_header), 1
         )
         warnings.extend(w)
     else:
         beta = np.zeros(graph.n)
     if config.x0_path:
         text = _read_text(config.x0_path)
-        x0, w = _parse_with_header_retry(
-            text, lambda t, has_header: read_initial_opinions(t, graph, has_header=has_header)
+        x0, w = _parse_headed_or_not(
+            text, lambda t, has_header: read_initial_opinions(t, graph, has_header=has_header), 1
         )
         warnings.extend(w)
     else:
@@ -456,6 +467,14 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
         {"node": node, "old": float(beta[modified_graph.index(node)]), "new": value}
         for node, value in beta_changes
     ]
+    # --set-beta values are checked above, so what is left came from --beta
+    outside = np.flatnonzero((new_beta < 0.0) | (new_beta > 1.0))
+    if outside.size:
+        i = outside[0]
+        raise GraphFormatError(
+            f"stubbornness {float(new_beta[i])!r} for {modified_graph.labels[i]!r} "
+            "in the --beta file is outside [0, 1]"
+        )
 
     graph_path = _write(config.out_dir, "modified_graph.csv", serialize_edge_list(modified_graph))
     fields = _csv_fields(modified_graph.labels)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import multiprocessing
 import os
 import signal
@@ -42,18 +43,26 @@ __all__ = [
 ]
 
 
-def _csv_rows(source) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, stripped fields)`` for each non-blank CSV record.
+def _csv_reader(source):
+    """One ``csv.reader`` over text, a file object, or an iterable of lines.
 
-    ``source`` is text, a file object, or an iterable of lines.  One reader
-    parses all of it, so a quoted field may hold a line break; a record's
-    line number is that of its last line.
+    It parses all of ``source``, so a quoted field may hold a line break;
+    its ``line_num`` after a record is that of the record's last line.
     """
-    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    return csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
+
+
+def _is_blank(row: list[str]) -> bool:
+    """A record with no field, or one field of whitespace only."""
+    return len(row) < 2 and not (row and row[0].strip())
+
+
+def _csv_rows(source) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, stripped fields)`` for each non-blank CSV record."""
+    reader = _csv_reader(source)
     for row in reader:
-        fields = [f.strip() for f in row]
-        if len(fields) > 1 or (fields and fields[0]):
-            yield reader.line_num, fields
+        if not _is_blank(row):
+            yield reader.line_num, [f.strip() for f in row]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -202,45 +211,43 @@ def parse_edge_list(
     if merge_duplicates not in (None, "sum"):
         raise ValueError(f"unsupported merge_duplicates mode {merge_duplicates!r}")
 
-    labels: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # labels in order of first appearance
     weight_at: dict[tuple[int, int], float] = {}
     first_line: dict[tuple[int, int], int] = {}
     header_pending = has_header
 
-    def node_id(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
-    for lineno, fields in _csv_rows(source):
+    # the loop runs once per line, so it strips only the fields it reads
+    reader = _csv_reader(source)
+    for row in reader:
+        if _is_blank(row):
+            continue
         if header_pending:
             header_pending = False
             continue
-        if len(fields) < 3:
+        lineno = reader.line_num
+        if len(row) < 3:
             raise GraphFormatError(
-                f"expected 'source,target,weight', got {len(fields)} column(s)", line=lineno
+                f"expected 'source,target,weight', got {len(row)} column(s)", line=lineno
             )
-        if len(fields) > 3 and not ignore_extra_columns:
+        if len(row) > 3 and not ignore_extra_columns:
             raise GraphFormatError(
-                f"unexpected extra columns ({len(fields)} found); "
+                f"unexpected extra columns ({len(row)} found); "
                 "pass ignore_extra_columns to drop them",
                 line=lineno,
             )
-        src_label, tgt_label, weight_field = fields[0], fields[1], fields[2]
+        src_label, tgt_label, weight_field = row[0].strip(), row[1].strip(), row[2].strip()
         if not src_label or not tgt_label:
             raise GraphFormatError("empty node label", line=lineno)
         try:
             w = float(weight_field)
         except ValueError:
             raise GraphFormatError(f"weight {weight_field!r} is not a real number", line=lineno)
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise GraphFormatError(f"weight {weight_field!r} is not finite", line=lineno)
         if w == 0.0:
             raise GraphFormatError("zero weight is not allowed", line=lineno)
 
-        key = (node_id(src_label), node_id(tgt_label))
+        key = (index.setdefault(src_label, len(index)), index.setdefault(tgt_label, len(index)))
         if key in weight_at:
             if merge_duplicates != "sum":
                 raise GraphFormatError(
@@ -253,7 +260,7 @@ def parse_edge_list(
                 raise GraphFormatError(
                     f"duplicate edges ({src_label!r}, {tgt_label!r}) sum to zero", line=lineno
                 )
-            if not np.isfinite(weight_at[key]):
+            if not math.isfinite(weight_at[key]):
                 raise GraphFormatError(
                     f"duplicate edges ({src_label!r}, {tgt_label!r}) sum to a non-finite weight",
                     line=lineno,
@@ -268,7 +275,7 @@ def parse_edge_list(
     # every invariant of from_edges is checked above, so no edge is resolved again
     ends = np.array(list(weight_at), dtype=np.int64).reshape(-1, 2)
     return SignedDigraph(
-        labels=tuple(labels),
+        labels=tuple(index),
         sources=_readonly(ends[:, 0].copy()),
         targets=_readonly(ends[:, 1].copy()),
         weights=_readonly(np.fromiter(weight_at.values(), np.float64, len(weight_at))),
@@ -461,16 +468,21 @@ def _read_node_values(
 ) -> dict[int, float]:
     values: dict[int, float] = {}
     header_pending = has_header
-    for lineno, fields in _csv_rows(source):
+    label_index = graph.label_index
+    reader = _csv_reader(source)
+    for row in reader:
+        if _is_blank(row):
+            continue
         if header_pending:
             header_pending = False
             continue
-        if len(fields) != 2:
+        lineno = reader.line_num
+        if len(row) != 2:
             raise GraphFormatError(
-                f"expected 'node,{what}', got {len(fields)} column(s)", line=lineno
+                f"expected 'node,{what}', got {len(row)} column(s)", line=lineno
             )
-        label, value_field = fields
-        node = graph.label_index.get(label)
+        label, value_field = row[0].strip(), row[1].strip()
+        node = label_index.get(label)
         if node is None:
             raise GraphFormatError(f"unknown node label {label!r}", line=lineno)
         if node in values:
@@ -479,7 +491,7 @@ def _read_node_values(
             v = float(value_field)
         except ValueError:
             raise GraphFormatError(f"{what} {value_field!r} is not a real number", line=lineno)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise GraphFormatError(f"{what} {value_field!r} is not finite", line=lineno)
         values[node] = v
     return values

@@ -74,6 +74,8 @@ DIRECT_CHECK_CUTOFF = 200
 # singletons give a Theta_F with m nonzeros but one dense m x k block, so an
 # unbounded panel would not stay O(m).
 _PANEL_ENTRIES = 1 << 20
+# A panel's residual product runs this many columns at a time.
+_PRODUCT_COLUMNS = 16
 
 
 class Regime(str, Enum):
@@ -189,17 +191,23 @@ class _ResolventSolver:
                 "says this cannot happen, so the classification is buggy"
             ) from exc
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve a 1-D ``b`` or a 2-D column panel; refinement checks the whole panel."""
-        x = np.ascontiguousarray(self._base(b))  # so the residual's product copies no panel
+    def solve(self, b) -> np.ndarray:
+        """Solve a 1-D ``b`` or a column panel; refinement checks the whole panel.
+
+        A panel may be sparse.  It is solved in place in one Fortran-order
+        dense copy, and refined with one residual panel beside it.
+        """
+        x = b.toarray(order="F") if sparse.issparse(b) else np.array(b, np.float64, order="F")
+        x = self._base(x)
         if not np.isfinite(x).all():
             raise InternalInconsistencyError(
                 f"solve against (I - {self._what}) produced non-finite values"
             )
-        scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+        values = b.data if sparse.issparse(b) else b
+        scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+        r = np.empty_like(x)
         for refinements in range(5):
-            r = self._a @ x
-            np.subtract(b, r, out=r)  # in place: one panel beside b and x, not two
+            self._residual(b, x, out=r)
             residual = float(max(r.max(), -r.min())) if r.size else 0.0
             if residual <= 1e-12 * scale or refinements == 4:
                 break
@@ -210,30 +218,68 @@ class _ResolventSolver:
             )
         return x
 
-    def solve_block(self, rhs: sparse.spmatrix) -> sparse.csc_matrix:
-        """Solve for every column of a sparse ``rhs`` at once; the result is sparse.
+    def _residual(self, b, x: np.ndarray, *, out: np.ndarray) -> None:
+        """``b - A x`` into ``out``, as ``(-A x) + b``: the same bits in IEEE arithmetic.
+
+        A panel's product runs a chunk of ``_PRODUCT_COLUMNS`` columns at a
+        time, since a Fortran-order panel has no C-order view for the sparse
+        product to use; each column's sum runs in the same order whatever
+        the chunk width.  A sparse ``b`` is added at its own entries only.
+        """
+        if x.ndim == 1:
+            np.negative(self._a @ x, out=out)
+        else:
+            for start in range(0, x.shape[1], _PRODUCT_COLUMNS):
+                cols = slice(start, start + _PRODUCT_COLUMNS)
+                np.negative(self._a @ x[:, cols], out=out[:, cols])
+        if sparse.issparse(b):
+            b = b.tocoo()
+            out[b.row, b.col] += b.data
+        else:
+            out += b
+
+    def solve_block(self, rhs: sparse.spmatrix) -> _SolvedColumns:
+        """Solve for every column of a sparse ``rhs`` at once; the result stays in pieces.
 
         Structurally zero columns stay zero without a solve.  The others go
         through :meth:`solve` in dense column panels of at most
-        ``_PANEL_ENTRIES`` entries.
+        ``_PANEL_ENTRIES`` entries, and each panel's nonzeros are kept as
+        they come, so while the factor is alive memory holds the factor,
+        the nonzeros solved so far and one panel with its residual.  The
+        caller drops the solver before :meth:`_SolvedColumns.join` copies
+        the pieces into one sparse matrix.
         """
         rhs = sparse.csc_matrix(rhs, copy=True)
+        rhs.sum_duplicates()  # so a panel's residual adds each entry of b once
         rhs.eliminate_zeros()
         nonzero = np.flatnonzero(np.diff(rhs.indptr))
         step = max(1, _PANEL_ENTRIES // rhs.shape[0])
-        counts = np.zeros(rhs.shape[1] + 1, np.int64)
-        indices, data = [np.zeros(0, np.int32)], [np.zeros(0)]
+        solved = _SolvedColumns(rhs.shape)
         for start in range(0, nonzero.size, step):
             panel = nonzero[start:start + step]
-            counts[panel + 1], rows, values = _column_nonzeros(
-                self.solve(rhs[:, panel].toarray())
+            solved.counts[panel + 1], rows, values = _column_nonzeros(
+                self.solve(rhs[:, panel])
             )
-            indices.append(rows)
-            data.append(values)
-        # rebinding frees each list's pieces as soon as they are joined
-        data = np.concatenate(data)
-        indices = np.concatenate(indices)
-        return sparse.csc_matrix((data, indices, np.cumsum(counts)), shape=rhs.shape)
+            solved.indices.append(rows)
+            solved.data.append(values)
+        return solved
+
+
+class _SolvedColumns:
+    """The nonzeros of a block solve, one piece per panel, not yet joined."""
+
+    def __init__(self, shape: tuple[int, int]):
+        self.shape = shape
+        self.counts = np.zeros(shape[1] + 1, np.int64)
+        self.indices, self.data = [np.zeros(0, np.int32)], [np.zeros(0)]
+
+    def join(self) -> sparse.csc_matrix:
+        """The pieces as one CSC matrix; each list's pieces are freed once joined."""
+        data = np.concatenate(self.data)
+        self.data.clear()
+        indices = np.concatenate(self.indices)
+        self.indices.clear()
+        return sparse.csc_matrix((data, indices, np.cumsum(self.counts)), shape=self.shape)
 
 
 def _column_nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,7 +294,10 @@ def _column_nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _dense_factor(a: sparse.csr_matrix):
-    """Dense LU of ``a``, factored in place; returns its solve function."""
+    """Dense LU of ``a``, factored in place; returns its solve function.
+
+    The solve function may overwrite its argument, as SuperLU's never does.
+    """
     with warnings.catch_warnings():
         # lu_factor only warns on exact singularity; the zero pivot is
         # caught explicitly below
@@ -258,7 +307,8 @@ def _dense_factor(a: sparse.csr_matrix):
     # the sum is non-finite whenever an entry is, and needs no m x m mask
     if np.any(np.diag(lu) == 0.0) or not np.isfinite(lu.sum()):
         raise LinAlgError("exactly singular")
-    return lambda b: lu_solve((lu, piv), b, check_finite=False)
+    # a Fortran-order b is solved in place
+    return lambda b: lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
 def _stationary_rows(
@@ -597,13 +647,16 @@ def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
         )
     block = system.sink_block(sink.sink_index)
     if sink.contains_stubborn:
-        solver = _ResolventSolver(block, what=f"sink block {sink.sink_index}")
         beta_block = system.stubbornness[list(members)]
+        # the solver is dropped as solve_block returns, before the join
+        solved = _ResolventSolver(block, what=f"sink block {sink.sink_index}").solve_block(
+            sparse.diags(beta_block)
+        )
         return SinkSolution(
             sink_index=sink.sink_index,
             members=members,
             kind=SolutionKind.RESOLVENT,
-            operator=solver.solve_block(sparse.diags(beta_block)),
+            operator=solved.join(),
         )
 
     # a free balanced sink of at least DENSE_BLOCK_CUTOFF nodes, kept sparse
@@ -784,11 +837,15 @@ def influence_matrix(
     All right-hand sides are solved together, and only the nonzero ones:
     stubborn followers, stubborn sink members, and every member of a
     balanced stubborn-free sink.  All other columns are structurally zero.
-    The follower factorization is dropped once those rows are solved, so
-    unless the caller keeps a ``_solver`` it hands in, the factor is freed
-    before Theta is assembled.  When no balanced stubborn-free sink exists
-    and the graph is small, the assembly is cross-checked against the
-    direct resolvent of the whole matrix.
+    The solve keeps each panel's nonzeros as a separate piece, and the
+    follower factorization is dropped before the pieces are joined: while
+    the factor is alive, memory holds only the factor, the follower
+    nonzeros solved so far and one panel with its residual.  So unless the
+    caller keeps a ``_solver`` it hands in, the factor is freed before
+    Theta's follower rows are copied into one matrix and Theta is
+    assembled.  When no balanced stubborn-free sink exists and the graph is
+    small, the assembly is cross-checked against the direct resolvent of
+    the whole matrix.
     """
     ordering = system.ordering
     n = ordering.n
@@ -800,9 +857,9 @@ def influence_matrix(
         rhs = sparse.diags(system.stubbornness_canonical[:m], shape=(m, n)) + (
             system.update_matrix[:m] @ canonical
         )
-        follower_rows = solver.solve_block(rhs)
-        del solver, _solver  # frees the factor before Theta is assembled
-        follower_rows = follower_rows.tocsr()
+        solved = solver.solve_block(rhs)
+        del solver, _solver  # frees the factor before the solved pieces are joined
+        follower_rows = solved.join().tocsr()
         canonical = sparse.vstack([follower_rows, canonical[m:]], format="csr")
         del follower_rows
     # original order: permute the rows, then renumber the columns

@@ -4,8 +4,10 @@ Each oracle deliberately takes a different route than the implementation
 it checks: union-find vs scipy for weak components, exhaustive bipartition
 enumeration vs the signed double cover for balance, plain iteration of
 the update rule vs the closed-form solver for limits, a list of freshly
-allocated states vs ``simulate``'s in-place record array, and whole-text,
-entry-by-entry CSV writers vs the chunked streaming ones.
+allocated states vs ``simulate``'s in-place record array, C-order panels
+joined while the factor lives vs the in-place Fortran panels joined after
+it is freed, and whole-text, entry-by-entry CSV writers vs the chunked
+streaming ones.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import lu_factor, lu_solve
 
 from signedfj import SignedDigraph, row_normalized, simulate
 from signedfj.dynamics import Trajectory
@@ -118,6 +122,65 @@ def influence_by_iteration(graph: SignedDigraph, beta, *, tol=1e-13) -> np.ndarr
         e = np.zeros(n)
         e[j] = 1.0
         theta[:, j] = limit_by_iteration(graph, beta, e, tol=tol)
+    return theta
+
+
+def block_solve_by_joined_panels(block, rhs, *, panel_entries=1 << 20) -> sparse.csc_matrix:
+    """Reference dense-LU solve of ``(I - block) Y = rhs`` for every column of a sparse ``rhs``.
+
+    Each nonzero column panel is solved from a C-order copy with
+    out-of-place ``lu_solve`` calls and refined on ``b - A x``; the
+    per-panel nonzeros are joined into one CSC matrix while the factor is
+    still alive.
+    """
+    a = sparse.csr_matrix(sparse.identity(block.shape[0], format="csr") - block)
+    factor = lu_factor(a.toarray())
+    rhs = sparse.csc_matrix(rhs, copy=True)
+    rhs.eliminate_zeros()
+    nonzero = np.flatnonzero(np.diff(rhs.indptr))
+    step = max(1, panel_entries // rhs.shape[0])
+    counts = np.zeros(rhs.shape[1] + 1, np.int64)
+    indices, data = [np.zeros(0, np.int32)], [np.zeros(0)]
+    for start in range(0, nonzero.size, step):
+        panel = nonzero[start:start + step]
+        b = rhs[:, panel].toarray()
+        x = np.ascontiguousarray(lu_solve(factor, b, check_finite=False))
+        scale = max(1.0, float(np.max(np.abs(b))))
+        for refinements in range(5):
+            r = a @ x
+            np.subtract(b, r, out=r)
+            if float(max(r.max(), -r.min())) <= 1e-12 * scale or refinements == 4:
+                break
+            x += lu_solve(factor, r, check_finite=False)
+        kept = x.T != 0.0
+        counts[panel + 1] = kept.sum(axis=1)
+        indices.append(np.broadcast_to(np.arange(x.shape[0], dtype=np.int32), kept.shape)[kept])
+        data.append(x.T[kept])
+    return sparse.csc_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.cumsum(counts)), shape=rhs.shape
+    )
+
+
+def influence_by_joined_panels(system, sink_solutions, *, panel_entries=1 << 20):
+    """Reference influence matrix: Theta_L in the sink rows, the follower rows
+    from :func:`block_solve_by_joined_panels`, stacked as CSR and put in
+    original order."""
+    from signedfj.solve import _sink_rows
+
+    ordering = system.ordering
+    n, m = ordering.n, ordering.follower_count
+    canonical = _sink_rows(system, sink_solutions)
+    if m:
+        rhs = sparse.diags(system.stubbornness_canonical[:m], shape=(m, n)) + (
+            system.update_matrix[:m] @ canonical
+        )
+        rows = block_solve_by_joined_panels(
+            system.follower_block(), rhs, panel_entries=panel_entries
+        )
+        canonical = sparse.vstack([rows.tocsr(), canonical[m:]], format="csr")
+    theta = canonical[ordering.inverse]
+    theta.indices = ordering.permutation.astype(theta.indices.dtype)[theta.indices]
+    theta.sort_indices()
     return theta
 
 

@@ -121,6 +121,49 @@ class TestAnalyze:
         assert top["centrality"] == pytest.approx(2.0, abs=1e-10)
 
 
+class TestHeaderDetection:
+    """Line 1 is a header only when its numeric field is present and not a number."""
+
+    @pytest.mark.parametrize("first, message", [
+        ("a,b,0", "line 1: zero weight"),
+        ("a,b", "line 1: expected 'source,target,weight', got 2 column(s)"),
+        ("a,b,nan", "line 1: weight 'nan' is not finite"),
+    ])
+    def test_bad_first_graph_line_exits_2(self, tmp_path, out_dir, capsys, first, message):
+        graph = write(tmp_path / "g.csv", first + "\n" + STUBBORN_PAIR)
+        code = run(["analyze", "--graph", graph, "--out-dir", out_dir])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--beta", "--x0"])
+    @pytest.mark.parametrize("first, message", [
+        ("a,nan", "line 1: {what} 'nan' is not finite"),
+        ("zz,0.5", "line 1: unknown node label 'zz'"),
+        ("a", "line 1: expected 'node,{what}', got 1 column(s)"),
+    ])
+    def test_bad_first_profile_line_exits_2(self, tmp_path, out_dir, capsys, flag, first,
+                                            message):
+        graph = write(tmp_path / "g.csv", STUBBORN_PAIR)
+        profile = write(tmp_path / "p.csv", first + "\nb,0.5\n")
+        code = run(["analyze", "--graph", graph, flag, profile, "--out-dir", out_dir])
+        assert code == 2
+        assert message.format(what=flag[2:]) in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_headers_are_skipped(self, tmp_path, out_dir):
+        graph = write(tmp_path / "g.csv", "source,target,weight\n" + STUBBORN_PAIR)
+        beta = write(tmp_path / "b.csv", "node,beta\na,0.5\n")
+        x0 = write(tmp_path / "x.csv", "node,x0\na,1\nb,-1\n")
+        code = run(["analyze", "--graph", graph, "--beta", beta, "--x0", x0,
+                    "--out-dir", out_dir])
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["graph"]["edges"] == 4
+        # a is stubborn at x0 = 1, and b follows it
+        assert np.allclose(report["steady_state"]["values"], [1.0, 1.0], atol=1e-12)
+
+
 class TestSimulate:
     def test_antagonistic_final_row(self, tmp_path, out_dir):
         graph = write(tmp_path / "g.csv", ANTAGONISTIC)
@@ -277,6 +320,23 @@ class TestModify:
         assert code == 2
         assert "outside [0, 1]" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    def test_beta_file_outside_unit_interval_exits_2(self, tmp_path, out_dir, capsys):
+        graph = write(tmp_path / "g.csv", CHAIN)
+        beta = write(tmp_path / "b.csv", "a,2\n")
+        code = run(["modify", "--graph", graph, "--beta", beta, "--out-dir", out_dir])
+        assert code == 2
+        assert "stubbornness 2.0 for 'a' in the --beta file is outside [0, 1]" in (
+            capsys.readouterr().err)
+        assert list(out_dir.iterdir()) == []
+
+    def test_set_beta_replaces_an_out_of_range_value(self, tmp_path, out_dir):
+        graph = write(tmp_path / "g.csv", CHAIN)
+        beta = write(tmp_path / "b.csv", "a,2\n")
+        code = run(["modify", "--graph", graph, "--beta", beta, "--out-dir", out_dir,
+                    "--set-beta", "a=0.5"])
+        assert code == 0
+        assert (out_dir / "modified_beta.csv").read_text() == "a,0.5\n"
 
     def test_set_beta_on_singleton_sink_warns(self, tmp_path, out_dir, capsys):
         graph = write(tmp_path / "g.csv", CHAIN)
