@@ -499,7 +499,14 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("SIGNEDFJ_LOG_LEVEL", "WARNING"))
+    level = os.environ.get("SIGNEDFJ_LOG_LEVEL", "WARNING")
+    # a known level name maps to its number; anything else would make
+    # basicConfig raise after it has installed its handler
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: SIGNEDFJ_LOG_LEVEL={level!r} is not a logging level "
+              "(CRITICAL, ERROR, WARNING, INFO, DEBUG or NOTSET)", file=sys.stderr)
+        return EXIT_VALIDATION
+    logging.basicConfig(level=level)
     parser = _build_parser()
     args = parser.parse_args(argv)
     config = _config_from_args(args)

@@ -63,9 +63,12 @@ __all__ = [
 # radius from dense eigenvalues; sinks up to that size are stacked by _SinkBatch.
 DENSE_BLOCK_CUTOFF = 64
 _STACK_NODES = DENSE_BLOCK_CUTOFF * 8
-# Resolvent blocks of up to this many nodes are factored densely (a 134 MB
-# factor); larger ones go through sparse LU.
+# Resolvent blocks of up to this many nodes are factored densely, in single
+# precision (a 67 MB factor); larger ones go through sparse LU.
 _DENSE_FACTOR_NODES = 4096
+# A single-precision factor refines each panel for at most this many steps
+# (LAPACK dsgesv's ITERMAX) before its block is refactored in double.
+_SINGLE_REFINEMENTS = 30
 # Up to this many nodes the influence matrix is cross-checked against the
 # direct resolvent of the whole update matrix.
 DIRECT_CHECK_CUTOFF = 200
@@ -173,6 +176,16 @@ class _ResolventSolver:
     LAPACK: sparse LU fills a cycle-rich block towards dense (a third of
     dense on a Bitcoin-Alpha-shaped follower block), where dense LAPACK is
     several times faster.  Larger blocks keep SuperLU.
+
+    A dense factor is made in single precision, half the bytes of a double
+    one, and each solve refines it in double precision by the rule of
+    LAPACK's ``dsgesv``: column ``j`` is done once
+    ``max|r_j| <= sqrt(m) 2^-53 ||A||_inf max|x_j|``, within
+    ``_SINGLE_REFINEMENTS`` steps.  A single factor with a zero or
+    non-finite pivot, or a panel not done in time, makes the solver
+    refactor its block in double precision once; from then on it refines
+    in double precision to a residual of ``1e-12`` times the largest
+    right-hand side entry, as every SuperLU block does.
     """
 
     def __init__(self, m_block, *, what: str = "block"):
@@ -180,22 +193,104 @@ class _ResolventSolver:
         eye = sparse.identity(size, format="csr")
         self._a = sparse.csr_matrix(eye - m_block)
         self._what = what
+        self._single = size <= _DENSE_FACTOR_NODES
+        # dsgesv's stop: a column is done once max|r| <= this times max|x|
+        self._tolerance = np.sqrt(size) * 2.0**-53 * float(abs(self._a).sum(axis=1).max())
+        self._base = self._factor()
+
+    def _factor(self):
+        """The solve function of ``A``'s factor, in single precision while ``_single``."""
         try:
-            if size <= _DENSE_FACTOR_NODES:
-                self._base = _dense_factor(self._a)
-            else:
-                self._base = splu(self._a.tocsc()).solve
+            if self._single:
+                try:
+                    return _dense_factor(self._a, np.float32)
+                except LinAlgError:
+                    self._single = False
+            if self._a.shape[0] <= _DENSE_FACTOR_NODES:
+                return _dense_factor(self._a, np.float64)
+            return splu(self._a.tocsc()).solve
         except (RuntimeError, LinAlgError) as exc:
             raise InternalInconsistencyError(
-                f"(I - {what}) is singular; the convergence classification "
+                f"(I - {self._what}) is singular; the convergence classification "
                 "says this cannot happen, so the classification is buggy"
             ) from exc
 
     def solve(self, b) -> np.ndarray:
-        """Solve a 1-D ``b`` or a column panel; refinement checks the whole panel.
+        """Solve a 1-D ``b`` or a column panel; a sparse panel is made dense once.
 
-        A panel may be sparse.  It is solved in place in one Fortran-order
-        dense copy, and refined with one residual panel beside it.
+        With a single-precision factor the panel is refined in double
+        precision (see :meth:`_solve_mixed`); should that fail, the block is
+        refactored in double precision and the panel solved again from ``b``.
+        """
+        if self._single:
+            x = self._solve_mixed(b)
+            if x is not None:
+                return x
+            self._single = False
+            self._base = None  # the single factor goes before the double one is made
+            self._base = self._factor()
+        return self._solve_double(b)
+
+    def _solve_mixed(self, b) -> np.ndarray | None:
+        """``dsgesv``'s refinement of a panel on the single-precision factor.
+
+        ``x`` starts at zero, so its first residual is ``b`` and its first
+        correction the plain single-precision solve.  Each pass forms the
+        residual in double precision, ``_PRODUCT_COLUMNS`` columns at a
+        time, and scales each column by a power of two so that its largest
+        entry lies in ``[0.5, 1)`` before rounding it into one float32
+        array of the panel's shape: a column of tiny values never rounds to
+        zero.  That array is solved in place and added to ``x``, scaled
+        back.  So the panel holds ``x`` and half a panel beside it.  Every
+        column is corrected until all are done, as in ``dsgesv``: a column
+        that is done gains digits from one more correction.  Returns None
+        when a residual is non-finite or the panel is not done after
+        ``_SINGLE_REFINEMENTS`` corrections beyond the first.
+        """
+        if not sparse.issparse(b):
+            b = np.asarray(b, np.float64)
+            if b.ndim == 1:
+                x = self._solve_mixed(b[:, None])
+                return None if x is None else x[:, 0]
+        count = b.shape[1]
+        x = np.zeros(b.shape, order="F")
+        single = np.empty(b.shape, np.float32, order="F")
+        scratch = np.empty((b.shape[0], min(count, _PRODUCT_COLUMNS)), order="F")
+        exponents = np.zeros(count, np.intc)
+        chunks = [slice(start, min(start + _PRODUCT_COLUMNS, count))
+                  for start in range(0, count, _PRODUCT_COLUMNS)]
+        # COO pieces, so each residual adds its b at the stored entries
+        pieces = [b[:, cols].tocoo() if sparse.issparse(b) else b[:, cols] for cols in chunks]
+        for solves in range(_SINGLE_REFINEMENTS + 2):
+            done = solves > 0
+            for cols, piece in zip(chunks, pieces):
+                part, r = x[:, cols], scratch[:, :cols.stop - cols.start]
+                if solves:
+                    self._residual(piece, part, out=r)
+                else:  # x is zero, so the residual is b
+                    r[...] = piece.toarray() if sparse.issparse(piece) else piece
+                top = np.maximum(r.max(axis=0), -r.min(axis=0))
+                if not np.isfinite(top).all():
+                    return None
+                if solves:
+                    largest = np.maximum(part.max(axis=0), -part.min(axis=0))
+                    done &= bool(np.all(top <= self._tolerance * largest))
+                exponents[cols] = np.frexp(top)[1]
+                # scaled exactly in double, then rounded once to single
+                np.ldexp(r, -exponents[cols], out=single[:, cols])
+            if done:
+                return x
+            if solves > _SINGLE_REFINEMENTS:
+                return None
+            self._base(single)
+            for cols in chunks:
+                r = scratch[:, :cols.stop - cols.start]
+                np.ldexp(single[:, cols], exponents[cols], out=r, dtype=np.float64)
+                x[:, cols] += r
+
+    def _solve_double(self, b) -> np.ndarray:
+        """Solve in place in one Fortran-order dense copy of ``b``, refined
+        with one residual panel beside it; the whole panel meets one target.
         """
         x = b.toarray(order="F") if sparse.issparse(b) else np.array(b, np.float64, order="F")
         x = self._base(x)
@@ -245,7 +340,8 @@ class _ResolventSolver:
         through :meth:`solve` in dense column panels of at most
         ``_PANEL_ENTRIES`` entries, and each panel's nonzeros are kept as
         they come, so while the factor is alive memory holds the factor,
-        the nonzeros solved so far and one panel with its residual.  The
+        the nonzeros solved so far and one panel with its float32 residual,
+        half a panel.  The
         caller drops the solver before :meth:`_SolvedColumns.join` copies
         the pieces into one sparse matrix.
         """
@@ -293,21 +389,27 @@ def _column_nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return kept.sum(axis=1), rows[kept], x.T[kept]
 
 
-def _dense_factor(a: sparse.csr_matrix):
-    """Dense LU of ``a``, factored in place; returns its solve function.
+def _dense_factor(a: sparse.csr_matrix, dtype):
+    """Dense LU of ``a`` in precision ``dtype``, factored in place; returns its solve function.
 
-    The solve function may overwrite its argument, as SuperLU's never does.
+    The sparse ``a`` is cast to ``dtype`` before its one Fortran-order
+    ``toarray``, so a single-precision factor never has a double m x m
+    array beside it.  A zero pivot or a non-finite factor raises
+    ``LinAlgError``.  The solve function takes a Fortran-order ``b`` of the
+    same precision and overwrites it, as SuperLU's never does.
     """
     with warnings.catch_warnings():
         # lu_factor only warns on exact singularity; the zero pivot is
         # caught explicitly below
         warnings.simplefilter("ignore", LinAlgWarning)
-        # a Fortran-order array is factored in place, without an m x m copy
-        lu, piv = lu_factor(a.toarray(order="F"), overwrite_a=True, check_finite=False)
-    # the sum is non-finite whenever an entry is, and needs no m x m mask
+        lu, piv = lu_factor(
+            a.astype(dtype, copy=False).toarray(order="F"), overwrite_a=True,
+            check_finite=False,
+        )
+    # the sum is non-finite whenever an entry is, and needs no m x m mask;
+    # a single sum that overflows only sends the block to a double factor
     if np.any(np.diag(lu) == 0.0) or not np.isfinite(lu.sum()):
         raise LinAlgError("exactly singular")
-    # a Fortran-order b is solved in place
     return lambda b: lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
@@ -837,10 +939,14 @@ def influence_matrix(
     All right-hand sides are solved together, and only the nonzero ones:
     stubborn followers, stubborn sink members, and every member of a
     balanced stubborn-free sink.  All other columns are structurally zero.
-    The solve keeps each panel's nonzeros as a separate piece, and the
-    follower factorization is dropped before the pieces are joined: while
-    the factor is alive, memory holds only the factor, the follower
-    nonzeros solved so far and one panel with its residual.  So unless the
+    A follower block within the dense budget is factored in float32 and
+    each column refined in float64 (see :class:`_ResolventSolver`), so an
+    entry below about 2^-149 times its column's largest may come out as
+    zero; a nonzero column stays nonzero.  The solve keeps each panel's
+    nonzeros as a separate piece, and the follower factorization is
+    dropped before the pieces are joined: while the factor is alive,
+    memory holds only the factor, the follower nonzeros solved so far and
+    one panel with its float32 residual.  So unless the
     caller keeps a ``_solver`` it hands in, the factor is freed before
     Theta's follower rows are copied into one matrix and Theta is
     assembled.  When no balanced stubborn-free sink exists and the graph is

@@ -5,18 +5,21 @@ it checks: union-find vs scipy for weak components, exhaustive bipartition
 enumeration vs the signed double cover for balance, plain iteration of
 the update rule vs the closed-form solver for limits, a list of freshly
 allocated states vs ``simulate``'s in-place record array, C-order panels
-joined while the factor lives vs the in-place Fortran panels joined after
-it is freed, and whole-text, entry-by-entry CSV writers vs the chunked
+refined on whole-panel residuals and joined while the factor lives vs the
+in-place Fortran panels refined in column chunks and joined after it is
+freed, and whole-text, entry-by-entry CSV writers vs the chunked
 streaming ones.
 """
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from signedfj import SignedDigraph, row_normalized, simulate
 from signedfj.dynamics import Trajectory
@@ -125,16 +128,30 @@ def influence_by_iteration(graph: SignedDigraph, beta, *, tol=1e-13) -> np.ndarr
     return theta
 
 
-def block_solve_by_joined_panels(block, rhs, *, panel_entries=1 << 20) -> sparse.csc_matrix:
+def block_solve_by_joined_panels(
+    block, rhs, *, panel_entries=1 << 20, mixed=True
+) -> sparse.csc_matrix:
     """Reference dense-LU solve of ``(I - block) Y = rhs`` for every column of a sparse ``rhs``.
 
     Each nonzero column panel is solved from a C-order copy with
-    out-of-place ``lu_solve`` calls and refined on ``b - A x``; the
-    per-panel nonzeros are joined into one CSC matrix while the factor is
-    still alive.
+    out-of-place ``lu_solve`` calls, and the per-panel nonzeros are joined
+    into one CSC matrix while the factor is still alive.  With ``mixed``
+    the block is factored in float32 and each panel refined in float64 by
+    LAPACK dsgesv's rule (see :func:`_refined_on_single`); a float32 factor
+    with a zero or non-finite pivot, or a panel that rule cannot settle,
+    switches to a float64 factor for that panel and every later one.
+    Without ``mixed``, or after that switch, a panel is solved on the
+    float64 factor and refined on ``b - A x`` to ``1e-12`` times its
+    largest entry.
     """
     a = sparse.csr_matrix(sparse.identity(block.shape[0], format="csr") - block)
-    factor = lu_factor(a.toarray())
+    single = double = None
+    if mixed:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)  # an exactly zero pivot
+            single = lu_factor(a.toarray().astype(np.float32))
+        if not np.isfinite(single[0]).all() or np.any(np.diag(single[0]) == 0.0):
+            single = None
     rhs = sparse.csc_matrix(rhs, copy=True)
     rhs.eliminate_zeros()
     nonzero = np.flatnonzero(np.diff(rhs.indptr))
@@ -144,14 +161,12 @@ def block_solve_by_joined_panels(block, rhs, *, panel_entries=1 << 20) -> sparse
     for start in range(0, nonzero.size, step):
         panel = nonzero[start:start + step]
         b = rhs[:, panel].toarray()
-        x = np.ascontiguousarray(lu_solve(factor, b, check_finite=False))
-        scale = max(1.0, float(np.max(np.abs(b))))
-        for refinements in range(5):
-            r = a @ x
-            np.subtract(b, r, out=r)
-            if float(max(r.max(), -r.min())) <= 1e-12 * scale or refinements == 4:
-                break
-            x += lu_solve(factor, r, check_finite=False)
+        x = None if single is None else _refined_on_single(a, single, b)
+        if x is None:
+            single = None
+            if double is None:
+                double = lu_factor(a.toarray())
+            x = _refined_on_double(a, double, b)
         kept = x.T != 0.0
         counts[panel + 1] = kept.sum(axis=1)
         indices.append(np.broadcast_to(np.arange(x.shape[0], dtype=np.int32), kept.shape)[kept])
@@ -161,21 +176,77 @@ def block_solve_by_joined_panels(block, rhs, *, panel_entries=1 << 20) -> sparse
     )
 
 
-def influence_by_joined_panels(system, sink_solutions, *, panel_entries=1 << 20):
+def _single_solve(factor, v):
+    """``A^-1 v`` on a float32 factor, each column of ``v`` scaled by a power of two
+    into ``[0.5, 1)`` before it is rounded to float32 and scaled back after."""
+    exponents = np.frexp(np.abs(v).max(axis=0))[1]
+    solved = lu_solve(factor, np.ldexp(v, -exponents).astype(np.float32), check_finite=False)
+    return np.ldexp(solved.astype(np.float64), exponents)
+
+
+def _refined_on_single(a, factor, b, *, steps=30):
+    """dsgesv's refinement of the panel ``b``, or None when it does not settle.
+
+    Column j is done once ``max|r_j| <= sqrt(m) 2^-53 ||A||_inf max|x_j|``.
+    Every column is corrected until all are done, at most ``steps`` times
+    after the first solve; a non-finite residual gives up at once.
+    """
+    m = a.shape[0]
+    bound = np.sqrt(m) * 2.0**-53 * float(abs(a).sum(axis=1).max())
+    x = _single_solve(factor, b)
+    for refinements in range(steps + 1):
+        r = a @ x
+        np.subtract(b, r, out=r)
+        largest = np.abs(r).max(axis=0)
+        if not np.isfinite(largest).all():
+            return None
+        if np.all(largest <= bound * np.abs(x).max(axis=0)):
+            return x
+        if refinements == steps:
+            return None
+        x += _single_solve(factor, r)
+
+
+def _refined_on_double(a, factor, b):
+    """The panel ``b`` solved on a float64 factor, refined to ``1e-12`` of its largest entry."""
+    x = np.ascontiguousarray(lu_solve(factor, b, check_finite=False))
+    scale = max(1.0, float(np.max(np.abs(b))))
+    for refinements in range(5):
+        r = a @ x
+        np.subtract(b, r, out=r)
+        if float(max(r.max(), -r.min())) <= 1e-12 * scale or refinements == 4:
+            break
+        x += lu_solve(factor, r, check_finite=False)
+    return x
+
+
+def influence_by_joined_panels(system, sink_solutions, *, panel_entries=1 << 20, mixed=True):
     """Reference influence matrix: Theta_L in the sink rows, the follower rows
     from :func:`block_solve_by_joined_panels`, stacked as CSR and put in
-    original order."""
-    from signedfj.solve import _sink_rows
+    original order.
+
+    Every resolvent sink's operator is solved again by
+    :func:`block_solve_by_joined_panels` with the same ``mixed``, so that
+    without it the whole matrix comes from float64 factors.
+    """
+    from signedfj.solve import SolutionKind, _sink_rows
 
     ordering = system.ordering
     n, m = ordering.n, ordering.follower_count
+    sink_solutions = tuple(
+        replace(s, operator=block_solve_by_joined_panels(
+            system.sink_block(s.sink_index), sparse.diags(system.stubbornness[list(s.members)]),
+            panel_entries=panel_entries, mixed=mixed,
+        )) if s.kind is SolutionKind.RESOLVENT else s
+        for s in sink_solutions
+    )
     canonical = _sink_rows(system, sink_solutions)
     if m:
         rhs = sparse.diags(system.stubbornness_canonical[:m], shape=(m, n)) + (
             system.update_matrix[:m] @ canonical
         )
         rows = block_solve_by_joined_panels(
-            system.follower_block(), rhs, panel_entries=panel_entries
+            system.follower_block(), rhs, panel_entries=panel_entries, mixed=mixed
         )
         canonical = sparse.vstack([rows.tocsr(), canonical[m:]], format="csr")
     theta = canonical[ordering.inverse]

@@ -87,6 +87,21 @@ class TestAnalyze:
         assert code == 5
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["bogus", "debug", "10", ""])
+    def test_unknown_log_level_exits_2(self, tmp_path, out_dir, monkeypatch, capsys, level):
+        monkeypatch.setenv("SIGNEDFJ_LOG_LEVEL", level)
+        graph = write(tmp_path / "g.csv", ANTAGONISTIC)
+        code = run(["analyze", "--graph", graph, "--out-dir", out_dir])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SIGNEDFJ_LOG_LEVEL=") and err.count("\n") == 1
+        assert not any(out_dir.iterdir())
+
+    def test_known_log_level_runs(self, tmp_path, out_dir, monkeypatch):
+        monkeypatch.setenv("SIGNEDFJ_LOG_LEVEL", "INFO")
+        graph = write(tmp_path / "g.csv", ANTAGONISTIC)
+        assert run(["analyze", "--graph", graph, "--out-dir", out_dir]) == 0
+
     def test_bad_numeric_option_exits_2(self, tmp_path, out_dir, capsys):
         graph = write(tmp_path / "g.csv", STUBBORN_PAIR)
         code = run(["simulate", "--graph", graph, "--out-dir", out_dir, "--tol", "-1"])

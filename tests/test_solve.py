@@ -390,6 +390,21 @@ def _count_factorizations(monkeypatch) -> dict[str, list[tuple[int, int]]]:
     return shapes
 
 
+def _factor_itemsizes(monkeypatch) -> list[int]:
+    """Record the itemsize of every array the solver hands to dense LU."""
+    import signedfj.solve
+
+    itemsizes = []
+    real = signedfj.solve.lu_factor
+
+    def recording(a, *args, **kwargs):
+        itemsizes.append(a.itemsize)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(signedfj.solve, "lu_factor", recording)
+    return itemsizes
+
+
 def _on_assembly(monkeypatch, probe) -> list:
     """Record ``probe()`` each time a block solve's pieces start to be joined.
 
@@ -539,6 +554,7 @@ class TestFactorRouting:
         system, classification, solutions = _leaky_follower_ring_pieces(followers)
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", 1 << 16)
         shapes = _count_factorizations(monkeypatch)
+        itemsizes = _factor_itemsizes(monkeypatch)
 
         def solve_peak():
             peak = tracemalloc.get_traced_memory()[1]
@@ -553,8 +569,9 @@ class TestFactorRouting:
         finally:
             tracemalloc.stop()
         assert shapes["lu_factor"] == [(followers, followers)]
+        assert itemsizes == [4]  # a single-precision factor
         assert theta.nnz >= 200_000
-        factor_bytes = followers * followers * 8
+        factor_bytes = followers * followers * itemsizes[0]
         theta_bytes = theta.data.nbytes + theta.indices.nbytes + theta.indptr.nbytes
         follower_nnz = theta[system.ordering.permutation[:followers]].nnz
         follower_bytes = follower_nnz * (theta.data.itemsize + theta.indices.itemsize)
@@ -797,6 +814,99 @@ class TestBlockSolveMatchesJoinedPanels:
         _assert_same_bytes(solution.operator, want)
 
 
+def _theta_columns(theta) -> np.ndarray:
+    return np.flatnonzero(np.diff(sparse.csc_matrix(theta).indptr))
+
+
+class TestMixedPrecision:
+    """Dense blocks are factored in float32 and refined in float64, against
+    the float64 route of the reference solve."""
+
+    # absolute distance of Theta from the float64-LU oracle, fixed up front
+    THETA_TOL = 1e-13
+
+    def assert_near_float64_route(self, analysis):
+        theta = analysis.influence.matrix
+        want = influence_by_joined_panels(analysis.system, analysis.sink_solutions, mixed=False)
+        assert np.array_equal(_theta_columns(theta), _theta_columns(want))
+        assert abs(theta - want).max() <= self.THETA_TOL
+
+    def test_random_instances_near_float64_route(self):
+        for seed in range(SUITE_SIZE):
+            graph, beta, _ = random_instance(SUITE_SEED + seed)
+            self.assert_near_float64_route(analyze_network(graph, beta))
+
+    @pytest.mark.parametrize("build", [mixed_sinks, lambda: many_two_node_sinks(1000)],
+                             ids=["mixed_sinks", "many_two_node_sinks"])
+    def test_many_sinks_near_float64_route(self, build):
+        graph, beta, _ = build()
+        self.assert_near_float64_route(analyze_network(graph, beta))
+
+    def test_tiny_stubbornness_keeps_its_column(self, monkeypatch):
+        """A column of values near 1e-60 would round to zero in float32 unscaled,
+        and only the float64 fallback could then recover it."""
+        graph, beta = _leaky_follower_ring(70)
+        agent = 1
+        assert beta[agent] == 0.0
+        beta[agent] = 1e-60
+        analysis = analyze_network(graph, beta)
+        itemsizes = _factor_itemsizes(monkeypatch)
+        theta = analysis.influence.matrix
+        assert itemsizes and set(itemsizes) == {4}  # no block fell back
+        column = theta[:, [agent]].toarray()[:, 0]
+        assert np.count_nonzero(column) > 1
+        assert 0.0 < np.abs(column).max() <= 1e-59
+        want = influence_by_joined_panels(analysis.system, analysis.sink_solutions, mixed=False)
+        assert np.array_equal(_theta_columns(theta), _theta_columns(want))
+        expected = want[:, [agent]].toarray()[:, 0]
+        assert np.max(np.abs(column - expected)) <= 1e-12 * np.abs(expected).max()
+
+    def test_unsettled_refinement_falls_back_to_float64(self, monkeypatch):
+        """A ring whose float32 factor exists but is too far off to refine from.
+
+        Forty weights of ``1 + 0.49 * 2^-23`` round to 1 in float32, and the
+        closing weight makes the cycle's product ``1 - 4 * 2^-24``.  Rounded,
+        that product loses the forty small factors, so the float32 block's
+        determinant is about ten times the true one.  Its LU is exact (every
+        product is by 1), and each refinement step removes only a tenth of
+        the error: 30 steps leave the panel far short of the rule.
+        """
+        import signedfj.solve
+        from signedfj.solve import _ResolventSolver
+
+        size = 41
+        weights = np.full(size, 1.0 + 0.49 * 2.0**-23)
+        assert np.float32(weights[0]) == 1.0
+        weights[-1] = (1.0 - 4 * 2.0**-24) / np.prod(weights[:-1])
+        ring = sparse.csr_matrix(
+            (weights, (np.arange(size), np.roll(np.arange(size), -1))), shape=(size, size)
+        )
+        a = np.eye(size) - ring.toarray()
+        assert np.linalg.cond(a, np.inf) * 2.0**-24 > 1.0
+        rhs = sparse.random(size, 12, density=0.2, random_state=6, format="csc")
+        assert np.count_nonzero(np.diff(rhs.indptr)) > 8
+        budget = size * 4  # four columns to a panel
+        monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", budget)
+        itemsizes = _factor_itemsizes(monkeypatch)
+        solved = []
+        real_lu_solve = signedfj.solve.lu_solve
+
+        def recording_lu_solve(factor, b, **kwargs):
+            solved.append(b.itemsize)
+            return real_lu_solve(factor, b, **kwargs)
+
+        monkeypatch.setattr(signedfj.solve, "lu_solve", recording_lu_solve)
+        got = _ResolventSolver(ring).solve_block(rhs).join()
+        # the float32 factor exists, and the first panel refines it 30 times
+        # before the block is refactored in float64, once
+        assert itemsizes == [4, 8]
+        assert solved.count(4) == 1 + signedfj.solve._SINGLE_REFINEMENTS
+        assert solved[:31] == [4] * 31 and set(solved[31:]) == {8}
+        want = block_solve_by_joined_panels(ring, rhs, panel_entries=budget, mixed=False)
+        _assert_same_bytes(got, want)
+        _assert_same_bytes(got, block_solve_by_joined_panels(ring, rhs, panel_entries=budget))
+
+
 class TestNumericsInternals:
     def test_stationary_direct_fallback_agrees_with_power_iteration(self):
         from signedfj.solve import _stationary_row_vector
@@ -896,7 +1006,7 @@ class TestNumericsInternals:
         with pytest.raises(InternalInconsistencyError, match="singular"):
             _ResolventSolver(sparse.csr_matrix(block))
 
-    def test_dense_factor_makes_no_second_copy(self):
+    def test_dense_factor_makes_no_second_copy(self, monkeypatch):
         import tracemalloc
 
         from signedfj.solve import _ResolventSolver
@@ -905,16 +1015,18 @@ class TestNumericsInternals:
         ring = sparse.diags([np.full(size, 0.5), np.full(size - 1, -0.45)], [0, 1])
         block = sparse.csr_matrix(ring + sparse.csr_matrix(([0.45], ([size - 1], [0])),
                                                            shape=(size, size)))
-        factor_bytes = size * size * 8
+        itemsizes = _factor_itemsizes(monkeypatch)
         tracemalloc.start()
         try:
             solver = _ResolventSolver(block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert itemsizes == [4]  # a single-precision factor
+        factor_bytes = size * size * itemsizes[0]
         x = solver.solve(np.ones(size))
         assert np.max(np.abs(x - block @ x - 1.0)) <= 1e-12
-        # the factor itself, but neither a C-order copy nor an m x m mask
+        # the factor itself, but neither a double or C-order copy nor an m x m mask
         assert peak <= factor_bytes + factor_bytes // 16
 
 
