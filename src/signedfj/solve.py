@@ -12,6 +12,7 @@ opinions; its absolute column sums are the centrality scores.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -37,6 +38,8 @@ from .topology import (
     condense,
     strongly_connected_components,
 )
+
+log = logging.getLogger("signedfj")
 
 __all__ = [
     "Regime",
@@ -72,11 +75,17 @@ _SINGLE_REFINEMENTS = 30
 # Up to this many nodes the influence matrix is cross-checked against the
 # direct resolvent of the whole update matrix.
 DIRECT_CHECK_CUTOFF = 200
-# Dense column panels of a block solve, and dense stacks of sink blocks, hold
-# at most this many entries (8 MB): k follower chains into k stubborn
-# singletons give a Theta_F with m nonzeros but one dense m x k block, so an
-# unbounded panel would not stay O(m).
+# Dense column panels of a block solve on a sparse factor, and dense stacks of
+# sink blocks, hold at most this many entries (8 MB): k follower chains into k
+# stubborn singletons give a Theta_F with m nonzeros but one dense m x k block,
+# so an unbounded panel would not stay O(m).  On a dense factor it is a floor.
 _PANEL_ENTRIES = 1 << 20
+# A dense factor's panels may be m // this many columns wide if that is more
+# (from m = 2048 up): every refinement pass of a panel reads the whole factor,
+# so fewer panels cost less, and a float64 panel of this width takes half the
+# float32 factor's bytes, so the panel and its float32 buffer stay within
+# three quarters of it.
+_DENSE_PANEL_DIVISOR = 4
 # A panel's residual product runs this many columns at a time.
 _PRODUCT_COLUMNS = 16
 
@@ -186,6 +195,10 @@ class _ResolventSolver:
     refactor its block in double precision once; from then on it refines
     in double precision to a residual of ``1e-12`` times the largest
     right-hand side entry, as every SuperLU block does.
+
+    ``refinement`` holds the latest solve's refinement steps after its
+    first solve and its final residual relative to the largest right-hand
+    side entry (at least 1).
     """
 
     def __init__(self, m_block, *, what: str = "block"):
@@ -193,10 +206,11 @@ class _ResolventSolver:
         eye = sparse.identity(size, format="csr")
         self._a = sparse.csr_matrix(eye - m_block)
         self._what = what
-        self._single = size <= _DENSE_FACTOR_NODES
+        self._dense = self._single = size <= _DENSE_FACTOR_NODES
         # dsgesv's stop: a column is done once max|r| <= this times max|x|
         self._tolerance = np.sqrt(size) * 2.0**-53 * float(abs(self._a).sum(axis=1).max())
         self._base = self._factor()
+        self.refinement = (0, 0.0)
 
     def _factor(self):
         """The solve function of ``A``'s factor, in single precision while ``_single``."""
@@ -206,7 +220,7 @@ class _ResolventSolver:
                     return _dense_factor(self._a, np.float32)
                 except LinAlgError:
                     self._single = False
-            if self._a.shape[0] <= _DENSE_FACTOR_NODES:
+            if self._dense:
                 return _dense_factor(self._a, np.float64)
             return splu(self._a.tocsc()).solve
         except (RuntimeError, LinAlgError) as exc:
@@ -253,6 +267,7 @@ class _ResolventSolver:
                 x = self._solve_mixed(b[:, None])
                 return None if x is None else x[:, 0]
         count = b.shape[1]
+        scale = _rhs_scale(b)
         x = np.zeros(b.shape, order="F")
         single = np.empty(b.shape, np.float32, order="F")
         scratch = np.empty((b.shape[0], min(count, _PRODUCT_COLUMNS)), order="F")
@@ -262,7 +277,7 @@ class _ResolventSolver:
         # COO pieces, so each residual adds its b at the stored entries
         pieces = [b[:, cols].tocoo() if sparse.issparse(b) else b[:, cols] for cols in chunks]
         for solves in range(_SINGLE_REFINEMENTS + 2):
-            done = solves > 0
+            done, worst = solves > 0, 0.0
             for cols, piece in zip(chunks, pieces):
                 part, r = x[:, cols], scratch[:, :cols.stop - cols.start]
                 if solves:
@@ -272,6 +287,7 @@ class _ResolventSolver:
                 top = np.maximum(r.max(axis=0), -r.min(axis=0))
                 if not np.isfinite(top).all():
                     return None
+                worst = max(worst, float(top.max(initial=0.0)))
                 if solves:
                     largest = np.maximum(part.max(axis=0), -part.min(axis=0))
                     done &= bool(np.all(top <= self._tolerance * largest))
@@ -279,6 +295,7 @@ class _ResolventSolver:
                 # scaled exactly in double, then rounded once to single
                 np.ldexp(r, -exponents[cols], out=single[:, cols])
             if done:
+                self.refinement = (solves - 1, worst / scale)
                 return x
             if solves > _SINGLE_REFINEMENTS:
                 return None
@@ -298,8 +315,7 @@ class _ResolventSolver:
             raise InternalInconsistencyError(
                 f"solve against (I - {self._what}) produced non-finite values"
             )
-        values = b.data if sparse.issparse(b) else b
-        scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+        scale = _rhs_scale(b)
         r = np.empty_like(x)
         for refinements in range(5):
             self._residual(b, x, out=r)
@@ -311,6 +327,7 @@ class _ResolventSolver:
             raise InternalInconsistencyError(
                 "iterative refinement stalled; block solve is unreliable"
             )
+        self.refinement = (refinements, residual / scale)
         return x
 
     def _residual(self, b, x: np.ndarray, *, out: np.ndarray) -> None:
@@ -338,55 +355,106 @@ class _ResolventSolver:
 
         Structurally zero columns stay zero without a solve.  The others go
         through :meth:`solve` in dense column panels of at most
-        ``_PANEL_ENTRIES`` entries, and each panel's nonzeros are kept as
-        they come, so while the factor is alive memory holds the factor,
-        the nonzeros solved so far and one panel with its float32 residual,
-        half a panel.  The
+        ``_PANEL_ENTRIES`` entries, or on a dense factor of up to
+        ``m // _DENSE_PANEL_DIVISOR`` columns if that is more, and each
+        solved panel is kept as it comes (see :class:`_SolvedColumns`).  So
+        while the factor is alive memory holds the factor, at most 12 bytes
+        per nonzero solved so far, and one panel with its float32 buffer,
+        half a panel; on a dense factor those two take at most three
+        quarters of the factor's bytes.  The
         caller drops the solver before :meth:`_SolvedColumns.join` copies
-        the pieces into one sparse matrix.
+        the pieces into one sparse matrix.  Each call logs one INFO line
+        with the panels, the route and the refinement it took.
         """
         rhs = sparse.csc_matrix(rhs, copy=True)
         rhs.sum_duplicates()  # so a panel's residual adds each entry of b once
         rhs.eliminate_zeros()
+        m = rhs.shape[0]
         nonzero = np.flatnonzero(np.diff(rhs.indptr))
-        step = max(1, _PANEL_ENTRIES // rhs.shape[0])
+        width = max(1, _PANEL_ENTRIES // m)
+        if self._dense:
+            width = max(width, m // _DENSE_PANEL_DIVISOR)
         solved = _SolvedColumns(rhs.shape)
-        for start in range(0, nonzero.size, step):
-            panel = nonzero[start:start + step]
-            solved.counts[panel + 1], rows, values = _column_nonzeros(
-                self.solve(rhs[:, panel])
-            )
-            solved.indices.append(rows)
-            solved.data.append(values)
+        steps, residual = [], 0.0
+        for start in range(0, nonzero.size, width):
+            panel = nonzero[start:start + width]
+            solved.add(panel, self.solve(rhs[:, panel]))
+            steps.append(self.refinement[0])
+            residual = max(residual, self.refinement[1])
+        if not self._dense:
+            route = "SuperLU"
+        else:
+            route = "float32" if self._single else "float64 fallback"
+        log.info(
+            "%s solve: m=%d, %d columns in %d panels of at most %d, %s route, "
+            "refinement steps per panel %s, largest final relative residual %.1e",
+            self._what, m, nonzero.size, len(steps), min(width, nonzero.size), route,
+            steps, residual,
+        )
         return solved
 
 
 class _SolvedColumns:
-    """The nonzeros of a block solve, one piece per panel, not yet joined."""
+    """The solved panels of a block solve, one piece per panel, not yet joined.
+
+    A panel of which at least two thirds is nonzero is kept as it is, 8
+    bytes an entry; a sparser one as its nonzeros' values and int32 rows,
+    12 bytes a nonzero.  Either way a piece takes at most 12 bytes per
+    nonzero.
+    """
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = shape
         self.counts = np.zeros(shape[1] + 1, np.int64)
-        self.indices, self.data = [np.zeros(0, np.int32)], [np.zeros(0)]
+        self.pieces: list[np.ndarray | tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, columns: np.ndarray, x: np.ndarray) -> None:
+        """Keep the solved panel ``x`` of ``columns``."""
+        counts = np.count_nonzero(x, axis=0)
+        self.counts[columns + 1] = counts
+        self.pieces.append(x if 3 * int(counts.sum()) >= 2 * x.size else _column_nonzeros(x))
 
     def join(self) -> sparse.csc_matrix:
-        """The pieces as one CSC matrix; each list's pieces are freed once joined."""
-        data = np.concatenate(self.data)
-        self.data.clear()
-        indices = np.concatenate(self.indices)
-        self.indices.clear()
-        return sparse.csc_matrix((data, indices, np.cumsum(self.counts)), shape=self.shape)
+        """The pieces as one CSC matrix; each piece is freed once copied.
+
+        A dense piece gives up its nonzeros ``_PRODUCT_COLUMNS`` columns at
+        a time, so no copy of a whole panel's nonzeros is made.
+        """
+        indptr = np.cumsum(self.counts)
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], np.int32)
+        start = 0
+        self.pieces.reverse()
+        while self.pieces:
+            piece = self.pieces.pop()
+            if isinstance(piece, tuple):
+                parts = [piece]
+            else:
+                parts = (_column_nonzeros(piece[:, cols:cols + _PRODUCT_COLUMNS])
+                         for cols in range(0, piece.shape[1], _PRODUCT_COLUMNS))
+            for rows, values in parts:
+                stop = start + rows.size
+                indices[start:stop] = rows
+                data[start:stop] = values
+                start = stop
+        return sparse.csc_matrix((data, indices, indptr), shape=self.shape)
 
 
-def _column_nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-column counts, row indices and values of a dense panel's nonzeros.
+def _column_nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and values of a dense panel's nonzeros.
 
     Column-major, as CSC stores them.  A boolean mask picks them, so no
     COO coordinate arrays are made.
     """
     kept = x.T != 0.0
     rows = np.broadcast_to(np.arange(x.shape[0], dtype=np.int32), kept.shape)
-    return kept.sum(axis=1), rows[kept], x.T[kept]
+    return rows[kept], x.T[kept]
+
+
+def _rhs_scale(b) -> float:
+    """The largest right-hand side entry, at least 1: a relative residual's unit."""
+    values = b.data if sparse.issparse(b) else b
+    return max(1.0, float(np.max(np.abs(values), initial=0.0)))
 
 
 def _dense_factor(a: sparse.csr_matrix, dtype):
@@ -942,12 +1010,14 @@ def influence_matrix(
     A follower block within the dense budget is factored in float32 and
     each column refined in float64 (see :class:`_ResolventSolver`), so an
     entry below about 2^-149 times its column's largest may come out as
-    zero; a nonzero column stays nonzero.  The solve keeps each panel's
-    nonzeros as a separate piece, and the follower factorization is
-    dropped before the pieces are joined: while the factor is alive,
-    memory holds only the factor, the follower nonzeros solved so far and
-    one panel with its float32 residual.  So unless the
-    caller keeps a ``_solver`` it hands in, the factor is freed before
+    zero; a nonzero column stays nonzero.  The solve keeps each solved
+    panel as a separate piece, the panel itself when mostly nonzero and
+    its nonzeros otherwise (see :meth:`_ResolventSolver.solve_block`), and
+    the follower factorization is dropped before the pieces are joined:
+    while the factor is alive, memory holds only the factor, at most 12
+    bytes per follower nonzero solved so far, and one panel with its
+    float32 buffer, at most three quarters of a dense factor.  So unless
+    the caller keeps a ``_solver`` it hands in, the factor is freed before
     Theta's follower rows are copied into one matrix and Theta is
     assembled.  When no balanced stubborn-free sink exists and the graph is
     small, the assembly is cross-checked against the direct resolvent of
@@ -1125,7 +1195,7 @@ def influence_triplets_csv(
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
-    fields = _csv_fields(labels)
+    fields = [field + "," for field in _csv_fields(labels)]
     to_out, to_scatter = out is not None, scatter is not None
     if to_out:
         out.write("row_node,col_node,theta\n")
@@ -1135,17 +1205,17 @@ def influence_triplets_csv(
     def format_chunk(start: int, stop: int) -> tuple[str, str]:
         rows = np.searchsorted(csr.indptr, np.arange(start, stop), side="right") - 1
         values = csr.data[start:stop]
-        # repr of the values is most of the cost, so each prefix serves both files
-        prefixes = [f"{r},{c},{x!r}" for r, c, x in zip(
-            map(fields.__getitem__, rows.tolist()),
-            map(fields.__getitem__, csr.indices[start:stop].tolist()),
-            values.tolist(),
-        )]
-        triplet_text = "\n".join(prefixes) + "\n" if to_out else ""
+        # four slots per entry, "row,", "col,", repr(value) and its line end;
+        # repr is most of the cost, so it is made once for both files
+        parts = ["\n"] * (4 * (stop - start))
+        parts[0::4] = map(fields.__getitem__, rows.tolist())
+        parts[1::4] = map(fields.__getitem__, csr.indices[start:stop].tolist())
+        parts[2::4] = map(float.__repr__, values.tolist())
+        triplet_text = "".join(parts) if to_out else ""
         if not to_scatter:
             return triplet_text, ""
-        signs = map((",-1\n", ",1\n").__getitem__, (values > 0).tolist())
-        return triplet_text, "".join(map(str.__add__, prefixes, signs))
+        parts[3::4] = map((",-1\n", ",1\n").__getitem__, (values > 0).tolist())
+        return triplet_text, "".join(parts)
 
     with closing(_formatted_chunks(format_chunk, csr.nnz)) as chunks:
         for triplet_text, scatter_text in chunks:

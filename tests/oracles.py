@@ -129,11 +129,13 @@ def influence_by_iteration(graph: SignedDigraph, beta, *, tol=1e-13) -> np.ndarr
 
 
 def block_solve_by_joined_panels(
-    block, rhs, *, panel_entries=1 << 20, mixed=True
+    block, rhs, *, panel_entries=1 << 20, panel_divisor=4, mixed=True
 ) -> sparse.csc_matrix:
     """Reference dense-LU solve of ``(I - block) Y = rhs`` for every column of a sparse ``rhs``.
 
-    Each nonzero column panel is solved from a C-order copy with
+    The nonzero columns go in panels of ``panel_entries // m`` columns, or
+    of ``m // panel_divisor`` if that is more, as on a dense factor.  Each
+    nonzero column panel is solved from a C-order copy with
     out-of-place ``lu_solve`` calls, and the per-panel nonzeros are joined
     into one CSC matrix while the factor is still alive.  With ``mixed``
     the block is factored in float32 and each panel refined in float64 by
@@ -155,7 +157,7 @@ def block_solve_by_joined_panels(
     rhs = sparse.csc_matrix(rhs, copy=True)
     rhs.eliminate_zeros()
     nonzero = np.flatnonzero(np.diff(rhs.indptr))
-    step = max(1, panel_entries // rhs.shape[0])
+    step = max(1, panel_entries // rhs.shape[0], rhs.shape[0] // panel_divisor)
     counts = np.zeros(rhs.shape[1] + 1, np.int64)
     indices, data = [np.zeros(0, np.int32)], [np.zeros(0)]
     for start in range(0, nonzero.size, step):
@@ -220,7 +222,9 @@ def _refined_on_double(a, factor, b):
     return x
 
 
-def influence_by_joined_panels(system, sink_solutions, *, panel_entries=1 << 20, mixed=True):
+def influence_by_joined_panels(
+    system, sink_solutions, *, panel_entries=1 << 20, panel_divisor=4, mixed=True
+):
     """Reference influence matrix: Theta_L in the sink rows, the follower rows
     from :func:`block_solve_by_joined_panels`, stacked as CSR and put in
     original order.
@@ -236,7 +240,7 @@ def influence_by_joined_panels(system, sink_solutions, *, panel_entries=1 << 20,
     sink_solutions = tuple(
         replace(s, operator=block_solve_by_joined_panels(
             system.sink_block(s.sink_index), sparse.diags(system.stubbornness[list(s.members)]),
-            panel_entries=panel_entries, mixed=mixed,
+            panel_entries=panel_entries, panel_divisor=panel_divisor, mixed=mixed,
         )) if s.kind is SolutionKind.RESOLVENT else s
         for s in sink_solutions
     )
@@ -246,7 +250,8 @@ def influence_by_joined_panels(system, sink_solutions, *, panel_entries=1 << 20,
             system.update_matrix[:m] @ canonical
         )
         rows = block_solve_by_joined_panels(
-            system.follower_block(), rhs, panel_entries=panel_entries, mixed=mixed
+            system.follower_block(), rhs,
+            panel_entries=panel_entries, panel_divisor=panel_divisor, mixed=mixed,
         )
         canonical = sparse.vstack([rows.tocsr(), canonical[m:]], format="csr")
     theta = canonical[ordering.inverse]

@@ -1,3 +1,4 @@
+import logging
 import weakref
 
 import numpy as np
@@ -541,20 +542,31 @@ class TestFactorRouting:
         Until the solved pieces start to be joined, the peak beyond the
         dense factor is measured: it may hold the follower rows' nonzeros
         and two panels, never a joined copy of those nonzeros.  After that,
-        with the factor freed, the whole peak.  The panel budget is scaled
-        down so that the follower rows span about six panels: a join while
-        the factor lived (two thirds of their bytes) would then exceed the
-        two-panel allowance.
+        with the factor freed, the whole peak.  The panel widths, both the
+        floor and the dense factor's width term, are scaled down so that
+        the follower rows span about six panels: a join while the factor
+        lived (two thirds of their bytes) would then exceed the two-panel
+        allowance.  The allowance is taken from the widest panel solved.
         """
         import tracemalloc
 
         import signedfj.solve
+        from signedfj.solve import _ResolventSolver
 
         followers = 1000
         system, classification, solutions = _leaky_follower_ring_pieces(followers)
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", 1 << 16)
+        monkeypatch.setattr(signedfj.solve, "_DENSE_PANEL_DIVISOR", 16)
         shapes = _count_factorizations(monkeypatch)
         itemsizes = _factor_itemsizes(monkeypatch)
+        panels = []
+        real_solve = _ResolventSolver.solve
+
+        def recording_solve(self, b):
+            panels.append(np.prod(np.shape(b)))
+            return real_solve(self, b)
+
+        monkeypatch.setattr(_ResolventSolver, "solve", recording_solve)
 
         def solve_peak():
             peak = tracemalloc.get_traced_memory()[1]
@@ -575,7 +587,8 @@ class TestFactorRouting:
         theta_bytes = theta.data.nbytes + theta.indices.nbytes + theta.indptr.nbytes
         follower_nnz = theta[system.ordering.permutation[:followers]].nnz
         follower_bytes = follower_nnz * (theta.data.itemsize + theta.indices.itemsize)
-        panel_bytes = signedfj.solve._PANEL_ENTRIES * 8
+        panel_bytes = max(panels) * 8
+        assert len(panels) >= 4
         assert follower_bytes >= 5 * panel_bytes
         assert len(solve_peaks) == 1
         assert solve_peaks[0] - factor_bytes <= follower_bytes + 2 * panel_bytes
@@ -677,6 +690,8 @@ class TestBlockSolve:
         assert m == chains * length
         budget = 3 * m  # three columns per panel
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", budget)
+        # the dense factor's width term, m // 4 = 7 columns, down to one
+        monkeypatch.setattr(signedfj.solve, "_DENSE_PANEL_DIVISOR", m)
         analysis.sink_solutions  # the singleton solves are not counted
         panels = []
         real_solve = _ResolventSolver.solve
@@ -741,8 +756,10 @@ class TestBlockSolveMatchesJoinedPanels:
 
         followers = 1000
         system, classification, solutions = _leaky_follower_ring_pieces(followers)
-        budget = followers * 60
+        # the dense factor's width term sets the panels: 62 columns, not 30
+        budget, divisor = followers * 30, 16
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", budget)
+        monkeypatch.setattr(signedfj.solve, "_DENSE_PANEL_DIVISOR", divisor)
         panels = []
         real_solve = _ResolventSolver.solve
 
@@ -753,7 +770,10 @@ class TestBlockSolveMatchesJoinedPanels:
         monkeypatch.setattr(_ResolventSolver, "solve", recording_solve)
         theta = influence_matrix(system, classification, solutions)
         assert len(panels) >= 4
-        want = influence_by_joined_panels(system, solutions, panel_entries=budget)
+        assert max(columns for _, columns in panels) == followers // divisor
+        want = influence_by_joined_panels(
+            system, solutions, panel_entries=budget, panel_divisor=divisor
+        )
         _assert_same_bytes(theta, want)
 
     def test_refined_panels(self, monkeypatch):
@@ -761,17 +781,12 @@ class TestBlockSolveMatchesJoinedPanels:
         import signedfj.solve
         from signedfj.solve import _ResolventSolver
 
-        size = 300
-        rng = np.random.default_rng(8)
-        signs = np.where(rng.random(size) < 0.3, -1.0, 1.0)
-        signs[0] = np.prod(signs[1:])  # a positive cycle: I - block is nearly singular
-        ring = sparse.csr_matrix(
-            ((1.0 - 1e-9) * signs, (np.arange(size), np.roll(np.arange(size), -1))),
-            shape=(size, size),
-        )
-        rhs = sparse.random(size, 40, density=0.05, random_state=9, format="csc")
+        ring, rhs = _nearly_singular_ring()
+        size = ring.shape[0]
         budget = size * 8
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", budget)
+        # the dense factor's width term, 75 columns, down to one
+        monkeypatch.setattr(signedfj.solve, "_DENSE_PANEL_DIVISOR", size)
         solves = []
         real_lu_solve = signedfj.solve.lu_solve
 
@@ -783,7 +798,7 @@ class TestBlockSolveMatchesJoinedPanels:
         got = _ResolventSolver(ring).solve_block(rhs).join()
         panels = -(-np.count_nonzero(np.diff(rhs.indptr)) // 8)
         assert len(solves) > panels
-        want = block_solve_by_joined_panels(ring, rhs, panel_entries=budget)
+        want = block_solve_by_joined_panels(ring, rhs, panel_entries=budget, panel_divisor=size)
         _assert_same_bytes(got, want)
 
     def test_stubborn_sink_resolvent(self, monkeypatch):
@@ -804,14 +819,116 @@ class TestBlockSolveMatchesJoinedPanels:
         beta[::3] = rng.uniform(0.05, 0.5, beta[::3].size)
         budget = size * 8
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", budget)
+        # the dense factor's width term, 50 columns, down to one
+        monkeypatch.setattr(signedfj.solve, "_DENSE_PANEL_DIVISOR", size)
         analysis = analyze_network(graph, beta)
         solution = analysis.sink_solutions[0]
         assert solution.kind is SolutionKind.RESOLVENT
         beta_block = analysis.system.stubbornness[list(solution.members)]
         want = block_solve_by_joined_panels(
-            analysis.system.sink_block(0), sparse.diags(beta_block), panel_entries=budget
+            analysis.system.sink_block(0), sparse.diags(beta_block),
+            panel_entries=budget, panel_divisor=size,
         )
         _assert_same_bytes(solution.operator, want)
+
+
+def _nearly_singular_ring(size=300):
+    """A signed ring whose cycle has product ``1 - 1e-9``, and 40 sparse right-hand sides."""
+    rng = np.random.default_rng(8)
+    signs = np.where(rng.random(size) < 0.3, -1.0, 1.0)
+    signs[0] = np.prod(signs[1:])  # a positive cycle: I - block is nearly singular
+    ring = sparse.csr_matrix(
+        ((1.0 - 1e-9) * signs, (np.arange(size), np.roll(np.arange(size), -1))),
+        shape=(size, size),
+    )
+    return ring, sparse.random(size, 40, density=0.05, random_state=9, format="csc")
+
+
+class TestPanelWidth:
+    """A dense factor's panels are up to a quarter of its order wide, and a
+    panel that is mostly nonzero is kept dense until the join."""
+
+    def test_wide_panel_is_one_solve(self, monkeypatch):
+        from signedfj.solve import _PANEL_ENTRIES, _ResolventSolver
+
+        size = 2100
+        columns = 520  # more than the floor, 2^20 // 2100 = 499, within 2100 // 4 = 525
+        assert _PANEL_ENTRIES // size < columns <= size // 4
+        rng = np.random.default_rng(12)
+        ring = sparse.csr_matrix(
+            (np.where(rng.random(size) < 0.2, -0.9, 0.9),
+             (np.arange(size), np.roll(np.arange(size), -1))),
+            shape=(size, size),
+        )
+        rhs = sparse.random(size, columns, density=0.002, random_state=13, format="csc")
+        rhs = rhs + sparse.eye(size, columns, format="csc")  # no empty column
+        panels = []
+        real_solve = _ResolventSolver.solve
+
+        def recording_solve(self, b):
+            panels.append(np.shape(b))
+            return real_solve(self, b)
+
+        monkeypatch.setattr(_ResolventSolver, "solve", recording_solve)
+        got = _ResolventSolver(ring).solve_block(rhs).join()
+        assert panels == [(size, columns)]
+        _assert_same_bytes(got, block_solve_by_joined_panels(ring, rhs))
+
+    def test_dense_and_sparse_pieces(self, monkeypatch):
+        """A leaky ring beside acyclic chains: the ring's columns solve
+        dense, the chains' sparse, and each kind of panel keeps its kind of
+        piece, at most 12 bytes per nonzero."""
+        import signedfj.solve
+        from signedfj.solve import _ResolventSolver
+
+        ring_size, chains, length = 300, 5, 6
+        ring = sparse.csr_matrix(
+            (np.tile([0.45, -0.45], ring_size),
+             (np.repeat(np.arange(ring_size), 2),
+              np.stack([np.arange(ring_size), np.roll(np.arange(ring_size), -1)], 1).ravel())),
+            shape=(ring_size, ring_size),
+        )
+        chain = sparse.kron(sparse.eye(chains), sparse.eye(length, k=1) * 0.5)
+        block = sparse.block_diag([ring, chain], format="csr")
+        size = block.shape[0]
+        # eight ring columns, then one column at the end of each chain
+        entries = list(range(0, ring_size, ring_size // 8))
+        entries += [ring_size + c * length + length - 1 for c in range(chains)]
+        rhs = sparse.csc_matrix(
+            (np.full(len(entries), 0.5), (entries, range(len(entries)))),
+            shape=(size, len(entries)),
+        )
+        monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", 4 * size)
+        monkeypatch.setattr(signedfj.solve, "_DENSE_PANEL_DIVISOR", size)
+        solved = _ResolventSolver(block).solve_block(rhs)
+        kinds = [isinstance(piece, np.ndarray) for piece in solved.pieces]
+        assert kinds == [True, True, False, False]
+        nnz = int(solved.counts.sum())
+        stored = sum(piece.nbytes if isinstance(piece, np.ndarray)
+                     else sum(part.nbytes for part in piece) for piece in solved.pieces)
+        assert stored <= 12 * nnz
+        got = solved.join()
+        assert not solved.pieces
+        assert got.nnz == nnz
+        want = block_solve_by_joined_panels(
+            block, rhs, panel_entries=4 * size, panel_divisor=size
+        )
+        _assert_same_bytes(got, want)
+
+    def test_one_info_line_per_block_solve(self, caplog):
+        from signedfj.solve import _ResolventSolver
+
+        ring, rhs = _nearly_singular_ring()
+        solver = _ResolventSolver(ring, what="test ring")
+        with caplog.at_level(logging.WARNING, logger="signedfj"):
+            solver.solve_block(rhs)
+        assert caplog.records == []
+        with caplog.at_level(logging.INFO, logger="signedfj"):
+            solver.solve_block(rhs)
+        assert [r.getMessage() for r in caplog.records] == [
+            "test ring solve: m=300, 40 columns in 1 panels of at most 40, float64 fallback "
+            "route, refinement steps per panel [4], largest final relative residual 3.7e-09"
+        ]
 
 
 def _theta_columns(theta) -> np.ndarray:
@@ -887,6 +1004,8 @@ class TestMixedPrecision:
         assert np.count_nonzero(np.diff(rhs.indptr)) > 8
         budget = size * 4  # four columns to a panel
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", budget)
+        # the dense factor's width term, 10 columns, down to one
+        monkeypatch.setattr(signedfj.solve, "_DENSE_PANEL_DIVISOR", size)
         itemsizes = _factor_itemsizes(monkeypatch)
         solved = []
         real_lu_solve = signedfj.solve.lu_solve
@@ -902,9 +1021,13 @@ class TestMixedPrecision:
         assert itemsizes == [4, 8]
         assert solved.count(4) == 1 + signedfj.solve._SINGLE_REFINEMENTS
         assert solved[:31] == [4] * 31 and set(solved[31:]) == {8}
-        want = block_solve_by_joined_panels(ring, rhs, panel_entries=budget, mixed=False)
+        want = block_solve_by_joined_panels(
+            ring, rhs, panel_entries=budget, panel_divisor=size, mixed=False
+        )
         _assert_same_bytes(got, want)
-        _assert_same_bytes(got, block_solve_by_joined_panels(ring, rhs, panel_entries=budget))
+        _assert_same_bytes(got, block_solve_by_joined_panels(
+            ring, rhs, panel_entries=budget, panel_divisor=size
+        ))
 
 
 class TestNumericsInternals:
