@@ -355,19 +355,33 @@ def cmd_simulate(config: RunConfig) -> int:
     if report is None:
         return EXIT_VALIDATION
 
-    trajectory = simulate(
-        report.graph,
-        report.beta,
-        x0,
-        tol=config.tol,
-        max_iters=config.max_iters,
-        stride=config.stride,
-        patience=config.patience,
-    )
-    # one walk writes both trajectory files; each is closed when its own _write returns
-    _write(config.out_dir, "trajectory_wide.csv", lambda wide: _write(
-        config.out_dir, "trajectory_long.csv",
-        partial(trajectory_long_csv, trajectory, report.graph.labels, wide=wide)))
+    trajectory = None
+
+    def run(record):
+        nonlocal trajectory
+        trajectory = simulate(
+            report.graph,
+            report.beta,
+            x0,
+            tol=config.tol,
+            max_iters=config.max_iters,
+            stride=config.stride,
+            patience=config.patience,
+            record=record,
+        )
+        return trajectory
+
+    # the run streams its records into one walk that writes both trajectory
+    # files; each is closed when its own _write returns
+    names = ("trajectory_wide.csv", "trajectory_long.csv")
+    try:
+        _write(config.out_dir, names[0], lambda wide: _write(
+            config.out_dir, names[1],
+            partial(trajectory_long_csv, run, report.graph.labels, wide=wide)))
+    except BaseException:
+        for name in names:  # a failed run leaves no partial trajectory behind
+            (Path(config.out_dir) / name).unlink(missing_ok=True)
+        raise
     summary = {
         "config": asdict(config),
         "inputs": _input_provenance(config),

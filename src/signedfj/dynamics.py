@@ -13,16 +13,15 @@ Rows with no edges at all keep their opinion (unit row).
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 from scipy import sparse
 
 from .errors import InternalInconsistencyError, NumericalError
-from .graph import SignedDigraph, _csv_fields, _formatted_chunks
+from .graph import SignedDigraph, _ChunkFormatter, _chunk_items, _csv_fields
 from .topology import CanonicalOrdering
 
 __all__ = [
@@ -137,7 +136,10 @@ class Trajectory:
     ``states[j]`` is the opinion vector at iteration ``ks[j]``; the final
     iterate is always included.  ``converged`` means the infinity-norm
     step residual stayed at or below the tolerance for ``patience``
-    consecutive steps.
+    consecutive steps.  A run that handed its records to a ``record`` sink
+    (see :func:`simulate`) keeps none of them: its ``states`` is the one
+    row of the final iterate, which ``final`` returns, while ``ks`` still
+    lists every recorded iteration.
     """
 
     ks: np.ndarray
@@ -151,6 +153,9 @@ class Trajectory:
         return self.states[-1]
 
 
+RecordSink = Callable[[int, np.ndarray], object]
+
+
 def simulate(
     graph: SignedDigraph,
     beta,
@@ -160,6 +165,7 @@ def simulate(
     max_iters: int = 1_000_000,
     stride: int | None = None,
     patience: int = 10,
+    record: RecordSink | None = None,
 ) -> Trajectory:
     """Iterate the opinion recursion until the step residual settles.
 
@@ -173,11 +179,16 @@ def simulate(
             with ``converged=False`` rather than raising.
         stride: record every ``stride``-th iterate (plus the final one);
             defaults to 1 for n <= 100 and 10 otherwise.
+        record: called as ``record(k, x)`` with each recorded iterate, in
+            order, as it is made.  ``x`` is the loop's own buffer, which the
+            next step overwrites, so a sink copies what it keeps.
 
-    The recorded states are written straight into the one float64 array
-    the trajectory returns, so memory is ``records x n x 8`` bytes plus
-    O(n) for the step: a default run of 1M iterations at n = 3783 and
-    stride 10 holds about 3 GB.  ``stride`` or ``max_iters`` bounds it.
+    Without a ``record`` sink the recorded states are written straight into
+    the one float64 array the trajectory returns, so memory is
+    ``records x n x 8`` bytes plus O(n) for the step: a default run of 1M
+    iterations at n = 3783 and stride 10 holds about 3 GB.  With one,
+    ``simulate`` holds O(n) and ``ks``, 8 bytes per record, and returns a
+    trajectory whose ``states`` is only the final iterate.
 
     Raises :class:`NumericalError` if an iterate turns non-finite, which
     signals invalid input weights rather than model behaviour.
@@ -204,10 +215,10 @@ def simulate(
     keep = 1.0 - beta
     hold = beta * x0
 
-    # grown in place by _RECORD_BLOCK rows; resizing needs no view of it alive
-    states = np.empty((_RECORD_BLOCK, n))
-    states[0] = x0
-    recorded = 1
+    records = None
+    if record is None:
+        record = records = _Records(n)
+    record(0, x0)
     x = x0.copy()
     residual = np.inf
     streak = 0
@@ -227,7 +238,7 @@ def simulate(
             )
         x = x_next
         if k % stride == 0:
-            recorded = _record(states, recorded, x)
+            record(k, x)
         if residual <= tol:
             streak += 1
             if streak >= patience:
@@ -239,56 +250,113 @@ def simulate(
     ks = np.arange(0, k + 1, stride, dtype=np.int64)
     if ks[-1] != k:
         ks = np.append(ks, np.int64(k))
-        recorded = _record(states, recorded, x)
-    states.resize((recorded, n), refcheck=False)
+        record(k, x)
 
     return Trajectory(
         ks=ks,
-        states=states,
+        states=x[None] if records is None else records.stacked(),
         converged=converged,
         final_residual=residual,
         iterations_used=k,
     )
 
 
-# Rows added each time the record array fills.  glibc's realloc moves a
-# large block by remapping its pages, so growing in place copies nothing;
-# an allocator that copies holds old and new blocks at once, which is no
-# more than a list of rows plus the array stacked from it.
 _RECORD_BLOCK = 64
 
 
-def _record(states: np.ndarray, recorded: int, x: np.ndarray) -> int:
-    """Write ``x`` as row ``recorded`` of ``states``, growing it if full; return the new count."""
-    if recorded == len(states):
-        states.resize((recorded + _RECORD_BLOCK, states.shape[1]), refcheck=False)
-    states[recorded] = x
-    return recorded + 1
+class _Records:
+    """:func:`simulate`'s own record sink: one float64 array grown in place.
+
+    It grows by ``_RECORD_BLOCK`` rows each time it fills.  glibc's realloc
+    moves a large block by remapping its pages, so growing in place copies
+    nothing; an allocator that copies holds old and new blocks at once,
+    which is no more than a list of rows plus the array stacked from it.
+    """
+
+    def __init__(self, n: int):
+        self._states = np.empty((_RECORD_BLOCK, n))
+        self._count = 0
+
+    def __call__(self, k: int, x: np.ndarray) -> None:
+        states = self._states
+        if self._count == len(states):
+            # resizing needs no view of the array alive
+            states.resize((self._count + _RECORD_BLOCK, states.shape[1]), refcheck=False)
+        states[self._count] = x
+        self._count += 1
+
+    def stacked(self) -> np.ndarray:
+        """The records as one array, trimmed to their count."""
+        self._states.resize((self._count, self._states.shape[1]), refcheck=False)
+        return self._states
+
+
+class _RecordChunks:
+    """A ``record`` sink that hands whole records to a chunk formatter.
+
+    Records are copied into a fresh block per chunk, at most
+    ``_CSV_CHUNK_ROWS`` values unless one record holds more, since a block
+    handed out may wait to be formatted.  The first record calls ``header``
+    with n before anything else is written.
+    """
+
+    def __init__(self, formatter: _ChunkFormatter, header, write):
+        self._formatter, self._header, self._write = formatter, header, write
+        self._block: np.ndarray | None = None
+        self._ks: list[int] = []
+
+    def __call__(self, k: int, x: np.ndarray) -> None:
+        if self._block is None:
+            if self._header is not None:
+                self._header(len(x))
+                self._header = None
+            self._block = np.empty((_chunk_items(len(x)), len(x)))
+        self._block[len(self._ks)] = x
+        self._ks.append(k)
+        if len(self._ks) == len(self._block):
+            self.hand_out()
+
+    def hand_out(self) -> None:
+        """Submit the records collected so far as one task and write what comes back."""
+        if self._ks:
+            task = (self._ks, self._block[:len(self._ks)])
+            self._block, self._ks = None, []
+            for texts in self._formatter.submit(task):
+                self._write(texts)
 
 
 def trajectory_long_csv(
-    trajectory: Trajectory, labels: tuple[str, ...], out: TextIO | None,
-    wide: TextIO | None = None,
-) -> None:
+    trajectory: Trajectory | Callable[[RecordSink], Trajectory],
+    labels: tuple[str, ...], out: TextIO | None, wide: TextIO | None = None,
+) -> Trajectory:
     """Write the plot-ready long format to ``out``: one ``k,node,opinion`` row per node per record.
+
+    ``trajectory`` is a stored :class:`Trajectory`, or a function that runs a
+    simulation with the ``record`` sink it is given (see :func:`simulate`)
+    and returns its trajectory.  Then each record is formatted and written
+    while the run goes on, so memory holds O(n), the chunks in flight and
+    8 bytes per record for ``ks``, never the whole trajectory.  The
+    trajectory is returned either way.
 
     Given a ``wide`` handle, the same walk writes :func:`trajectory_wide_csv`'s
     rows to it, formatting each value once for both files; ``out`` may then be
     None.  Labels are CSV-quoted.  Records go out a chunk of whole records at a
     time, at most ``_CSV_CHUNK_ROWS`` values unless one record holds more, and
-    the chunks are formatted on every available CPU (see ``_formatted_chunks``).
+    a run of more than one chunk is formatted on every available CPU (see
+    ``_ChunkFormatter``), which the run waits for when it falls behind.
     """
-    ks, states = trajectory.ks.tolist(), trajectory.states
     fields = _csv_fields(labels)
     to_out, to_wide = out is not None, wide is not None
-    if to_out:
-        out.write("k,node,opinion\n")
-    if to_wide:
-        wide.write("k," + ",".join(f"x_{i}" for i in range(states.shape[1])) + "\n")
 
-    def format_records(start: int, stop: int) -> tuple[str, str]:
+    def header(n: int) -> None:
+        if to_out:
+            out.write("k,node,opinion\n")
+        if to_wide:
+            wide.write("k," + ",".join(f"x_{i}" for i in range(n)) + "\n")
+
+    def format_records(ks: list[int], block: np.ndarray) -> tuple[str, str]:
         long_text, wide_text = [], []
-        for k, state in zip(ks[start:stop], states[start:stop].tolist()):
+        for k, state in zip(ks, block.tolist()):
             values = list(map(repr, state))
             if to_out:
                 head = f"{k},"  # formatted once per record, not once per row
@@ -297,12 +365,31 @@ def trajectory_long_csv(
                 wide_text.append(f"{k},{','.join(values)}\n")
         return "".join(long_text), "".join(wide_text)
 
-    with closing(_formatted_chunks(format_records, len(ks), states.shape[1])) as chunks:
-        for long_text, wide_text in chunks:
-            if to_out:
-                out.write(long_text)
-            if to_wide:
-                wide.write(wide_text)
+    def write(texts: tuple[str, str]) -> None:
+        if to_out:
+            out.write(texts[0])
+        if to_wide:
+            wide.write(texts[1])
+
+    run = _replay(trajectory) if isinstance(trajectory, Trajectory) else trajectory
+    with _ChunkFormatter(format_records) as formatter:
+        records = _RecordChunks(formatter, header, write)
+        result = run(records)
+        records.hand_out()
+        for texts in formatter.finish():
+            write(texts)
+    return result
+
+
+def _replay(trajectory: Trajectory) -> Callable[[RecordSink], Trajectory]:
+    """A run that hands a stored trajectory's records to its sink."""
+
+    def run(record: RecordSink) -> Trajectory:
+        for k, state in zip(trajectory.ks.tolist(), trajectory.states):
+            record(k, state)
+        return trajectory
+
+    return run
 
 
 def trajectory_wide_csv(trajectory: Trajectory, out: TextIO) -> None:

@@ -16,7 +16,9 @@ import io
 import math
 import multiprocessing
 import os
+import queue
 import signal
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
@@ -311,62 +313,137 @@ def _csv_fields(labels: Iterable[str]) -> list[str]:
     return fields
 
 
-def _csv_chunks(count: int, item_rows: int = 1) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` bounds cutting ``count`` items of ``item_rows`` rows each into
-    chunks of at most ``_CSV_CHUNK_ROWS`` rows, and at least one item."""
-    step = max(1, _CSV_CHUNK_ROWS // max(item_rows, 1))
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
+def _chunk_items(item_rows: int) -> int:
+    """How many items of ``item_rows`` rows make a chunk: at most ``_CSV_CHUNK_ROWS``
+    rows, and at least one item."""
+    return max(1, _CSV_CHUNK_ROWS // max(item_rows, 1))
 
 
-# Each worker is handed at most this many chunks ahead of the writer, so the text
-# in flight is O(workers x chunk) however slowly the output drains.
+def _csv_chunks(count: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` bounds cutting ``count`` rows into chunks of at most
+    ``_CSV_CHUNK_ROWS`` rows."""
+    for start in range(0, count, _CSV_CHUNK_ROWS):
+        yield start, min(start + _CSV_CHUNK_ROWS, count)
+
+
+# Each CPU's worker is handed at most this many chunks ahead of the writer, so the
+# text in flight is O(workers x chunk) however slowly the output drains.
 _CHUNKS_PER_WORKER = 2
 
 
-def _format_tasks(format_chunk: Callable[[int, int], object], conn) -> None:
-    """A worker's loop: format each ``(start, stop)`` received until ``None`` arrives.
+def _format_tasks(format_chunk: Callable[..., object], conn) -> None:
+    """A worker's loop: ``format_chunk(*task)`` for each task received until ``None`` arrives.
 
-    An exception is sent back in place of the chunk, for the writer to raise.
-    An interrupt is left to the writer, which stops the workers.
+    A thread takes each task off the pipe as it comes.  A task of whole
+    records can be larger than the pipe holds, and a worker waiting to send
+    a chunk the writer has yet to read would otherwise never read the task
+    the writer is waiting to send.  An exception is sent back in place of
+    the chunk, for the writer to raise.  An interrupt is left to the writer,
+    which stops the workers.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for start, stop in iter(conn.recv, None):
+    tasks: queue.SimpleQueue = queue.SimpleQueue()
+    threading.Thread(target=_receive_tasks, args=(conn, tasks), daemon=True).start()
+    for task in iter(tasks.get, None):
         try:
-            chunk = format_chunk(start, stop)
+            chunk = format_chunk(*task)
         except Exception as exc:
             chunk = exc
         conn.send(chunk)
 
 
-def _formatted_chunks(
-    format_chunk: Callable[[int, int], object], count: int, item_rows: int = 1
-) -> Iterator:
-    """``format_chunk(start, stop)`` for each of :func:`_csv_chunks`' bounds, in order.
-
-    Where the ``fork`` start method exists, the process's affinity set holds
-    more than one CPU and there is more than one chunk, one forked worker per
-    CPU (and at most one per chunk) formats the chunks; otherwise this process
-    does.  The workers inherit ``format_chunk`` and the arrays it reads through
-    fork, so only the formatted chunks are pickled.  Chunk ``i`` goes to worker
-    ``i % workers`` and is read back from that worker's pipe, so the order is
-    kept; a new chunk is handed out only when one has been written, so at most
-    ``_CHUNKS_PER_WORKER`` chunks per worker are in flight.  Iterate inside
-    ``contextlib.closing`` so that the workers are gone when the writer
-    returns or raises.
-    """
-    bounds = list(_csv_chunks(count, item_rows))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(bounds))
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        for start, stop in bounds:
-            yield format_chunk(start, stop)
-        return
-    context = multiprocessing.get_context("fork")
-    processes, conns = [], []
+def _receive_tasks(conn, tasks: queue.SimpleQueue) -> None:
+    """Queue each task received until ``None`` arrives or the writer is gone, then ``None``."""
     try:
-        with catch_warnings():
+        for task in iter(conn.recv, None):
+            tasks.put(task)
+    except EOFError:
+        pass
+    finally:
+        tasks.put(None)
+
+
+class _ChunkFormatter:
+    """``format_chunk(*task)`` for each task submitted, handed back in order.
+
+    A single task is formatted in this process.  Where the ``fork`` start
+    method exists, the process's affinity set holds more than one CPU and the
+    process is not daemonic, the second task starts forked workers, one per
+    CPU and at most one per task: task ``i`` goes to worker ``i % cpus``,
+    which is forked when task ``i`` is its first, and chunks are read back
+    from the workers' pipes in task order.  Elsewhere every task is formatted
+    in this process as it is submitted.  A worker inherits ``format_chunk``
+    and what it reads through fork; tasks and chunks are pickled.
+
+    :meth:`submit` and :meth:`finish` yield the chunks ready to be written, in
+    order.  A task is handed out only when fewer than ``_CHUNKS_PER_WORKER``
+    chunks per CPU are in flight; until then :meth:`submit` takes back the
+    oldest chunk, so whoever makes the tasks waits when the workers fall
+    behind.  Use it as a context manager: the workers are gone when the
+    ``with`` block ends, also when it raises.
+    """
+
+    def __init__(self, format_chunk: Callable[..., object]):
+        self._format_chunk = format_chunk
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        forks = ("fork" in multiprocessing.get_all_start_methods()
+                 and not multiprocessing.current_process().daemon)
+        self._cpus = cpus if forks else 1
+        self._held = None  # the first task, until a second shows that workers pay
+        self._processes: list = []
+        self._conns: list = []
+        self._sent = self._received = 0
+        self._finished = False
+
+    def submit(self, task) -> Iterator:
+        """Hand ``task`` out; yield the chunks that are taken back to make room for it."""
+        if self._cpus < 2:
+            yield self._format_chunk(*task)
+        elif self._held is None and not self._sent:
+            self._held = task
+        else:
+            if self._held is not None:
+                self._send(self._held)
+                self._held = None
+            if self._sent - self._received == _CHUNKS_PER_WORKER * self._cpus:
+                yield self._receive()
+            self._send(task)
+
+    def finish(self) -> Iterator:
+        """Yield every chunk still to come, then let the workers exit."""
+        if self._held is not None:
+            task, self._held = self._held, None
+            yield self._format_chunk(*task)
+        while self._received < self._sent:
+            yield self._receive()
+        for conn in self._conns:
+            conn.send(None)
+        self._finished = True
+
+    def _send(self, task) -> None:
+        if self._sent < self._cpus:
+            self._start_worker()
+        try:
+            self._conns[self._sent % self._cpus].send(task)
+        except ConnectionError:  # a worker was killed, say by the OOM killer
+            raise ChildProcessError("a CSV formatting worker exited early") from None
+        self._sent += 1
+
+    def _receive(self):
+        try:
+            chunk = self._conns[self._received % self._cpus].recv()
+        except (EOFError, ConnectionError):
+            raise ChildProcessError("a CSV formatting worker exited early") from None
+        self._received += 1
+        if isinstance(chunk, Exception):
+            raise chunk
+        return chunk
+
+    def _start_worker(self) -> None:
+        context = multiprocessing.get_context("fork")
+        conn, worker_conn = context.Pipe()
+        self._conns.append(conn)
+        with worker_conn, catch_warnings():  # the worker holds its own copy
             # Python 3.12+ warns that forking a process with threads (OpenBLAS's
             # here) may deadlock the child; the workers only format strings, so
             # they never enter BLAS or wait on a lock its threads may hold
@@ -374,38 +451,35 @@ def _formatted_chunks(
                 "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
                 DeprecationWarning,
             )
-            for _ in range(workers):
-                conn, worker_conn = context.Pipe()
-                conns.append(conn)
-                with worker_conn:  # the worker holds its own copy
-                    process = context.Process(
-                        target=_format_tasks, args=(format_chunk, worker_conn), daemon=True)
-                    process.start()
-                processes.append(process)
-        window = _CHUNKS_PER_WORKER * workers
-        try:
-            for i, task in enumerate(bounds[:window]):
-                conns[i % workers].send(task)
-            for i in range(len(bounds)):
-                chunk = conns[i % workers].recv()
-                if isinstance(chunk, Exception):
-                    raise chunk
-                yield chunk
-                if i + window < len(bounds):
-                    conns[i % workers].send(bounds[i + window])
-            for conn in conns:
-                conn.send(None)
-        except (EOFError, ConnectionError):  # a worker was killed, say by the OOM killer
-            raise ChildProcessError("a CSV formatting worker exited early") from None
-    except BaseException:
-        for process in processes:
-            process.terminate()
-        raise
-    finally:
-        for conn in conns:
+            process = context.Process(
+                target=_format_tasks, args=(self._format_chunk, worker_conn), daemon=True)
+            process.start()
+        self._processes.append(process)
+
+    def __enter__(self) -> "_ChunkFormatter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if not self._finished:
+            for process in self._processes:
+                process.terminate()
+        for conn in self._conns:
             conn.close()
-        for process in processes:
+        for process in self._processes:
             process.join()
+
+
+def _formatted_chunks(format_chunk: Callable[..., object], tasks: Iterable) -> Iterator:
+    """``format_chunk(*task)`` for each of ``tasks``, in order (see :class:`_ChunkFormatter`).
+
+    Each task is pulled from ``tasks`` as the one before it has been handed
+    out.  Iterate inside ``contextlib.closing`` so that the workers are gone
+    when the writer returns or raises.
+    """
+    with _ChunkFormatter(format_chunk) as formatter:
+        for task in tasks:
+            yield from formatter.submit(task)
+        yield from formatter.finish()
 
 
 def serialize_edge_list(graph: SignedDigraph) -> str:

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs, splu
 
 from .dynamics import UpdateSystem, build_update_system
 from .errors import InternalInconsistencyError, NumericalError
-from .graph import SignedDigraph, _csv_fields, _formatted_chunks
+from .graph import SignedDigraph, _csv_chunks, _csv_fields, _formatted_chunks
 from .topology import (
     AgentClassification,
     CondensationDag,
@@ -224,10 +224,7 @@ class _ResolventSolver:
                 return _dense_factor(self._a, np.float64)
             return splu(self._a.tocsc()).solve
         except (RuntimeError, LinAlgError) as exc:
-            raise InternalInconsistencyError(
-                f"(I - {self._what}) is singular; the convergence classification "
-                "says this cannot happen, so the classification is buggy"
-            ) from exc
+            raise _singular(self._what) from exc
 
     def solve(self, b) -> np.ndarray:
         """Solve a 1-D ``b`` or a column panel; a sparse panel is made dense once.
@@ -392,6 +389,13 @@ class _ResolventSolver:
             steps, residual,
         )
         return solved
+
+
+def _singular(what: str) -> InternalInconsistencyError:
+    return InternalInconsistencyError(
+        f"(I - {what}) is singular; the convergence classification "
+        "says this cannot happen, so the classification is buggy"
+    )
 
 
 class _SolvedColumns:
@@ -818,10 +822,17 @@ def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
     block = system.sink_block(sink.sink_index)
     if sink.contains_stubborn:
         beta_block = system.stubbornness[list(members)]
-        # the solver is dropped as solve_block returns, before the join
-        solved = _ResolventSolver(block, what=f"sink block {sink.sink_index}").solve_block(
-            sparse.diags(beta_block)
-        )
+        what = f"sink block {sink.sink_index}"
+        if len(members) == 1:
+            # beta_i / (I - M)_ii, with (I - M)_ii the 1 - m_ii the solver forms
+            pivot = 1.0 - float(block.sum())
+            if pivot == 0.0:
+                raise _singular(what)
+            solved = _SolvedColumns((1, 1))
+            solved.add(np.zeros(1, np.int64), np.array([[beta_block[0] / pivot]]))
+        else:
+            # the solver is dropped as solve_block returns, before the join
+            solved = _ResolventSolver(block, what=what).solve_block(sparse.diags(beta_block))
         return SinkSolution(
             sink_index=sink.sink_index,
             members=members,
@@ -1217,7 +1228,7 @@ def influence_triplets_csv(
         parts[3::4] = map((",-1\n", ",1\n").__getitem__, (values > 0).tolist())
         return triplet_text, "".join(parts)
 
-    with closing(_formatted_chunks(format_chunk, csr.nnz)) as chunks:
+    with closing(_formatted_chunks(format_chunk, _csv_chunks(csr.nnz))) as chunks:
         for triplet_text, scatter_text in chunks:
             if to_out:
                 out.write(triplet_text)

@@ -1,4 +1,5 @@
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,54 @@ class TestRecording:
             tracemalloc.stop()
         assert len(trajectory.ks) == steps + 1
         assert peak < 1.25 * trajectory.states.nbytes
+
+
+class TestRecordSink:
+    """A ``record`` sink sees what a stored run keeps, and the run keeps none of it."""
+
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sink_sees_the_stored_records(self, seed, stride):
+        graph, beta, x0 = TestRecording.instance(seed)
+        kwargs = dict(tol=1e-12, max_iters=2000, stride=stride)
+        stored = simulate(graph, beta, x0, **kwargs)
+        seen = []
+        streamed = simulate(graph, beta, x0, **kwargs,
+                            record=lambda k, x: seen.append((k, x.copy())))
+        assert [k for k, _ in seen] == stored.ks.tolist() == streamed.ks.tolist()
+        assert np.array([x for _, x in seen]).tobytes() == stored.states.tobytes()
+        assert streamed.states.shape == (1, graph.n)
+        assert streamed.final.tobytes() == stored.final.tobytes()
+        assert streamed.converged == stored.converged
+        assert streamed.iterations_used == stored.iterations_used
+        assert repr(streamed.final_residual) == repr(stored.final_residual)
+
+    def test_streamed_export_memory_does_not_grow_with_the_run(self, tmp_path, monkeypatch):
+        # one CPU, so every record is formatted and written in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        # a 600-node positive cycle rotates its opinions forever: every step is recorded
+        n = 600
+        g = SignedDigraph.from_edges([f"v{i}" for i in range(n)],
+                                     [(i, (i + 1) % n, 1.0) for i in range(n)])
+        x0 = np.random.default_rng(0).uniform(-1, 1, n)
+
+        def peak(steps):
+            def run(record):
+                return simulate(g, np.zeros(n), x0, max_iters=steps, stride=1, record=record)
+
+            with open(os.devnull, "w", encoding="utf-8") as out, \
+                    open(os.devnull, "w", encoding="utf-8") as wide:
+                tracemalloc.start()
+                try:
+                    trajectory = trajectory_long_csv(run, g.labels, out, wide)
+                    return trajectory, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        short, short_peak = peak(120)
+        long, long_peak = peak(1200)
+        assert len(short.ks) == 121 and len(long.ks) == 1201
+        assert long_peak < 1.25 * short_peak
 
 
 class TestTrajectoryExport:

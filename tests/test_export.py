@@ -173,6 +173,11 @@ def two_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def chunked(format_chunk, count: int):
+    """``_formatted_chunks`` over the ``(start, stop)`` tasks of ``count`` rows, closed on exit."""
+    return closing(graph_module._formatted_chunks(format_chunk, graph_module._csv_chunks(count)))
+
+
 class FullDisk(io.StringIO):
     """A handle that fails as a full disk does once it holds more than three lines."""
 
@@ -187,7 +192,7 @@ class TestWorkers:
         def where(start, stop):  # a closure: it reaches the workers through fork
             return start, stop, os.getpid()
 
-        with closing(graph_module._formatted_chunks(where, 40)) as chunks:
+        with chunked(where, 40) as chunks:
             results = list(chunks)
         assert [r[:2] for r in results] == list(graph_module._csv_chunks(40))
         pids = {r[2] for r in results}
@@ -204,13 +209,28 @@ class TestWorkers:
 
         monkeypatch.setattr(Connection, "send", recording_send)
         in_flight = []
-        with closing(graph_module._formatted_chunks(lambda start, stop: start, 60)) as chunks:
+        with chunked(lambda start, stop: start, 60) as chunks:
             for done, start in enumerate(chunks):
                 assert start == 3 * done
                 # chunks handed out and not yet written, the one in hand included
                 in_flight.append(len(handed_out) - done)
         assert len(handed_out) == 20
         assert max(in_flight) == 2 * 2
+
+    def test_tasks_are_pulled_only_as_the_window_has_room(self, two_workers):
+        pulled = []
+
+        def tasks():
+            for bounds in graph_module._csv_chunks(60):
+                pulled.append(bounds)
+                yield bounds
+
+        with closing(graph_module._formatted_chunks(lambda start, stop: start, tasks())) as chunks:
+            for done, start in enumerate(chunks):
+                assert start == 3 * done
+                # the window's chunks, the one in hand included, and the task waiting for room
+                assert len(pulled) - done <= 2 * 2 + 1
+        assert len(pulled) == 20
 
     def test_no_warning_even_where_fork_warns_about_threads(self, two_workers, monkeypatch):
         original_fork = os.fork
@@ -234,7 +254,7 @@ class TestWorkers:
             return start
 
         with pytest.raises(ValueError, match="chunk 3"):
-            with closing(graph_module._formatted_chunks(failing, 40)) as chunks:
+            with chunked(failing, 40) as chunks:
                 for _ in chunks:
                     pass
 
@@ -247,7 +267,7 @@ class TestWorkers:
             return start
 
         with pytest.raises(ChildProcessError, match="exited early"):
-            with closing(graph_module._formatted_chunks(dying, 40)) as chunks:
+            with chunked(dying, 40) as chunks:
                 for _ in chunks:
                     pass
 
@@ -259,15 +279,41 @@ class TestWorkers:
                 os.kill(os.getpid(), signal.SIGINT)  # as Ctrl-C reaches the process group
             return start
 
-        with closing(graph_module._formatted_chunks(interrupted, 40)) as chunks:
+        with chunked(interrupted, 40) as chunks:
             assert list(chunks) == list(range(0, 40, 3))
+
+    def test_records_larger_than_a_pipe_holds(self, monkeypatch):
+        # 320 kB of values a record, more than a socket pair buffers by default:
+        # the writer's send of such a task must not wait on a worker that waits
+        # in turn to send a chunk the writer has yet to read
+        set_cpus(monkeypatch, 2)
+        n = 40_000
+        trajectory = Trajectory(
+            ks=np.arange(6),
+            states=np.random.default_rng(7).uniform(-1.0, 1.0, (6, n)),
+            converged=True,
+            final_residual=0.0,
+            iterations_used=5,
+        )
+
+        def stalled(signum, frame):
+            raise TimeoutError("the trajectory export stalled")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(60)
+        try:
+            assert_trajectory_exports_match(trajectory, tuple(str(i) for i in range(n)))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     def test_daemonic_process_formats_in_process(self, two_workers, monkeypatch):
         class Daemon:
             daemon = True
 
         monkeypatch.setattr(multiprocessing, "current_process", Daemon)
-        with closing(graph_module._formatted_chunks(lambda start, stop: os.getpid(), 40)) as chunks:
+        with chunked(lambda start, stop: os.getpid(), 40) as chunks:
             assert set(chunks) == {os.getpid()}
 
     def test_handle_error_mid_walk_stops_the_workers(self, two_workers):
@@ -425,3 +471,107 @@ def test_cli_calls_each_traced_writer_once(tmp_path, monkeypatch):
         "theta.csv", "theta_scatter.csv", "trajectory_long.csv", "trajectory_wide.csv")}
     assert all(bytes_in_call.values())
     assert sizes_at_return == {path: path.stat().st_size for path in sizes_at_return}
+
+
+def stored_trajectory_files(graph_path, beta_path, x0_path, **kwargs) -> tuple[str, str]:
+    """Both trajectory files of a stored ``simulate`` run on the CLI's inputs."""
+    graph = graph_module.parse_edge_list(graph_path.read_text(encoding="utf-8"))
+    beta = np.zeros(graph.n)
+    if beta_path is not None:
+        beta, _ = graph_module.read_stubbornness(beta_path.read_text(encoding="utf-8"), graph)
+    x0 = np.zeros(graph.n)
+    if x0_path is not None:
+        x0, _ = graph_module.read_initial_opinions(x0_path.read_text(encoding="utf-8"), graph)
+    report = validate(graph, beta)
+    trajectory = simulate(report.graph, report.beta, x0, **kwargs)
+    out, wide = io.StringIO(), io.StringIO()
+    trajectory_long_csv(trajectory, report.graph.labels, out, wide)
+    return out.getvalue(), wide.getvalue()
+
+
+# (CLI options, the same as simulate's keywords, exit code)
+STREAMED_RUNS = {
+    "stride_1": (["--stride", "1"], dict(stride=1), 0),
+    "stride_10": (["--stride", "10"], dict(stride=10), 0),
+    "budget_exhausted": (["--tol", "1e-300", "--max-iters", "25"],
+                         dict(tol=1e-300, max_iters=25), 3),
+}
+
+
+class TestStreamedSimulate:
+    """``signedfj simulate`` streams its records into the files a stored run would give."""
+
+    @pytest.fixture(params=["chunk_3", "chunk_3_one_cpu"])
+    def cpus(self, request, monkeypatch):
+        yield Chunking(monkeypatch, request.param)
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def simulate_cli(argv, out_dir) -> tuple[int, str, str]:
+        code = main(["simulate", *argv, "--out-dir", str(out_dir)])
+        return code, *((out_dir / name).read_text(encoding="utf-8")
+                       for name in ("trajectory_long.csv", "trajectory_wide.csv"))
+
+    @pytest.mark.parametrize("case", sorted(STREAMED_RUNS))
+    def test_matches_the_stored_run(self, tmp_path, cpus, case):
+        options, kwargs, exit_code = STREAMED_RUNS[case]
+        graph, beta = write_inputs(tmp_path)
+        x0 = write_x0(tmp_path)
+        argv = ["--graph", str(graph), "--beta", str(beta), "--x0", str(x0), *options]
+        code, *files = self.simulate_cli(argv, tmp_path / "out")
+        assert code == exit_code
+        assert tuple(files) == stored_trajectory_files(graph, beta, x0, **kwargs)
+        assert files[1].count("\n") > 3  # a chunk of 3 rows is one record of 83 values
+        cpus.check_workers_used()
+
+    def test_zero_start(self, tmp_path, cpus):
+        graph, beta = write_inputs(tmp_path)
+        argv = ["--graph", str(graph), "--beta", str(beta)]
+        code, *files = self.simulate_cli(argv, tmp_path / "out")
+        assert code == 0
+        assert tuple(files) == stored_trajectory_files(graph, beta, None)
+        # zero is a fixed point: one patience window of steps, each recorded
+        assert files[1].count("\n") == 1 + 11
+        cpus.check_workers_used()
+
+    def test_run_of_one_chunk_is_formatted_in_process(self, tmp_path, cpus):
+        graph = tmp_path / "g.csv"
+        graph.write_text("a,a,1\n", encoding="utf-8")
+        x0 = tmp_path / "x0.csv"
+        x0.write_text("a,0.5\n", encoding="utf-8")
+        argv = ["--graph", str(graph), "--x0", str(x0), "--max-iters", "1"]
+        code, *files = self.simulate_cli(argv, tmp_path / "out")
+        assert code == 3
+        # two records of one value: one chunk of 3 rows
+        assert files == ["k,node,opinion\n0,a,0.5\n1,a,0.5\n", "k,x_0\n0,0.5\n1,0.5\n"]
+        assert tuple(files) == stored_trajectory_files(graph, None, x0, max_iters=1)
+        cpus.check_workers_used(multi_chunk=False)
+
+    def test_failed_run_leaves_no_trajectory_files(self, tmp_path, cpus, monkeypatch, capsys):
+        real = dynamics.row_normalized
+        # each step scales the opinions by 1e60, so a few steps in they overflow
+        monkeypatch.setattr(dynamics, "row_normalized", lambda graph: real(graph) * 1e60)
+        written_before_failure = []
+        real_write = cli._write
+
+        def recording_write(out_dir, name, content):
+            def content_then_size(handle):
+                try:
+                    content(handle)
+                finally:
+                    written_before_failure.append((name, handle.tell()))
+
+            return real_write(out_dir, name, content_then_size)
+
+        monkeypatch.setattr(cli, "_write", recording_write)
+        graph, beta = write_inputs(tmp_path)
+        x0 = write_x0(tmp_path)
+        out = tmp_path / "out"
+        argv = ["--graph", str(graph), "--beta", str(beta), "--x0", str(x0), "--stride", "1"]
+        assert main(["simulate", *argv, "--out-dir", str(out)]) == 5
+        assert "non-finite opinion at iteration" in capsys.readouterr().err
+        # both files held records when the run failed, and neither is left
+        assert sorted(name for name, _ in written_before_failure) == [
+            "trajectory_long.csv", "trajectory_wide.csv"]
+        assert all(size > 1000 for _, size in written_before_failure)
+        assert sorted(p.name for p in out.iterdir()) == []

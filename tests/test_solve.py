@@ -725,6 +725,56 @@ class TestBlockSolve:
         assert np.max(np.abs(solution.operator.toarray() - expected)) <= 1e-12
 
 
+class TestStubbornSingletons:
+    """A stubborn singleton sink's operator is ``beta_i / (I - M)_ii``, with no factor."""
+
+    @staticmethod
+    def singletons(seed: int, count: int = 300):
+        """Singleton sinks with a positive, a negative or no self-loop, at random beta."""
+        rng = np.random.default_rng(seed)
+        loops = rng.choice([1.0, -1.0, 0.0], count) * rng.uniform(0.5, 2.0, count)
+        edges = [(i, i, float(w)) for i, w in enumerate(loops) if w]
+        graph = SignedDigraph.from_edges([f"s{i}" for i in range(count)], edges)
+        return graph, rng.uniform(0.0, 1.0, count) + 1e-9, np.sign(loops)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_solver_route(self, seed, monkeypatch):
+        from signedfj.solve import _ResolventSolver
+
+        monkeypatch.setattr(_ResolventSolver, "__init__", None)  # no factor is made
+        graph, beta, signs = self.singletons(seed)
+        analysis = analyze_network(graph, beta)
+        solutions = analysis.sink_solutions
+        monkeypatch.undo()
+        assert len(solutions) == graph.n
+        for solution in solutions:
+            assert solution.kind is SolutionKind.RESOLVENT
+            (node,) = solution.members
+            block = analysis.system.sink_block(solution.sink_index)
+            want = _ResolventSolver(block).solve_block(sparse.diags([beta[node]])).join()
+            got = solution.operator
+            assert got.format == want.format and got.shape == (1, 1)
+            for name in ("indptr", "indices"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert getattr(got, name).tolist() == getattr(want, name).tolist()
+            value = float(got.data[0])
+            # the correctly rounded quotient of the pivot the solver factors
+            pivot = 1.0 - float(block.sum())
+            assert value == beta[node] / pivot
+            # refinement stops within an ulp of it, and on it for 1 - (1 - beta)
+            assert abs(value - want.data[0]) <= np.spacing(value)
+            if signs[node] >= 0:
+                assert value == want.data[0]
+
+    def test_singular_pivot_raises_as_the_solver_does(self):
+        from signedfj import InternalInconsistencyError
+
+        # 1 - (1 - beta) rounds to 0 for beta below half an ulp of 1
+        graph = SignedDigraph.from_edges(["a", "b"], [(0, 0, 1.0), (1, 0, 1.0)])
+        with pytest.raises(InternalInconsistencyError, match="sink block 0.* is singular"):
+            analyze_network(graph, np.array([1e-20, 0.0])).sink_solutions
+
+
 def _assert_same_bytes(got, want):
     for name in ("indptr", "indices", "data"):
         g, w = getattr(got, name), getattr(want, name)
