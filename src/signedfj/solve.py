@@ -61,11 +61,11 @@ __all__ = [
     "centrality_csv",
 ]
 
-# Below this size a free sink's stationary vector comes from a stacked dense
-# power iteration, and up to eight times it (_STACK_NODES) a block's spectral
-# radius from dense eigenvalues; sinks up to that size are stacked by _SinkBatch.
-DENSE_BLOCK_CUTOFF = 64
-_STACK_NODES = DENSE_BLOCK_CUTOFF * 8
+# Sinks of up to this many nodes are stacked densely by _SinkBatch: their radii
+# come from dense eigenvalues and a free balanced sink's stationary vector from
+# GTH elimination.  A larger block's radius is bounded by ARPACK on |B|, and a
+# larger free sink's stationary vector comes from one resolvent solve.
+_STACK_NODES = 512
 # Resolvent blocks of up to this many nodes are factored densely, in single
 # precision (a 67 MB factor); larger ones go through sparse LU.
 _DENSE_FACTOR_NODES = 4096
@@ -105,8 +105,11 @@ class SpectralReport:
     The update matrix is block triangular, so its radii are the maxima of
     the block radii, computed block by block at every size.  The follower
     block's radii are computed only in the convergent regime; otherwise a
-    sink's radius of 1 is the maximum.  ``approximate`` flags estimates
-    from iterative methods that did not fully settle.
+    sink's radius of 1 is the maximum.  Blocks of up to ``_STACK_NODES``
+    nodes get both radii from dense eigenvalues.  A larger block gets the
+    Perron root of ``|B|`` as both: it is ``|B|``'s radius (by ARPACK, or
+    by power iteration should ARPACK not converge) and an upper bound on
+    ``B``'s, and ``approximate`` is set.
     """
 
     regime: Regime
@@ -133,10 +136,10 @@ class SinkSolution:
       only stubborn columns are nonzero.
     * ``ZERO``: unbalanced sink with no stubborn member; the limit is 0.
 
-    Eigenpairs of sinks under ``DENSE_BLOCK_CUTOFF`` nodes come from a
-    stacked power iteration over every sink of the same size (see
-    :class:`_SinkBatch`), so their vectors may be rows of a shared stack;
-    each holds the bits a stack of one would give.
+    Eigenpairs of sinks of up to ``_STACK_NODES`` nodes come from one GTH
+    elimination over every sink of the same size (see :class:`_SinkBatch`),
+    so their vectors may be rows of a shared stack; each holds the bits a
+    stack of one would give.
     """
 
     sink_index: int
@@ -485,82 +488,43 @@ def _dense_factor(a: sparse.csr_matrix, dtype):
     return lambda b: lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
-def _stationary_rows(
-    blocks: np.ndarray, *, residual_target: float = 1e-12, max_iters: int = 100_000
-) -> np.ndarray:
-    """Stationary distributions of a stack of primitive row-stochastic matrices.
+def _stationary_rows(blocks: np.ndarray, sink_indices) -> np.ndarray:
+    """Stationary distributions of a stack of irreducible row-stochastic matrices.
 
-    Power iteration from the uniform vector (deterministic), one stacked
-    ``np.matmul`` per step for the blocks still moving.  Each block stops at
-    its own step, with the bits it would get alone.  A block that does not
-    settle falls back to :func:`_stationary_direct`.
+    GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 1985) censors
+    nodes ``s-1, ..., 1`` out of a copy of the stack.  Each pivot is the sum
+    of the censored node's entries towards the nodes left, never ``1 - p``,
+    so no step subtracts and every entry of ``pi`` keeps a small relative
+    error however slowly the block mixes.  Every step is elementwise or a
+    row sum, so a block gets the bits it would get in a stack of one.  A
+    zero pivot means the block is reducible and raises :func:`_singular`,
+    naming the block's entry of ``sink_indices``.
     """
-    count, size = blocks.shape[:2]
-    out = np.empty((count, size))
-    live = np.arange(count)
-    pi = np.full((count, 1, size), 1.0 / size)
-    for _ in range(max_iters):
-        if not live.size:
-            return out
-        nxt = np.matmul(pi, blocks)
-        nxt /= nxt.sum(axis=2, keepdims=True)
-        moving = ~(np.abs(nxt - pi).sum(axis=2)[:, 0] <= residual_target)
-        if not moving.all():
-            out[live[~moving]] = nxt[~moving, 0]
-            live, blocks, nxt = live[moving], blocks[moving], nxt[moving]
-        pi = nxt
-    for k, block in zip(live, blocks):
-        out[k] = _stationary_direct(block)
-    return out
-
-
-def _stationary_row_vector(
-    m, *, residual_target: float = 1e-12, max_iters: int = 100_000
-) -> np.ndarray:
-    """Stationary distribution of one primitive row-stochastic matrix.
-
-    A dense ``m`` goes through :func:`_stationary_rows` as a stack of one; a
-    sparse one through the same power iteration on sparse products.
-    """
-    size = m.shape[0]
-    if size == 1:
-        return np.ones(1)
-    if not sparse.issparse(m):
-        return _stationary_rows(
-            np.asarray(m)[None], residual_target=residual_target, max_iters=max_iters
-        )[0]
-    pi = np.full(size, 1.0 / size)
-    for _ in range(max_iters):
-        nxt = pi @ m
-        nxt = nxt / nxt.sum()
-        if float(np.abs(nxt - pi).sum()) <= residual_target:
-            return nxt
-        pi = nxt
-    return _stationary_direct(m)
-
-
-def _stationary_direct(m) -> np.ndarray:
-    """Sparse direct solve of ``pi (M - I) = 0``, the normalization replacing the last equation."""
-    size = m.shape[0]
-    a = (sparse.csr_matrix(m).T - sparse.identity(size, format="csr")).tolil()
-    a[-1, :] = 1.0
-    b = np.zeros(size)
-    b[-1] = 1.0
-    try:
-        pi = splu(a.tocsc()).solve(b)
-    except RuntimeError as exc:
-        raise NumericalError(
-            f"stationary vector of a block of size {size} is not unique: {exc}"
-        ) from exc
-    return pi / pi.sum()
+    a = np.array(blocks)
+    count, size = a.shape[:2]
+    for n in range(size - 1, 0, -1):
+        pivot = a[:, n, :n].sum(axis=1)
+        if not pivot.all():
+            k = sink_indices[int(np.flatnonzero(pivot == 0.0)[0])]
+            raise _singular(f"|sink block {k}| without its first node")
+        a[:, :n, n] /= pivot[:, None]
+        a[:, :n, :n] += a[:, :n, n, None] * a[:, None, n, :n]
+    pi = np.ones((count, size))
+    for n in range(1, size):
+        pi[:, n] = (pi[:, :n] * a[:, :n, n]).sum(axis=1)
+    pi /= pi.sum(axis=1, keepdims=True)
+    return pi
 
 
 # ---------------------------------------------------------------------------
 # Spectral regime
 # ---------------------------------------------------------------------------
 
-def _abs_power_radius(m, iters: int = 2000) -> tuple[float, bool]:
-    """Spectral radius of a nonnegative matrix by normalized power iteration."""
+def _abs_power_radius(m, iters: int = 2000) -> float:
+    """Spectral radius of a nonnegative matrix by normalized power iteration.
+
+    Stops once the estimate and the vector settle, or after ``iters`` steps.
+    """
     size = m.shape[0]
     v = np.full(size, 1.0 / np.sqrt(size))
     estimate = 0.0
@@ -568,40 +532,45 @@ def _abs_power_radius(m, iters: int = 2000) -> tuple[float, bool]:
         w = m @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
-            return 0.0, False
-        new_estimate = norm
+            return 0.0
         w = w / norm
-        settled = abs(new_estimate - estimate) <= 1e-12 * max(1.0, new_estimate) and bool(
+        settled = abs(norm - estimate) <= 1e-12 * max(1.0, norm) and bool(
             np.max(np.abs(w - v)) <= 1e-10
         )
-        estimate, v = new_estimate, w
+        estimate, v = norm, w
         if settled:
-            return estimate, False
-    return estimate, True
+            break
+    return estimate
 
 
-def _block_radius(block) -> tuple[float, bool]:
-    """Spectral radius of one (possibly signed) block; flags approximate results."""
+def _block_radii(block) -> tuple[float, float, bool]:
+    """Spectral radii of a signed block and of ``|block|``, and whether they are bounds.
+
+    Up to ``_STACK_NODES`` nodes both come from dense eigenvalues.  Above,
+    one ARPACK call on ``|block|`` gives its Perron root, which is also an
+    upper bound on the signed radius (``|lambda| <= rho(|B|)``); both are
+    reported as that root and flagged approximate.
+    """
     size = block.shape[0]
-    if size == 0:
-        return 0.0, False
     if size <= _STACK_NODES:
         dense = block.toarray() if sparse.issparse(block) else np.asarray(block)
-        return float(np.max(np.abs(np.linalg.eigvals(dense)))), False
+        signed = float(np.max(np.abs(np.linalg.eigvals(dense)), initial=0.0))
+        absolute = float(np.max(np.abs(np.linalg.eigvals(np.abs(dense))), initial=0.0))
+        return signed, absolute, False
+    gauged = abs(sparse.csr_matrix(block))
     try:
         vals = eigs(
-            sparse.csr_matrix(block),
+            gauged,
             k=1,
             which="LM",
             return_eigenvectors=False,
             maxiter=5000,
             v0=np.full(size, 1.0 / np.sqrt(size)),
         )
-        return float(np.max(np.abs(vals))), False
+        radius = float(np.max(np.abs(vals)))
     except (ArpackNoConvergence, RuntimeError):
-        # upper bound via the entrywise-absolute matrix
-        radius, _ = _abs_power_radius(abs(sparse.csr_matrix(block)))
-        return radius, True
+        radius = _abs_power_radius(gauged)
+    return radius, radius, True
 
 
 def spectral_check(
@@ -618,7 +587,7 @@ def spectral_check(
     pass over every sink (the analysis's own, when it hands one in): sinks
     of up to ``_STACK_NODES`` nodes are stacked densely by size, with one
     ``np.linalg.eigvals`` on ``B`` and one on ``|B|`` per stack; larger sinks
-    get their radii one by one.
+    get theirs one by one from :func:`_block_radii`.
     """
     regime = Regime.SEMI_CONVERGENT if classification.s_ns else Regime.CONVERGENT
     batch = _batch if _batch is not None else _SinkBatch(system, classification.sinks)
@@ -628,10 +597,7 @@ def spectral_check(
     if regime is Regime.CONVERGENT:
         # a free balanced sink has radius 1 and the follower block's
         # radii are strictly below 1, so only here can they be the maximum
-        follower = system.follower_block()
-        r11, approx = _block_radius(follower)
-        approximate |= approx
-        r11_abs, approx = _block_radius(abs(follower))
+        r11, r11_abs, approx = _block_radii(system.follower_block())
         approximate |= approx
         radius = max(radius, r11)
         radius_abs = max(radius_abs, r11_abs)
@@ -656,10 +622,11 @@ class _SinkBatch:
     the sink rows of the update matrix into stacks of equal-size dense
     blocks, each of at most ``_PANEL_ENTRIES`` entries.  Per stack, one
     ``np.linalg.eigvals`` on ``B`` and one on ``|B|`` give the radii, and
-    every stubborn-free balanced sink under ``DENSE_BLOCK_CUTOFF`` nodes gets
-    its eigenpair from one stacked power iteration.  Each block gets the
-    bits it would get in a stack of its own.  Larger sinks, resolvent sinks
-    and zero sinks take the per-sink route of :func:`_solve_single_sink`.
+    every stubborn-free balanced sink in it gets its eigenpair from one
+    stacked GTH elimination (see :func:`_stationary_rows`).  Each block gets
+    the bits it would get in a stack of its own.  Larger sinks, resolvent
+    sinks and zero sinks take the per-sink route of
+    :func:`_solve_single_sink`.
 
     ``sinks`` have consecutive sink indices: all of ``classification.sinks``,
     or one sink.  Without ``radii`` only the eigenpairs are stacked.
@@ -688,27 +655,23 @@ class _SinkBatch:
         first = sinks[0].sink_index if sinks else 0
         offsets = np.asarray(system.ordering.sink_offsets[first:first + count], np.int64)
         sizes = np.asarray(system.ordering.sink_sizes[first:first + count], np.int64)
-        small_free = np.array([s.in_s_ns for s in sinks], dtype=bool) & (
-            sizes < DENSE_BLOCK_CUTOFF
-        )
+        free = np.array([s.in_s_ns for s in sinks], dtype=bool) & (sizes <= _STACK_NODES)
         radii, radii_abs = np.zeros(count), np.zeros(count)
         approximate = False
         solutions: dict[int, SinkSolution] = {}
         if self._with_radii:
             stacked = sizes <= _STACK_NODES
             for k in np.flatnonzero(~stacked):
-                block = system.sink_block(first + int(k))
-                radii[k], approx = _block_radius(block)
-                radii_abs[k], approx_abs = _block_radius(abs(block))
-                approximate |= approx | approx_abs
+                radii[k], radii_abs[k], approx = _block_radii(system.sink_block(first + int(k)))
+                approximate |= approx
         else:
-            stacked = small_free
+            stacked = free
         for panel, blocks in self._stacks(offsets, sizes, stacked):
             gauged = np.abs(blocks)
             if self._with_radii:
                 radii[panel] = np.abs(np.linalg.eigvals(blocks)).max(axis=1)
                 radii_abs[panel] = np.abs(np.linalg.eigvals(gauged)).max(axis=1)
-            pick = small_free[panel]
+            pick = free[panel]
             if pick.any():
                 eigenpairs = self._eigenpairs(panel[pick], blocks[pick], gauged[pick])
                 solutions.update((s.sink_index, s) for s in eigenpairs)
@@ -768,7 +731,8 @@ class _SinkBatch:
                 gauged.sum(axis=2),
                 sinks,
             )
-            v, w = sigma, _left_vectors(sigma, _stationary_rows(gauged))
+            pi = _stationary_rows(gauged, [s.sink_index for s in sinks])
+            v, w = sigma, _left_vectors(sigma, pi)
         _check_eigenpairs(
             np.matmul(blocks, v[:, :, None])[:, :, 0],
             np.matmul(w[:, None, :], blocks)[:, 0],
@@ -796,12 +760,14 @@ def solve_sink(
     Balanced stubborn-free sinks get the eigenvector pair at eigenvalue 1.
     Rather than a generic nonsymmetric eigensolve, the block is gauged by
     its bipartition signs: on a balanced sink ``diag(sigma) B diag(sigma)``
-    is exactly ``|B|``, a nonnegative row-stochastic matrix with positive
-    diagonal, whose stationary distribution (by power iteration,
-    deterministic) is the left eigenvector up to the same sign flips.  The
-    right eigenvector is the bipartition itself, so the sign convention (+1
-    on the sink's smallest member) comes for free and the normalization is
-    exact.
+    is exactly ``|B|``, an irreducible row-stochastic matrix, whose
+    stationary distribution is the left eigenvector up to the same sign
+    flips.  The right eigenvector is the bipartition itself, so the sign
+    convention (+1 on the sink's smallest member) comes for free and the
+    normalization is exact.  The stationary distribution comes from a
+    direct elimination at every size: GTH on the dense stacks of up to
+    ``_STACK_NODES`` nodes (see :func:`_stationary_rows`), one resolvent
+    solve of the reduced system above (see :func:`_solve_single_sink`).
 
     Given the analysis's ``_batch``, the answer is looked up from its
     stacked pass; without one, the same pass runs on a batch of this sink
@@ -812,7 +778,15 @@ def solve_sink(
 
 
 def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
-    """The limit of a sink outside the stacks: zero, a resolvent, or a large eigenpair."""
+    """The limit of a sink outside the stacks: zero, a resolvent, or a large eigenpair.
+
+    A free balanced sink of more than ``_STACK_NODES`` nodes takes its
+    stationary vector from the reduced system (Stewart, *Introduction to
+    the Numerical Solution of Markov Chains*, 1994, ch. 2): with ``j`` its
+    last node and ``pi_j = 1``, ``pi_{-j} (I - |B|_{-j}) = |B|_{j,-j}``,
+    solved on one :class:`_ResolventSolver`.  ``|B|_{-j}`` is strictly
+    substochastic on an irreducible block, so the system is nonsingular.
+    """
     members = sink.members
     if not sink.in_s_ns and not sink.contains_stubborn:
         # unbalanced and stubborn-free: everything inside decays to zero
@@ -840,7 +814,7 @@ def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
             operator=solved.join(),
         )
 
-    # a free balanced sink of at least DENSE_BLOCK_CUTOFF nodes, kept sparse
+    # a free balanced sink of more than _STACK_NODES nodes, kept sparse
     sigma = np.asarray(sink.bipartition, dtype=np.float64)
     gauged = abs(block)
     rows = np.repeat(np.arange(len(members)), np.diff(block.indptr))
@@ -849,8 +823,13 @@ def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
         np.asarray(gauged.sum(axis=1)).T,
         [sink],
     )
+    reduced = _ResolventSolver(
+        gauged[:-1, :-1].T, what=f"|sink block {sink.sink_index}| without its last node"
+    )
+    pi = np.append(reduced.solve(gauged[-1, :-1].toarray()[0]), 1.0)
+    pi /= pi.sum()
     v = sigma[None]
-    w = _left_vectors(v, _stationary_row_vector(gauged)[None])
+    w = _left_vectors(v, pi[None])
     _check_eigenpairs((block @ v[0])[None], (w[0] @ block)[None], v, w, [sink])
     return SinkSolution(
         sink_index=sink.sink_index,

@@ -14,7 +14,9 @@ out of the fixture.
 """
 
 import json
+import math
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +134,35 @@ def test_golden_instance_covers_every_limit_kind(tmp_path):
     assert np.count_nonzero(analysis.system.stubbornness_canonical[:m]) == 9
     kinds = sorted(s.kind.value for s in analysis.sink_solutions)
     assert kinds == ["eigenpair", "eigenpair", "resolvent", "zero"]
+
+
+def test_antagonistic_sink_left_vector_is_exact(tmp_path):
+    """The free antagonistic sink's left vector, within 1 ulp of the exact one.
+
+    ``|B|``'s stationary vector solves the reduced system
+    ``pi_{-j} (I - |B|_{-j}) = |B|_{j,-j}`` with ``pi_j = 1``, ``j`` the
+    last node.  Solved in fractions from the block's stored entries and
+    signed by the bipartition, it gives the block's exact left eigenvector.
+    """
+    analysis = load_analysis(tmp_path)
+    (solution,) = [s for s in analysis.sink_solutions if s.kind.value == "eigenpair"
+                   and s.size == 4]
+    gauged = [[abs(Fraction(v)) for v in row]
+              for row in analysis.system.sink_block(solution.sink_index).toarray().tolist()]
+    j = len(gauged) - 1
+    # the augmented rows of (I - |B|_{-j})^T pi_{-j}^T = |B|_{j,-j}^T
+    rows = [[int(i == c) - gauged[c][i] for c in range(j)] + [gauged[j][i]] for i in range(j)]
+    for p in range(j):  # Gauss-Jordan elimination
+        rows[p:] = sorted(rows[p:], key=lambda row: row[p] == 0)
+        rows[p] = [v / rows[p][p] for v in rows[p]]
+        for r in range(j):
+            if r != p:
+                rows[r] = [a - rows[r][p] * b for a, b in zip(rows[r], rows[p])]
+    pi = [row[-1] for row in rows] + [Fraction(1)]
+    for w, sign, p in zip(solution.left_vec.tolist(), solution.right_vec.tolist(), pi):
+        # the correctly rounded value or one of its two neighbours
+        rounded = float(Fraction(sign) * p / sum(pi))
+        assert abs(w - rounded) <= math.ulp(rounded), (w, rounded)
 
 
 def test_follower_rows_take_one_block_solve(tmp_path, monkeypatch):

@@ -425,25 +425,9 @@ def _on_assembly(monkeypatch, probe) -> list:
 
 
 def _leaky_follower_ring_pieces(followers: int):
-    """The system, classification and sink solutions of :func:`_leaky_follower_ring`.
-
-    Built without the spectral check, whose ARPACK call does not converge
-    on a ring this long.
-    """
-    from signedfj import (
-        build_update_system,
-        canonical_ordering,
-        classify_agents,
-        condense,
-        strongly_connected_components,
-    )
-
-    graph, beta = _leaky_follower_ring(followers)
-    sccs = strongly_connected_components(graph)
-    classification = classify_agents(graph, sccs, condense(graph, sccs), beta)
-    system = build_update_system(graph, beta, canonical_ordering(classification))
-    solutions = tuple(solve_sink(system, sink) for sink in classification.sinks)
-    return system, classification, solutions
+    """The system, classification and sink solutions of :func:`_leaky_follower_ring`."""
+    analysis = analyze_network(*_leaky_follower_ring(followers))
+    return analysis.system, analysis.classification, analysis.sink_solutions
 
 
 def _leaky_follower_ring(followers: int) -> tuple[SignedDigraph, np.ndarray]:
@@ -596,8 +580,8 @@ class TestFactorRouting:
 
 
 class TestLargeBlockSolves:
-    """Blocks past the dense cutoff take the sparse gauge route, and blocks
-    past a (lowered) dense factor budget take SuperLU."""
+    """Free sinks past a (lowered) stack size take the reduced-system route,
+    and blocks past a (lowered) dense factor budget take SuperLU."""
 
     @staticmethod
     def _balanced_ring(size, *, negatives, offset=0):
@@ -613,11 +597,15 @@ class TestLargeBlockSolves:
             edges.append((offset + k, offset + k, 1.0))
         return edges, sigma
 
-    def test_sparse_eigenpair_matches_iteration(self):
+    def test_sparse_eigenpair_matches_iteration(self, monkeypatch):
+        import signedfj.solve
+
         size = 90
+        monkeypatch.setattr(signedfj.solve, "_STACK_NODES", size - 1)
         edges, sigma = self._balanced_ring(size, negatives=[30, 60])
         g = SignedDigraph.from_edges([f"n{i}" for i in range(size)], edges)
         analysis = analyze_network(g, np.zeros(size))
+        assert analysis._batch._pass[3] == {}  # nothing stacked
         solution = analysis.sink_solutions[0]
         assert solution.kind is SolutionKind.EIGENPAIR
         assert np.array_equal(np.sign(solution.right_vec), np.sign(sigma))
@@ -1081,66 +1069,56 @@ class TestMixedPrecision:
 
 
 class TestNumericsInternals:
-    def test_stationary_direct_fallback_agrees_with_power_iteration(self):
-        from signedfj.solve import _stationary_row_vector
+    @staticmethod
+    def _signed_path(n: int) -> SignedDigraph:
+        """A bidirectional signed path with self-loops, all weights of magnitude 1.
 
-        rng = np.random.default_rng(0)
-        m = rng.uniform(0.1, 1.0, (8, 8))
-        m = m / m.sum(axis=1, keepdims=True)
-        by_iteration = _stationary_row_vector(m)
-        forced_direct = _stationary_row_vector(m, max_iters=1)
-        assert np.allclose(by_iteration, forced_direct, atol=1e-10)
-        assert np.allclose(forced_direct @ m, forced_direct, atol=1e-12)
-        assert abs(forced_direct.sum() - 1.0) <= 1e-12
-
-    def test_stationary_direct_fallback_solves_large_blocks(self):
-        from signedfj.solve import _stationary_row_vector
-
-        size = 250
-        rng = np.random.default_rng(1)
-        m = rng.uniform(0.1, 1.0, (size, size))  # non-uniform stationary vector
-        m = m / m.sum(axis=1, keepdims=True)
-        pi = _stationary_row_vector(m, max_iters=1)
-        assert np.max(np.abs(pi @ m - pi)) <= 1e-12
-        assert abs(pi.sum() - 1.0) <= 1e-12
-
-    def test_stationary_direct_fallback_on_slowly_mixing_path(self):
-        from scipy import sparse
-
-        from signedfj import (
-            build_update_system,
-            canonical_ordering,
-            classify_agents,
-            condense,
-            strongly_connected_components,
-        )
-        from signedfj.solve import _stationary_row_vector
-
-        n = 600
+        ``|B|`` is the simple random walk with a self-loop per node, whose
+        stationary vector is proportional to the degrees ``(2, 3, ..., 3, 2)``;
+        the path mixes in about ``n^2`` steps.
+        """
         rng = np.random.default_rng(3)
         signs = rng.choice([-1.0, 1.0], n - 1)
         edges = [(i, i, 1.0) for i in range(n)]
         edges += [(i, i + 1, signs[i]) for i in range(n - 1)]
         edges += [(i + 1, i, signs[i]) for i in range(n - 1)]
-        g = SignedDigraph.from_edges([f"p{i}" for i in range(n)], edges)
-        beta = np.zeros(n)
-        sccs = strongly_connected_components(g)
-        cls = classify_agents(g, sccs, condense(g, sccs), beta)
-        system = build_update_system(g, beta, canonical_ordering(cls))
-        gauge = sparse.diags(np.asarray(cls.sinks[0].bipartition, dtype=np.float64))
-        gauged = sparse.csr_matrix(gauge @ system.sink_block(0) @ gauge)
-        assert gauged.data.min() > 0
-        pi = _stationary_row_vector(gauged, max_iters=50)
-        assert np.max(np.abs(pi @ gauged - pi)) <= 1e-12
+        return SignedDigraph.from_edges([f"p{i}" for i in range(n)], edges)
 
-    def test_stationary_gives_up_loudly_without_unique_solution(self):
-        from signedfj import NumericalError
-        from signedfj.solve import _stationary_row_vector
+    @pytest.mark.parametrize("n", [2, 64, 512, 513, 600])
+    def test_path_left_vector_matches_closed_form(self, n):
+        # up to _STACK_NODES by GTH in a stack, above by the reduced system
+        from signedfj.solve import _STACK_NODES
+
+        analysis = analyze_network(self._signed_path(n), np.zeros(n))
+        sink = analysis.classification.sinks[0]
+        solution = analysis.sink_solutions[0]
+        assert solution.kind is SolutionKind.EIGENPAIR
+        assert (sink.sink_index in analysis._batch._pass[3]) == (n <= _STACK_NODES)
+        degrees = np.full(n, 3.0)
+        degrees[[0, -1]] = 2.0
+        members = np.asarray(solution.members)  # node i is label p{i}, index i
+        exact = np.asarray(sink.bipartition) * degrees[members] / degrees.sum()
+        assert np.max(np.abs(solution.left_vec - exact)) <= 1e-15
+
+    def test_gth_solves_a_dense_block(self):
+        from signedfj.solve import _stationary_rows
+
+        size = 250
+        rng = np.random.default_rng(1)
+        m = rng.uniform(0.1, 1.0, (size, size))  # non-uniform stationary vector
+        m = m / m.sum(axis=1, keepdims=True)
+        pi = _stationary_rows(m[None], [0])[0]
+        assert np.max(np.abs(pi @ m - pi)) <= 1e-12
+        assert abs(pi.sum() - 1.0) <= 1e-12
+
+    def test_gth_zero_pivot_raises_internal_inconsistency(self):
+        from signedfj import InternalInconsistencyError
+        from signedfj.solve import _stationary_rows
 
         # two closed classes: every mixture of their stationary vectors is stationary
         m = np.array([[1.0, 0.0, 0.0], [0.0, 0.75, 0.25], [0.0, 0.5, 0.5]])
-        with pytest.raises(NumericalError, match="stationary"):
-            _stationary_row_vector(m, max_iters=1)
+        with pytest.raises(InternalInconsistencyError, match="sink block 7.*singular"):
+            _stationary_rows(np.stack([np.full((3, 3), 1 / 3), m]), [3, 7])
 
     def test_large_block_radius_is_reproducible(self):
         followers, sinks = 600, 4
@@ -1156,9 +1134,32 @@ class TestNumericsInternals:
             [(s, t, w) for (s, t), w in edges.items()],
         )
         beta = np.concatenate([np.full(followers, 0.01), np.full(sinks, 0.5)])
-        radii = {analyze_network(g, beta).spectral.spectral_radius for _ in range(3)}
+        analyses = [analyze_network(g, beta) for _ in range(3)]
+        radii = {analysis.spectral.spectral_radius for analysis in analyses}
         assert len(radii) == 1
-        assert radii.pop() < 1.0
+        radius = radii.pop()
+        assert radius < 1.0
+        # above _STACK_NODES the signed radius is |M|'s Perron root, a bound
+        assert all(analysis.spectral.approximate for analysis in analyses)
+        follower = analyses[0].system.follower_block().toarray()
+        assert radius >= np.max(np.abs(np.linalg.eigvals(follower)))
+
+    def test_arpack_sees_only_nonnegative_blocks(self, monkeypatch):
+        import signedfj.solve
+
+        calls = []
+        real_eigs = signedfj.solve.eigs
+
+        def checking_eigs(a, *args, **kwargs):
+            assert sparse.csr_matrix(a).data.min() >= 0.0
+            calls.append(a.shape)
+            return real_eigs(a, *args, **kwargs)
+
+        monkeypatch.setattr(signedfj.solve, "eigs", checking_eigs)
+        # a signed follower ring above _STACK_NODES, and a signed sink above it
+        analyze_network(*_leaky_follower_ring(600))
+        analyze_network(self._signed_path(600), np.zeros(600))
+        assert calls == [(600, 600), (600, 600)]
 
     def test_singular_block_raises_internal_inconsistency(self):
         from scipy import sparse
@@ -1271,9 +1272,9 @@ class TestSinkBatch:
         report = validate(graph, beta)
         _assert_batch_matches_single_sinks(analyze_network(report.graph, report.beta))
 
-    @pytest.mark.parametrize("size", [4, 70])
+    @pytest.mark.parametrize("size", [4, 70, 600])
     def test_wrong_bipartition_is_caught(self, size):
-        # a stacked sink under DENSE_BLOCK_CUTOFF nodes, and a sparse one above it
+        # stacked sinks, and a sparse one above _STACK_NODES
         import dataclasses
 
         from signedfj import InternalInconsistencyError
