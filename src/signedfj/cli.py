@@ -266,8 +266,17 @@ def _write(out_dir: str, name: str, content: str | Callable[[TextIO], None]) -> 
     return path
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_writer(payload: dict) -> Callable[[TextIO], None]:
+    """A writer of ``payload`` as indented JSON with sorted keys and a final newline.
+
+    ``json.dump`` writes the text a piece at a time, so it is never held whole.
+    """
+
+    def write(out: TextIO) -> None:
+        json.dump(payload, out, sort_keys=True, indent=2)
+        out.write("\n")
+
+    return write
 
 
 def _validated(graph: SignedDigraph, beta) -> ValidationReport | None:
@@ -293,14 +302,10 @@ def cmd_analyze(config: RunConfig) -> int:
 
     analysis = analyze_network(report.graph, report.beta)
     x_star = analysis.steady_state(x0)
-    result = analysis.influence
+    nodes, values = analysis.top_centrality(config.top)
     top = [
-        {
-            "rank": rank,
-            "node": report.graph.labels[node],
-            "centrality": float(result.centrality[node]),
-        }
-        for rank, node in enumerate(result.ranking[: config.top], start=1)
+        {"rank": rank, "node": report.graph.labels[node], "centrality": float(value)}
+        for rank, (node, value) in enumerate(zip(nodes, values), start=1)
     ]
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -337,7 +342,7 @@ def cmd_analyze(config: RunConfig) -> int:
         },
         "centrality_top": top,
     }
-    path = _write(config.out_dir, "report.json", _json_text(payload))
+    path = _write(config.out_dir, "report.json", _json_writer(payload))
     print(f"wrote {path}")
     print(
         f"nodes={report.graph.n} edges={report.graph.edge_count} "
@@ -389,7 +394,7 @@ def cmd_simulate(config: RunConfig) -> int:
         "iterations_used": trajectory.iterations_used,
         "final_residual": trajectory.final_residual,
     }
-    _write(config.out_dir, "simulate_summary.json", _json_text(summary))
+    _write(config.out_dir, "simulate_summary.json", _json_writer(summary))
     state = "converged" if trajectory.converged else "did NOT converge"
     print(
         f"{state} after {trajectory.iterations_used} iterations "
@@ -507,7 +512,7 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
         "warnings": warnings,
         "outputs": {"graph": graph_path.name, "beta": beta_path.name},
     }
-    _write(config.out_dir, "modify_manifest.json", _json_text(manifest))
+    _write(config.out_dir, "modify_manifest.json", _json_writer(manifest))
     print(f"wrote {graph_path} ({len(flip_manifest)} flip(s), {len(beta_manifest)} beta change(s))")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, TextIO
 
 import numpy as np
@@ -356,11 +357,17 @@ def trajectory_long_csv(
 
     def format_records(ks: list[int], block: np.ndarray) -> tuple[str, str]:
         long_text, wide_text = [], []
+        if to_out:
+            # four slots per row, "k,", "label,", the value and its line end;
+            # the labels and line ends are set once, the rest once per record
+            parts = ["\n"] * (4 * len(fields))
+            parts[1::4] = [f + "," for f in fields]
         for k, state in zip(ks, block.tolist()):
             values = list(map(repr, state))
             if to_out:
-                head = f"{k},"  # formatted once per record, not once per row
-                long_text.extend([f"{head}{f},{x}\n" for f, x in zip(fields, values)])
+                parts[0::4] = repeat(f"{k},", len(values))
+                parts[2::4] = values
+                long_text.append("".join(parts))
             if to_wide:
                 wide_text.append(f"{k},{','.join(values)}\n")
         return "".join(long_text), "".join(wide_text)

@@ -88,6 +88,15 @@ _PANEL_ENTRIES = 1 << 20
 _DENSE_PANEL_DIVISOR = 4
 # A panel's residual product runs this many columns at a time.
 _PRODUCT_COLUMNS = 16
+# The unsigned adjoint behind the centrality bounds sweeps until its certified
+# step is at most this (its entries are at least 1), or for this many sweeps.
+_SWEEP_TOL = 2.0**-30
+_MAX_SWEEPS = 1000
+# Each centrality bound is raised by this relative margin.  It covers the
+# rounding of the bound's own arithmetic after the certificate and the
+# forward error of the solved columns it is compared with, which on any
+# block the solver accepts are far smaller.
+_BOUND_MARGIN = 2.0**-20
 
 
 class Regime(str, Enum):
@@ -105,11 +114,15 @@ class SpectralReport:
     The update matrix is block triangular, so its radii are the maxima of
     the block radii, computed block by block at every size.  The follower
     block's radii are computed only in the convergent regime; otherwise a
-    sink's radius of 1 is the maximum.  Blocks of up to ``_STACK_NODES``
-    nodes get both radii from dense eigenvalues.  A larger block gets the
-    Perron root of ``|B|`` as both: it is ``|B|``'s radius (by ARPACK, or
-    by power iteration should ARPACK not converge) and an upper bound on
-    ``B``'s, and ``approximate`` is set.
+    sink's radius of 1 is the maximum.  A stubborn-free sink's radius of
+    ``|B|`` is exactly 1 at every size, and so is a balanced one's radius
+    of ``B`` (see :class:`_SinkBatch`).  Other blocks of up to
+    ``_STACK_NODES`` nodes get both radii from dense eigenvalues.  A larger
+    block gets the Perron root of ``|B|`` as both: it is ``|B|``'s radius
+    (by ARPACK, or by a Collatz-Wielandt bound should ARPACK not converge)
+    and an upper bound on ``B``'s, and ``approximate`` is set, as it is
+    for a larger unbalanced stubborn-free sink, whose signed radius is
+    reported as its bound 1.
     """
 
     regime: Regime
@@ -521,10 +534,15 @@ def _stationary_rows(blocks: np.ndarray, sink_indices) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _abs_power_radius(m, iters: int = 2000) -> float:
-    """Spectral radius of a nonnegative matrix by normalized power iteration.
+    """An upper bound on the spectral radius of a nonnegative matrix, by power iteration.
 
-    Stops once the estimate and the vector settle, or after ``iters`` steps.
+    Normalized power iteration stops once its estimate and vector settle,
+    or after ``iters`` steps.  The bound is the Collatz-Wielandt maximum
+    ``max_i (m v)_i / v_i`` on the last iterate ``v``, raised by the
+    rounding of the product, ``(d + 2) 2^-53`` with ``d`` the most entries
+    in a row; should an entry of ``v`` be zero, it is the largest row sum.
     """
+    m = sparse.csr_matrix(m)
     size = m.shape[0]
     v = np.full(size, 1.0 / np.sqrt(size))
     estimate = 0.0
@@ -540,7 +558,11 @@ def _abs_power_radius(m, iters: int = 2000) -> float:
         estimate, v = norm, w
         if settled:
             break
-    return estimate
+    if v.min() > 0.0:
+        bound = float(np.max((m @ v) / v))
+    else:
+        bound = float(np.max(m.sum(axis=1)))
+    return bound * (1.0 + (int(np.diff(m.indptr).max()) + 2) * 2.0**-53)
 
 
 def _block_radii(block) -> tuple[float, float, bool]:
@@ -549,7 +571,9 @@ def _block_radii(block) -> tuple[float, float, bool]:
     Up to ``_STACK_NODES`` nodes both come from dense eigenvalues.  Above,
     one ARPACK call on ``|block|`` gives its Perron root, which is also an
     upper bound on the signed radius (``|lambda| <= rho(|B|)``); both are
-    reported as that root and flagged approximate.
+    reported as that root and flagged approximate.  A stubborn-free sink's
+    radii are fixed by its structure and never come here (see
+    :meth:`_SinkBatch._pass`).
     """
     size = block.shape[0]
     if size <= _STACK_NODES:
@@ -584,10 +608,11 @@ def spectral_check(
     Semi-convergent iff some balanced sink has no stubborn member;
     otherwise all block radii sit strictly below one and powers of the
     update matrix vanish.  The sink radii come from one :class:`_SinkBatch`
-    pass over every sink (the analysis's own, when it hands one in): sinks
-    of up to ``_STACK_NODES`` nodes are stacked densely by size, with one
-    ``np.linalg.eigvals`` on ``B`` and one on ``|B|`` per stack; larger sinks
-    get theirs one by one from :func:`_block_radii`.
+    pass over every sink (the analysis's own, when it hands one in): a
+    stubborn-free sink's are fixed by its structure, sinks of up to
+    ``_STACK_NODES`` nodes are stacked densely by size, with at most one
+    ``np.linalg.eigvals`` on ``B`` and one on ``|B|`` per stack, and larger
+    stubborn sinks get theirs one by one from :func:`_block_radii`.
     """
     regime = Regime.SEMI_CONVERGENT if classification.s_ns else Regime.CONVERGENT
     batch = _batch if _batch is not None else _SinkBatch(system, classification.sinks)
@@ -620,13 +645,19 @@ class _SinkBatch:
 
     One pass copies every sink block of up to ``_STACK_NODES`` nodes out of
     the sink rows of the update matrix into stacks of equal-size dense
-    blocks, each of at most ``_PANEL_ENTRIES`` entries.  Per stack, one
-    ``np.linalg.eigvals`` on ``B`` and one on ``|B|`` give the radii, and
-    every stubborn-free balanced sink in it gets its eigenpair from one
-    stacked GTH elimination (see :func:`_stationary_rows`).  Each block gets
-    the bits it would get in a stack of its own.  Larger sinks, resolvent
+    blocks, each of at most ``_PANEL_ENTRIES`` entries.  The structure
+    fixes some radii exactly at every size: a stubborn-free sink's ``|B|``
+    is row stochastic, so its radius is 1, and a balanced one's ``B`` is
+    similar to ``|B|``, so its radius is 1 too.  Per stack, one
+    ``np.linalg.eigvals`` on the blocks of ``B`` and one on those of
+    ``|B|`` whose radius is left open give the others, and every
+    stubborn-free balanced sink in it gets its eigenpair from one stacked
+    GTH elimination (see :func:`_stationary_rows`).  Each block gets the
+    bits it would get in a stack of its own.  Larger sinks, resolvent
     sinks and zero sinks take the per-sink route of
-    :func:`_solve_single_sink`.
+    :func:`_solve_single_sink`; a larger stubborn sink's radii come from
+    :func:`_block_radii`, and a larger unbalanced stubborn-free sink's
+    signed radius is reported as its bound 1, flagged approximate.
 
     ``sinks`` have consecutive sink indices: all of ``classification.sinks``,
     or one sink.  Without ``radii`` only the eigenpairs are stacked.
@@ -655,22 +686,37 @@ class _SinkBatch:
         first = sinks[0].sink_index if sinks else 0
         offsets = np.asarray(system.ordering.sink_offsets[first:first + count], np.int64)
         sizes = np.asarray(system.ordering.sink_sizes[first:first + count], np.int64)
-        free = np.array([s.in_s_ns for s in sinks], dtype=bool) & (sizes <= _STACK_NODES)
-        radii, radii_abs = np.zeros(count), np.zeros(count)
+        balanced = np.array([s.in_s_ns for s in sinks], dtype=bool)
+        # a stubborn-free sink's |B| is row stochastic, so its radius is 1,
+        # and so is B's on a balanced one, which is similar to |B|
+        stochastic = ~np.array([s.contains_stubborn for s in sinks], dtype=bool)
+        free = balanced & (sizes <= _STACK_NODES)
+        radii = np.where(stochastic, 1.0, 0.0)
+        radii_abs = radii.copy()
         approximate = False
         solutions: dict[int, SinkSolution] = {}
         if self._with_radii:
             stacked = sizes <= _STACK_NODES
             for k in np.flatnonzero(~stacked):
-                radii[k], radii_abs[k], approx = _block_radii(system.sink_block(first + int(k)))
-                approximate |= approx
+                if not stochastic[k]:
+                    block = system.sink_block(first + int(k))
+                    radii[k], radii_abs[k], approx = _block_radii(block)
+                    approximate |= approx
+                elif not balanced[k]:
+                    approximate = True  # 1 bounds an unbalanced sink's signed radius
         else:
             stacked = free
         for panel, blocks in self._stacks(offsets, sizes, stacked):
             gauged = np.abs(blocks)
             if self._with_radii:
-                radii[panel] = np.abs(np.linalg.eigvals(blocks)).max(axis=1)
-                radii_abs[panel] = np.abs(np.linalg.eigvals(gauged)).max(axis=1)
+                signed = ~balanced[panel]  # radii that the structure leaves open
+                if signed.any():
+                    radii[panel[signed]] = np.abs(np.linalg.eigvals(blocks[signed])).max(axis=1)
+                leaky = ~stochastic[panel]
+                if leaky.any():
+                    radii_abs[panel[leaky]] = (
+                        np.abs(np.linalg.eigvals(gauged[leaky])).max(axis=1)
+                    )
             pick = free[panel]
             if pick.any():
                 eigenpairs = self._eigenpairs(panel[pick], blocks[pick], gauged[pick])
@@ -922,26 +968,40 @@ def _sink_limits(system: UpdateSystem, sink_solutions, x0: np.ndarray) -> np.nda
     return x
 
 
-def _sink_rows(system: UpdateSystem, sink_solutions) -> sparse.csr_matrix:
+def _sink_rows(
+    system: UpdateSystem, sink_solutions, listed: np.ndarray | None = None, *,
+    rank_one: bool = False,
+) -> sparse.csr_matrix:
     """``Theta_L``: the sinks' limit operators on the diagonal, zero follower rows.
 
     Eigenpair blocks ``v w^T`` of one size are formed together, and zero
-    entries are not stored.
+    entries are not stored.  Given a canonical mask ``listed``, only its
+    columns are kept.  With ``rank_one``, each eigenpair block is kept as
+    its one column ``v``, in its first member's column, if any member is
+    listed: ``P_FL`` times it is the sink's one follower right-hand side.
+    A singleton's ``v`` is its block, ``1 * 1``.
     """
     rows, cols, values = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for slots, right, left in _eigenpair_stacks(system, sink_solutions):
-        outer = right[:, :, None] * left[:, None, :]
-        kept = outer != 0.0
-        rows.append(np.broadcast_to(slots[:, :, None], outer.shape)[kept])
-        cols.append(np.broadcast_to(slots[:, None, :], outer.shape)[kept])
-        values.append(outer[kept])
+        if rank_one:
+            block, columns = right[:, :, None], slots[:, :1]
+        else:
+            block, columns = right[:, :, None] * left[:, None, :], slots
+        kept = block != 0.0
+        if listed is not None:
+            chosen = listed[slots].any(axis=1, keepdims=True) if rank_one else listed[columns]
+            kept &= chosen[:, None, :]
+        rows.append(np.broadcast_to(slots[:, :, None], block.shape)[kept])
+        cols.append(np.broadcast_to(columns[:, None, :], block.shape)[kept])
+        values.append(block[kept])
     for s in sink_solutions:
         if s.kind is SolutionKind.RESOLVENT:
             block = s.operator.tocoo()
             offset = system.ordering.sink_offsets[s.sink_index]
-            rows.append(block.row + offset)
-            cols.append(block.col + offset)
-            values.append(block.data)
+            kept = slice(None) if listed is None else listed[block.col + offset]
+            rows.append(block.row[kept] + offset)
+            cols.append(block.col[kept] + offset)
+            values.append(block.data[kept])
     return sparse.csr_matrix(
         (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
         shape=(system.n, system.n),
@@ -983,6 +1043,7 @@ def influence_matrix(
     classification: AgentClassification,
     sink_solutions: tuple[SinkSolution, ...],
     *,
+    columns=None,
     _solver: _ResolventSolver | None = None,
 ) -> sparse.csr_matrix:
     """Assemble the linear map from initial to final opinions.
@@ -994,9 +1055,14 @@ def influence_matrix(
 
         Theta_F = (I - P_FF)^{-1} [diag(beta_F) | P_FL Theta_L]
 
-    All right-hand sides are solved together, and only the nonzero ones:
-    stubborn followers, stubborn sink members, and every member of a
-    balanced stubborn-free sink.  All other columns are structurally zero.
+    Given ``columns`` (original node indices), only those columns are
+    solved and assembled, and every other column is zero.  All right-hand
+    sides are solved together, and only the nonzero ones: stubborn
+    followers, stubborn sink members, and one per balanced stubborn-free
+    sink.  Such a sink's columns are rank one, ``v w^T`` in its own rows,
+    so its follower rows are ``z w^T`` with ``z = (I - P_FF)^{-1} P_FL v``
+    from one solve (see :func:`_spread_rank_one`).  All other columns are
+    structurally zero.
     A follower block within the dense budget is factored in float32 and
     each column refined in float64 (see :class:`_ResolventSolver`), so an
     entry below about 2^-149 times its column's largest may come out as
@@ -1016,16 +1082,23 @@ def influence_matrix(
     ordering = system.ordering
     n = ordering.n
     m = ordering.follower_count
+    listed = None
+    if columns is not None:
+        listed = np.zeros(n, dtype=bool)
+        listed[ordering.inverse[np.asarray(columns, dtype=np.int64)]] = True
     # Theta_L in the sink rows; the follower rows are zero until solved
-    canonical = _sink_rows(system, sink_solutions)
+    canonical = _sink_rows(system, sink_solutions, listed)
     if m:
         solver = _solver if _solver is not None else _follower_solver(system)
-        rhs = sparse.diags(system.stubbornness_canonical[:m], shape=(m, n)) + (
-            system.update_matrix[:m] @ canonical
+        beta = system.stubbornness_canonical[:m]
+        if listed is not None:
+            beta = beta * listed[:m]
+        rhs = sparse.diags(beta, shape=(m, n)) + (
+            system.update_matrix[:m] @ _sink_rows(system, sink_solutions, listed, rank_one=True)
         )
         solved = solver.solve_block(rhs)
-        del solver, _solver  # frees the factor before the solved pieces are joined
-        follower_rows = solved.join().tocsr()
+        del solver, _solver, rhs  # frees the factor before the solved pieces are joined
+        follower_rows = _spread_rank_one(solved.join(), system, sink_solutions, listed).tocsr()
         canonical = sparse.vstack([follower_rows, canonical[m:]], format="csr")
         del follower_rows
     # original order: permute the rows, then renumber the columns
@@ -1035,18 +1108,54 @@ def influence_matrix(
     theta.sort_indices()
 
     if not classification.s_ns and n <= DIRECT_CHECK_CUTOFF:
-        _check_against_direct_resolvent(system, theta)
+        _check_against_direct_resolvent(system, theta, listed)
 
     return theta
 
 
+def _spread_rank_one(
+    solved: sparse.csc_matrix, system: UpdateSystem, sink_solutions, listed: np.ndarray | None
+) -> sparse.csc_matrix:
+    """``Theta_F`` from the solved follower columns, of which each free sink has one.
+
+    A balanced stubborn-free sink's ``z`` was solved in its first member's
+    column; each listed member ``j`` gets ``z w_j``.  Without a free sink
+    of more than one member the solved columns are ``Theta_F`` as they
+    are, since a singleton's ``w`` is 1, and are returned unchanged.
+    """
+    n = system.n
+    source, scale = np.arange(n), np.ones(n)
+    spread = False
+    for slots, _, left in _eigenpair_stacks(system, sink_solutions):
+        if slots.shape[1] > 1:
+            source[slots] = slots[:, :1]
+            scale[slots] = left
+            spread = True
+    if not spread:
+        return solved
+    counts = np.diff(solved.indptr)[source]
+    if listed is not None:
+        counts[~listed] = 0
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    taken = np.repeat(solved.indptr[source] - indptr[:-1], counts) + np.arange(indptr[-1])
+    spread_rows = sparse.csc_matrix(
+        (solved.data[taken] * np.repeat(scale, counts), solved.indices[taken], indptr),
+        shape=solved.shape,
+    )
+    spread_rows.eliminate_zeros()
+    return spread_rows
+
+
 def _check_against_direct_resolvent(
-    system: UpdateSystem, theta: sparse.csr_matrix
+    system: UpdateSystem, theta: sparse.csr_matrix, listed: np.ndarray | None = None
 ) -> None:
-    """Cross-check the blockwise assembly against ``(I - P)^{-1} beta``."""
+    """Cross-check the blockwise assembly against ``(I - P)^{-1} beta``, in the listed columns."""
     n = system.n
     dense = np.eye(n) - system.update_matrix.toarray()
     expected = np.linalg.solve(dense, np.diag(system.stubbornness_canonical))
+    if listed is not None:
+        expected[:, ~listed] = 0.0
     perm = system.ordering.permutation
     assembled = theta.toarray()[np.ix_(perm, perm)]
     err = float(np.max(np.abs(assembled - expected)))
@@ -1054,6 +1163,103 @@ def _check_against_direct_resolvent(
         raise InternalInconsistencyError(
             f"blockwise influence assembly deviates from the direct resolvent by {err:.2e}"
         )
+
+
+def _adjoint_bound(b: sparse.csr_matrix) -> tuple[np.ndarray | None, int, float]:
+    """A certified upper bound on ``h = (I - b)^-T 1`` for a nonnegative ``b`` of radius below 1.
+
+    Monotone sweeps ``h <- 1 + b^T h`` from 0 rise towards ``h``.  With
+    ``r`` the step from ``h_K`` to ``h_{K+1}``, ``x = h_K / (1 - ||r||_inf)``
+    satisfies ``x >= 1 + b^T x`` whenever ``||r||_inf < 1``, and since
+    ``(I - b^T)^-1 >= 0`` that makes ``x >= h`` (Varga, *Matrix Iterative
+    Analysis*, 2000, ch. 3).  The step is taken as computed plus the
+    rounding of one sweep, ``(d + 3) 2^-53 max h_{K+1}`` with ``d`` the most
+    entries in a column of ``b``, so the certificate holds for the exact
+    sweep of the computed ``h_K``.  Sweeps stop once that step is at most
+    ``_SWEEP_TOL``, or after ``_MAX_SWEEPS``.  Returns the bound (None when
+    the last step is not below 1), the sweeps made and the last step.
+    """
+    if b.shape[0] == 0:
+        return np.zeros(0), 0, 0.0
+    bt = sparse.csr_matrix(b.T)
+    rounding = (int(np.diff(bt.indptr).max()) + 3) * 2.0**-53
+    h, sweeps = np.ones(b.shape[0]), 1  # the first sweep from 0
+    while True:
+        after = bt @ h
+        after += 1.0
+        sweeps += 1
+        step = float((after - h).max()) + rounding * float(after.max())
+        if step <= _SWEEP_TOL or sweeps >= _MAX_SWEEPS:
+            break
+        h = after
+    if not step < 1.0:
+        return None, sweeps, step
+    return h / (1.0 - step), sweeps, step
+
+
+@dataclass(frozen=True, eq=False)
+class _CentralityBounds:
+    """Theta's nonzero columns in units, with a bound on each unit's centrality.
+
+    ``units[u]`` holds original column indices, in descending order of
+    ``bounds``; ``sweeps`` and ``residual`` are :func:`_adjoint_bound`'s.
+    """
+
+    units: list[np.ndarray]
+    bounds: np.ndarray
+    sweeps: int
+    residual: float
+
+
+def _centrality_bounds(
+    system: UpdateSystem, sink_solutions: tuple[SinkSolution, ...]
+) -> _CentralityBounds:
+    """Upper bounds on the absolute centrality of Theta's nonzero columns.
+
+    A unit is a stubborn column (a stubborn follower, or a stubborn member
+    of a stubborn sink), or the members of a balanced stubborn-free sink,
+    whose columns take one solve together (see :func:`influence_matrix`).
+    ``|(I - M)^-1| <= (I - |M|)^-1`` entrywise, so ``|Theta|`` is at most
+    the influence matrix of the unsigned graph with the same ``beta``, and
+    its column sums bound ``c``:
+
+    * a stubborn column ``j``: ``beta_j h_j``, where ``h`` solves
+      ``(I - |P_SS|)^T h = 1`` over ``S``, the followers and the stubborn
+      sinks' members (so ``g = h_F`` is ``(I - |P_FF|)^-T 1``);
+    * member ``j`` of a free balanced sink ``k``: ``|w_kj| (|J_k| + g^T
+      |P_FL[:, J_k]| 1)``, as ``|v_k|`` is 1.
+
+    ``h`` comes from :func:`_adjoint_bound`; the bound of a free sink is
+    that of its largest member, and every bound is raised by
+    ``_BOUND_MARGIN``.  Without a certificate every bound that needs ``h``
+    is infinite.
+    """
+    ordering = system.ordering
+    m = ordering.follower_count
+    p = system.update_matrix
+    beta = system.stubbornness_canonical
+    positions = np.arange(ordering.n)
+    leaky = np.concatenate([positions[:m]] + [
+        positions[ordering.sink_slice(s.sink_index)]
+        for s in sink_solutions if s.kind is SolutionKind.RESOLVENT
+    ])
+    h, sweeps, residual = _adjoint_bound(abs(p[leaky][:, leaky]))
+    if h is None:
+        h = np.full(leaky.size, np.inf)
+    stubborn = beta[leaky] > 0.0
+    units = list(leaky[stubborn][:, None])
+    bounds = [beta[leaky[stubborn]] * h[stubborn]]
+    into_sinks = abs(p[:m, m:]).T @ h[:m]
+    for slots, _, left in _eigenpair_stacks(system, sink_solutions):
+        units.extend(slots)
+        reach = into_sinks[slots - m].sum(axis=1)
+        bounds.append(np.abs(left).max(axis=1) * (slots.shape[1] + reach))
+    bounds = np.concatenate(bounds) * (1.0 + _BOUND_MARGIN)
+    units = [ordering.permutation[u] for u in units]
+    order = np.lexsort(([u.min() for u in units], -bounds))
+    return _CentralityBounds(
+        units=[units[u] for u in order], bounds=bounds[order], sweeps=sweeps, residual=residual
+    )
 
 
 def absolute_centrality(theta: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -1075,9 +1281,12 @@ def absolute_centrality(theta: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]
 class NetworkAnalysis:
     """Everything derivable from a validated ``(graph, beta)`` pair.
 
-    ``_batch`` holds every sink block's stacked radii and eigenpairs, from
-    one pass that :func:`analyze_network` runs for the spectral check; the
-    sink solves look their answers up in it.
+    ``influence`` is all of Theta, with its centrality and ranking;
+    :meth:`top_centrality` gives the first k of that ranking from only the
+    columns that could be among them.  ``_batch`` holds every sink block's
+    stacked radii and eigenpairs, from one pass that
+    :func:`analyze_network` runs for the spectral check; the sink solves
+    look their answers up in it.
     """
 
     graph: SignedDigraph
@@ -1116,6 +1325,59 @@ class NetworkAnalysis:
         )
         centrality, ranking = absolute_centrality(theta)
         return InfluenceResult(matrix=theta, centrality=centrality, ranking=ranking)
+
+    def top_centrality(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``k`` agents of ``influence.ranking`` and their centrality.
+
+        Only candidate columns of Theta are solved, by a threshold loop
+        (Fagin, Lotem & Naor, JCSS 2003) over the units of
+        :func:`_centrality_bounds`: units are solved in descending order of
+        their bounds, a panel at a time, by :func:`influence_matrix` on the
+        follower factor that ``steady_state`` uses, and each panel's
+        columns get their exact centrality from :func:`absolute_centrality`.
+        The loop stops once the next bound is below the k-th largest exact
+        centrality, so no unsolved column can enter or tie the top ``k``,
+        and the stable ranking (descending centrality, then ascending
+        index) is exact.  The first panel takes ``2k`` units, and the next
+        every unit whose bound reaches the k-th value found, which ends
+        the loop.  No panel takes one unit while another is left, since a
+        column's last bits can depend on its panel mates; those bits may
+        differ from ``influence``'s within the solver's accuracy.  Without
+        a certificate, or with ``k`` at least the number of units, every
+        unit is solved.  Logs one INFO line.
+        """
+        bounds = _centrality_bounds(self.system, self.sink_solutions)
+        units, count = bounds.units, len(bounds.units)
+        centrality = np.zeros(self.graph.n)
+        solved: list[np.ndarray] = []
+        done = panels = 0
+        while k > 0 and done < count:
+            if sum(map(len, solved)) >= k:
+                values = centrality[np.concatenate(solved)]
+                kth = float(np.partition(values, values.size - k)[values.size - k])
+                if bounds.bounds[done] < kth:
+                    break
+                width = int(np.count_nonzero(bounds.bounds[done:] >= kth))
+            else:
+                width = 2 * k
+            width = max(width, 2)
+            if count - (done + width) == 1:
+                width += 1
+            panel = np.concatenate(units[done:done + width])
+            theta = influence_matrix(
+                self.system, self.classification, self.sink_solutions, columns=panel,
+                _solver=self._solver,
+            )
+            centrality[panel] = absolute_centrality(theta)[0][panel]
+            solved.append(panel)
+            done, panels = min(done + width, count), panels + 1
+        log.info(
+            "top %d centrality: %d units bounded after %d sweeps (certified step %.1e), "
+            "%d candidate units (one right-hand side each) solved in %d panels",
+            k, count, bounds.sweeps, bounds.residual, done, panels,
+        )
+        ranking = np.argsort(-centrality, kind="stable")[:k]
+        return ranking, centrality[ranking]
 
     def steady_state(self, x0) -> np.ndarray:
         """Final opinions for the given initial opinions, in original order."""

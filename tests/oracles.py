@@ -227,7 +227,8 @@ def influence_by_joined_panels(
 ):
     """Reference influence matrix: Theta_L in the sink rows, the follower rows
     from :func:`block_solve_by_joined_panels`, stacked as CSR and put in
-    original order.
+    original order.  A free balanced sink's follower columns are ``z w^T``,
+    from its one right-hand side ``P_FL v``.
 
     Every resolvent sink's operator is solved again by
     :func:`block_solve_by_joined_panels` with the same ``mixed``, so that
@@ -246,14 +247,25 @@ def influence_by_joined_panels(
     )
     canonical = _sink_rows(system, sink_solutions)
     if m:
+        # one right-hand side per free balanced sink, P_FL v in its first member's column
         rhs = sparse.diags(system.stubbornness_canonical[:m], shape=(m, n)) + (
-            system.update_matrix[:m] @ canonical
+            system.update_matrix[:m] @ _sink_rows(system, sink_solutions, rank_one=True)
         )
         rows = block_solve_by_joined_panels(
             system.follower_block(), rhs,
             panel_entries=panel_entries, panel_divisor=panel_divisor, mixed=mixed,
         )
-        canonical = sparse.vstack([rows.tocsr(), canonical[m:]], format="csr")
+        # the sink's solved z times w_j in member j's column; every other column times 1
+        spread = sparse.lil_matrix(sparse.identity(n))
+        for s in sink_solutions:
+            if s.kind is SolutionKind.EIGENPAIR and s.size > 1:
+                first = ordering.sink_offsets[s.sink_index]
+                for j, w in enumerate(s.left_vec):
+                    spread[first + j, first + j] = 0.0
+                    spread[first, first + j] = w
+        rows = sparse.csr_matrix(rows @ spread.tocsr())
+        rows.eliminate_zeros()
+        canonical = sparse.vstack([rows, canonical[m:]], format="csr")
     theta = canonical[ordering.inverse]
     theta.indices = ordering.permutation.astype(theta.indices.dtype)[theta.indices]
     theta.sort_indices()

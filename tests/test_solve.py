@@ -1144,6 +1144,32 @@ class TestNumericsInternals:
         follower = analyses[0].system.follower_block().toarray()
         assert radius >= np.max(np.abs(np.linalg.eigvals(follower)))
 
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_large_free_sink_radii_come_from_structure(self, balanced, monkeypatch):
+        import signedfj.solve
+
+        monkeypatch.setattr(signedfj.solve, "eigs", None)  # no ARPACK call
+        n = 600
+        edges = [(i, i, 1.0) for i in range(n)]
+        edges += [(i, (i + 1) % n, 1.0 if balanced or i else -1.0) for i in range(n)]
+        graph = SignedDigraph.from_edges([f"r{i}" for i in range(n)], edges)
+        spectral = analyze_network(graph, np.zeros(n)).spectral
+        assert spectral.sink_spectral_radii == (1.0,)
+        assert spectral.spectral_radius == spectral.spectral_radius_abs == 1.0
+        # 1 only bounds an unbalanced sink's signed radius
+        assert spectral.approximate is not balanced
+
+    def test_power_radius_is_an_upper_bound(self):
+        from signedfj.solve import _abs_power_radius
+
+        system, _, _ = _leaky_follower_ring_pieces(600)
+        gauged = abs(system.follower_block())
+        perron = np.max(np.abs(np.linalg.eigvals(gauged.toarray())))
+        bound = _abs_power_radius(gauged)
+        assert perron <= bound <= perron + 1e-8
+        # a zero entry in the last iterate: the largest row sum
+        assert _abs_power_radius(sparse.csr_matrix([[0.5, 0.25], [0.0, 0.0]])) >= 0.75
+
     def test_arpack_sees_only_nonnegative_blocks(self, monkeypatch):
         import signedfj.solve
 
@@ -1156,8 +1182,12 @@ class TestNumericsInternals:
             return real_eigs(a, *args, **kwargs)
 
         monkeypatch.setattr(signedfj.solve, "eigs", checking_eigs)
-        # a signed follower ring above _STACK_NODES, and a signed sink above it
+        # a signed follower ring above _STACK_NODES, and a signed stubborn sink
+        # above it; a stubborn-free sink's radii come from its structure
         analyze_network(*_leaky_follower_ring(600))
+        stubborn = np.zeros(600)
+        stubborn[0] = 0.5
+        analyze_network(self._signed_path(600), stubborn)
         analyze_network(self._signed_path(600), np.zeros(600))
         assert calls == [(600, 600), (600, 600)]
 
@@ -1301,32 +1331,53 @@ class TestSinkBatch:
         assert slices == []
 
     @staticmethod
-    def _count_eigvals(monkeypatch) -> list:
-        calls = []
-        real = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real(a))
-        return calls
+    def _count_stacks(monkeypatch) -> tuple[list, list]:
+        """The shapes handed to ``np.linalg.eigvals`` and to the stacked GTH elimination."""
+        import signedfj.solve
+
+        eigvals, stacks = [], []
+        real_eigvals, real_gth = np.linalg.eigvals, signedfj.solve._stationary_rows
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: eigvals.append(a.shape) or real_eigvals(a))
+        monkeypatch.setattr(signedfj.solve, "_stationary_rows",
+                            lambda a, k: stacks.append(a.shape) or real_gth(a, k))
+        return eigvals, stacks
 
     def test_eigvals_calls_do_not_grow_with_sinks(self, monkeypatch):
-        calls = self._count_eigvals(monkeypatch)
+        eigvals, stacks = self._count_stacks(monkeypatch)
         counts = []
         for sinks in (10, 1000):
             graph, beta, _ = many_two_node_sinks(sinks)
-            del calls[:]
+            del eigvals[:], stacks[:]
             analyze_network(graph, beta).sink_solutions
-            counts.append(len(calls))
-        assert counts == [2, 2]  # one stack, on B and on |B|
+            counts.append((len(eigvals), len(stacks)))
+        # free balanced sinks have radius 1 by structure, and one GTH stack
+        assert counts == [(0, 1), (0, 1)]
+
+    def test_eigvals_run_only_where_the_structure_leaves_a_radius_open(self, monkeypatch):
+        graph, beta, _ = mixed_sinks()
+        report = validate(graph, beta)
+        eigvals, _ = self._count_stacks(monkeypatch)
+        analysis = analyze_network(report.graph, report.beta)
+        # per size: B of the unbalanced and the stubborn sinks, |B| of the stubborn ones
+        open_signed = sum(not s.in_s_ns for s in analysis.classification.sinks)
+        open_abs = sum(s.contains_stubborn for s in analysis.classification.sinks)
+        assert sum(shape[0] for shape in eigvals) == open_signed + open_abs
+        for sink, radius, radius_abs in zip(analysis.classification.sinks,
+                                            *analysis._batch.radii[:2], strict=True):
+            assert (radius == 1.0) == sink.in_s_ns
+            assert (radius_abs == 1.0) == (not sink.contains_stubborn)
 
     def test_small_stacks_give_the_same_bits(self, monkeypatch):
         import signedfj.solve
 
         graph, beta, x0 = many_two_node_sinks(1000)
         whole = analyze_network(graph, beta)
-        calls = self._count_eigvals(monkeypatch)
+        _, stacks = self._count_stacks(monkeypatch)
         monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", 4 * 64)  # 64 sinks a stack
         split = analyze_network(graph, beta)
-        assert len(calls) == 2 * 16
-        assert all(shape[0] <= 64 for shape in calls)
+        assert len(stacks) == 16
+        assert all(shape[0] <= 64 for shape in stacks)
         for a, b in zip(whole.sink_solutions, split.sink_solutions, strict=True):
             _assert_same_solution(a, b)
         assert whole.spectral.sink_spectral_radii == split.spectral.sink_spectral_radii
