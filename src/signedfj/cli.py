@@ -39,7 +39,6 @@ from .graph import (
     read_stubbornness,
     serialize_edge_list,
     validate,
-    weak_components,
 )
 from .solve import analyze_network, centrality_csv, influence_triplets_csv
 from .topology import classification_to_dict, condense, strongly_connected_components
@@ -321,7 +320,7 @@ def cmd_analyze(config: RunConfig) -> int:
             "nodes": report.graph.n,
             "edges": report.graph.edge_count,
             "negative_edges": report.graph.negative_edge_count,
-            "weak_components": len(weak_components(report.graph)),
+            "weak_components": report.weak_components,
         },
         "classification": classification_to_dict(
             analysis.classification, report.graph.labels

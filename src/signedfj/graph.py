@@ -614,7 +614,8 @@ class ValidationReport:
 
     ``graph`` and ``beta`` reflect the fully-stubborn rewrite (agents with
     beta 1 become sinks with beta 0); ``normalized`` flags whether any
-    rewrite happened.  The graph is accepted iff ``errors`` is empty.
+    rewrite happened, and ``weak_components`` counts the weakly connected
+    components of ``graph``.  The graph is accepted iff ``errors`` is empty.
     """
 
     errors: tuple[ValidationIssue, ...]
@@ -622,6 +623,7 @@ class ValidationReport:
     normalized: bool
     graph: SignedDigraph
     beta: np.ndarray
+    weak_components: int
 
     @property
     def ok(self) -> bool:
@@ -714,7 +716,8 @@ def validate(graph: SignedDigraph, beta) -> ValidationReport:
                     )
                 )
 
-    if len(weak_components(new_graph)) > 1:
+    weak = connected_components(new_graph.adjacency, connection="weak", return_labels=False)
+    if weak > 1:
         warnings.append(
             ValidationIssue(
                 code="not_weakly_connected",
@@ -730,6 +733,7 @@ def validate(graph: SignedDigraph, beta) -> ValidationReport:
         normalized=normalized,
         graph=new_graph,
         beta=new_beta,
+        weak_components=weak,
     )
 
 

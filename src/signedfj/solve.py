@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import ArpackNoConvergence, eigs, splu
+from scipy.sparse.linalg import splu
 
 from .dynamics import UpdateSystem, build_update_system
 from .errors import InternalInconsistencyError, NumericalError
@@ -63,9 +63,11 @@ __all__ = [
 
 # Sinks of up to this many nodes are stacked densely by _SinkBatch: their radii
 # come from dense eigenvalues and a free balanced sink's stationary vector from
-# GTH elimination.  A larger block's radius is bounded by ARPACK on |B|, and a
-# larger free sink's stationary vector comes from one resolvent solve.
+# GTH elimination.  A larger block's radius is bounded by power iteration on |B|
+# of at most _POWER_STEPS steps, and a larger free sink's stationary vector
+# comes from one resolvent solve.
 _STACK_NODES = 512
+_POWER_STEPS = 2000
 # Resolvent blocks of up to this many nodes are factored densely, in single
 # precision (a 67 MB factor); larger ones go through sparse LU.
 _DENSE_FACTOR_NODES = 4096
@@ -118,11 +120,11 @@ class SpectralReport:
     ``|B|`` is exactly 1 at every size, and so is a balanced one's radius
     of ``B`` (see :class:`_SinkBatch`).  Other blocks of up to
     ``_STACK_NODES`` nodes get both radii from dense eigenvalues.  A larger
-    block gets the Perron root of ``|B|`` as both: it is ``|B|``'s radius
-    (by ARPACK, or by a Collatz-Wielandt bound should ARPACK not converge)
-    and an upper bound on ``B``'s, and ``approximate`` is set, as it is
-    for a larger unbalanced stubborn-free sink, whose signed radius is
-    reported as its bound 1.
+    block gets a Collatz-Wielandt bound on the Perron root of ``|B|`` as
+    both, from power iteration (see :func:`_abs_power_radius`): it bounds
+    ``|B|``'s radius from above, and so ``B``'s, and ``approximate`` is
+    set, as it is for a larger unbalanced stubborn-free sink, whose signed
+    radius is reported as its bound 1.
     """
 
     regime: Regime
@@ -533,24 +535,25 @@ def _stationary_rows(blocks: np.ndarray, sink_indices) -> np.ndarray:
 # Spectral regime
 # ---------------------------------------------------------------------------
 
-def _abs_power_radius(m, iters: int = 2000) -> float:
-    """An upper bound on the spectral radius of a nonnegative matrix, by power iteration.
+def _abs_power_radius(m) -> tuple[float, int, bool]:
+    """An upper bound on the spectral radius of a nonnegative CSR matrix, by power iteration.
 
     Normalized power iteration stops once its estimate and vector settle,
-    or after ``iters`` steps.  The bound is the Collatz-Wielandt maximum
-    ``max_i (m v)_i / v_i`` on the last iterate ``v``, raised by the
-    rounding of the product, ``(d + 2) 2^-53`` with ``d`` the most entries
-    in a row; should an entry of ``v`` be zero, it is the largest row sum.
+    or after ``_POWER_STEPS`` steps.  The bound is the Collatz-Wielandt
+    maximum ``max_i (m v)_i / v_i`` on the last iterate ``v`` (Varga,
+    *Matrix Iterative Analysis*, 2000), raised by the rounding of the
+    product, ``(d + 2) 2^-53`` with ``d`` the most entries in a row; should
+    an entry of ``v`` be zero, it is the largest row sum.  Returns the
+    bound, the steps taken and whether the iterate settled.
     """
-    m = sparse.csr_matrix(m)
     size = m.shape[0]
     v = np.full(size, 1.0 / np.sqrt(size))
     estimate = 0.0
-    for _ in range(iters):
+    for steps in range(1, _POWER_STEPS + 1):
         w = m @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
-            return 0.0
+            return 0.0, steps, True
         w = w / norm
         settled = abs(norm - estimate) <= 1e-12 * max(1.0, norm) and bool(
             np.max(np.abs(w - v)) <= 1e-10
@@ -562,39 +565,30 @@ def _abs_power_radius(m, iters: int = 2000) -> float:
         bound = float(np.max((m @ v) / v))
     else:
         bound = float(np.max(m.sum(axis=1)))
-    return bound * (1.0 + (int(np.diff(m.indptr).max()) + 2) * 2.0**-53)
+    bound *= 1.0 + (int(np.diff(m.indptr).max()) + 2) * 2.0**-53
+    return bound, steps, settled
 
 
-def _block_radii(block) -> tuple[float, float, bool]:
-    """Spectral radii of a signed block and of ``|block|``, and whether they are bounds.
+def _block_radii(block: sparse.csr_matrix, what: str) -> tuple[float, float, bool]:
+    """Spectral radii of a signed CSR block and of ``|block|``, and whether they are bounds.
 
     Up to ``_STACK_NODES`` nodes both come from dense eigenvalues.  Above,
-    one ARPACK call on ``|block|`` gives its Perron root, which is also an
-    upper bound on the signed radius (``|lambda| <= rho(|B|)``); both are
-    reported as that root and flagged approximate.  A stubborn-free sink's
-    radii are fixed by its structure and never come here (see
-    :meth:`_SinkBatch._pass`).
+    :func:`_abs_power_radius` bounds the Perron root of ``|block|`` from
+    above, which also bounds the signed radius (``|lambda| <= rho(|B|)``);
+    both are reported as that bound, flagged approximate, and one INFO
+    line names the block ``what``.  A stubborn-free sink's radii are fixed
+    by its structure and never come here (see :meth:`_SinkBatch._pass`).
     """
     size = block.shape[0]
     if size <= _STACK_NODES:
-        dense = block.toarray() if sparse.issparse(block) else np.asarray(block)
+        dense = block.toarray()
         signed = float(np.max(np.abs(np.linalg.eigvals(dense)), initial=0.0))
         absolute = float(np.max(np.abs(np.linalg.eigvals(np.abs(dense))), initial=0.0))
         return signed, absolute, False
-    gauged = abs(sparse.csr_matrix(block))
-    try:
-        vals = eigs(
-            gauged,
-            k=1,
-            which="LM",
-            return_eigenvectors=False,
-            maxiter=5000,
-            v0=np.full(size, 1.0 / np.sqrt(size)),
-        )
-        radius = float(np.max(np.abs(vals)))
-    except (ArpackNoConvergence, RuntimeError):
-        radius = _abs_power_radius(gauged)
-    return radius, radius, True
+    bound, steps, settled = _abs_power_radius(abs(block))
+    log.info("%s radius: m=%d, %d power steps, %s, Collatz-Wielandt bound %r",
+             what, size, steps, "settled" if settled else "not settled", bound)
+    return bound, bound, True
 
 
 def spectral_check(
@@ -612,7 +606,8 @@ def spectral_check(
     stubborn-free sink's are fixed by its structure, sinks of up to
     ``_STACK_NODES`` nodes are stacked densely by size, with at most one
     ``np.linalg.eigvals`` on ``B`` and one on ``|B|`` per stack, and larger
-    stubborn sinks get theirs one by one from :func:`_block_radii`.
+    stubborn sinks get a power bound one by one from :func:`_block_radii`,
+    as does a follower block of more than ``_STACK_NODES`` nodes.
     """
     regime = Regime.SEMI_CONVERGENT if classification.s_ns else Regime.CONVERGENT
     batch = _batch if _batch is not None else _SinkBatch(system, classification.sinks)
@@ -622,7 +617,7 @@ def spectral_check(
     if regime is Regime.CONVERGENT:
         # a free balanced sink has radius 1 and the follower block's
         # radii are strictly below 1, so only here can they be the maximum
-        r11, r11_abs, approx = _block_radii(system.follower_block())
+        r11, r11_abs, approx = _block_radii(system.follower_block(), "follower block")
         approximate |= approx
         radius = max(radius, r11)
         radius_abs = max(radius_abs, r11_abs)
@@ -655,9 +650,10 @@ class _SinkBatch:
     GTH elimination (see :func:`_stationary_rows`).  Each block gets the
     bits it would get in a stack of its own.  Larger sinks, resolvent
     sinks and zero sinks take the per-sink route of
-    :func:`_solve_single_sink`; a larger stubborn sink's radii come from
-    :func:`_block_radii`, and a larger unbalanced stubborn-free sink's
-    signed radius is reported as its bound 1, flagged approximate.
+    :func:`_solve_single_sink`; a larger stubborn sink's radii are the
+    power bound of :func:`_block_radii`, and a larger unbalanced
+    stubborn-free sink's signed radius is reported as its bound 1, flagged
+    approximate.
 
     ``sinks`` have consecutive sink indices: all of ``classification.sinks``,
     or one sink.  Without ``radii`` only the eigenpairs are stacked.
@@ -697,13 +693,12 @@ class _SinkBatch:
         solutions: dict[int, SinkSolution] = {}
         if self._with_radii:
             stacked = sizes <= _STACK_NODES
-            for k in np.flatnonzero(~stacked):
-                if not stochastic[k]:
-                    block = system.sink_block(first + int(k))
-                    radii[k], radii_abs[k], approx = _block_radii(block)
-                    approximate |= approx
-                elif not balanced[k]:
-                    approximate = True  # 1 bounds an unbalanced sink's signed radius
+            # larger blocks get a power bound; 1 bounds an unbalanced sink's signed radius
+            approximate = bool(np.any(~stacked & ~(stochastic & balanced)))
+            for k in np.flatnonzero(~stacked & ~stochastic):
+                sink = first + int(k)
+                block = system.sink_block(sink)
+                radii[k], radii_abs[k], _ = _block_radii(block, f"sink block {sink}")
         else:
             stacked = free
         for panel, blocks in self._stacks(offsets, sizes, stacked):

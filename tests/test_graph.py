@@ -262,6 +262,14 @@ class TestWeakComponents:
         pairs = list(zip(graph.sources.tolist(), graph.targets.tolist()))
         assert len(weak_components(graph)) == union_find_components(graph.n, pairs)
 
+    @pytest.mark.parametrize("seed", range(15))
+    def test_validation_report_counts_them(self, seed):
+        graph, beta, _ = random_instance(4000 + seed, n_max=40)
+        report = validate(graph, beta)
+        assert report.weak_components == len(weak_components(report.graph))
+        split = any(w.code == "not_weakly_connected" for w in report.warnings)
+        assert split == (report.weak_components > 1)
+
 
 class TestProfiles:
     def test_stubbornness_defaults_to_zero(self):

@@ -1120,6 +1120,11 @@ class TestNumericsInternals:
         with pytest.raises(InternalInconsistencyError, match="sink block 7.*singular"):
             _stationary_rows(np.stack([np.full((3, 3), 1 / 3), m]), [3, 7])
 
+    @staticmethod
+    def _perron(block) -> float:
+        """The dense Perron root of ``|block|``."""
+        return float(np.max(np.abs(np.linalg.eigvals(abs(sparse.csr_matrix(block)).toarray()))))
+
     def test_large_block_radius_is_reproducible(self):
         followers, sinks = 600, 4
         rng = np.random.default_rng(11)
@@ -1139,16 +1144,16 @@ class TestNumericsInternals:
         assert len(radii) == 1
         radius = radii.pop()
         assert radius < 1.0
-        # above _STACK_NODES the signed radius is |M|'s Perron root, a bound
+        # above _STACK_NODES the signed radius is bounded by |M|'s Perron root
         assert all(analysis.spectral.approximate for analysis in analyses)
-        follower = analyses[0].system.follower_block().toarray()
-        assert radius >= np.max(np.abs(np.linalg.eigvals(follower)))
+        perron = self._perron(analyses[0].system.follower_block())
+        assert perron <= radius <= perron + 1e-8
 
     @pytest.mark.parametrize("balanced", [True, False])
     def test_large_free_sink_radii_come_from_structure(self, balanced, monkeypatch):
         import signedfj.solve
 
-        monkeypatch.setattr(signedfj.solve, "eigs", None)  # no ARPACK call
+        monkeypatch.setattr(signedfj.solve, "_abs_power_radius", None)  # no power bound
         n = 600
         edges = [(i, i, 1.0) for i in range(n)]
         edges += [(i, (i + 1) % n, 1.0 if balanced or i else -1.0) for i in range(n)]
@@ -1160,28 +1165,52 @@ class TestNumericsInternals:
         assert spectral.approximate is not balanced
 
     def test_power_radius_is_an_upper_bound(self):
-        from signedfj.solve import _abs_power_radius
+        from signedfj.solve import _POWER_STEPS, _abs_power_radius
 
         system, _, _ = _leaky_follower_ring_pieces(600)
         gauged = abs(system.follower_block())
-        perron = np.max(np.abs(np.linalg.eigvals(gauged.toarray())))
-        bound = _abs_power_radius(gauged)
+        perron = self._perron(gauged)
+        bound, steps, settled = _abs_power_radius(gauged)
         assert perron <= bound <= perron + 1e-8
+        assert settled and 0 < steps < _POWER_STEPS
         # a zero entry in the last iterate: the largest row sum
-        assert _abs_power_radius(sparse.csr_matrix([[0.5, 0.25], [0.0, 0.0]])) >= 0.75
+        bound, _, _ = _abs_power_radius(sparse.csr_matrix([[0.5, 0.25], [0.0, 0.0]]))
+        assert bound >= 0.75
 
-    def test_arpack_sees_only_nonnegative_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("followers", [600, 1000])
+    def test_large_ring_radius_bounds_the_perron_root(self, followers):
+        analysis = analyze_network(*_leaky_follower_ring(followers))
+        spectral = analysis.spectral
+        assert spectral.regime is Regime.CONVERGENT and spectral.approximate
+        perron = self._perron(analysis.system.follower_block())
+        assert spectral.spectral_radius == spectral.spectral_radius_abs
+        assert perron <= spectral.spectral_radius <= perron + 1e-8
+
+    def test_large_stubborn_sink_radius_bounds_the_perron_root(self):
+        n = 600
+        stubborn = np.zeros(n)
+        stubborn[0] = 0.5
+        analysis = analyze_network(self._signed_path(n), stubborn)
+        spectral = analysis.spectral
+        assert spectral.approximate
+        perron = self._perron(analysis.system.sink_block(0))
+        # the path mixes in about n^2 steps, so the power iterate has not
+        # settled at its step cap and the bound is looser
+        assert perron <= spectral.sink_spectral_radii[0] <= perron + 1e-5
+        assert spectral.spectral_radius == spectral.spectral_radius_abs
+
+    def test_power_bound_sees_only_open_nonnegative_blocks(self, monkeypatch):
         import signedfj.solve
 
         calls = []
-        real_eigs = signedfj.solve.eigs
+        real_power = signedfj.solve._abs_power_radius
 
-        def checking_eigs(a, *args, **kwargs):
-            assert sparse.csr_matrix(a).data.min() >= 0.0
-            calls.append(a.shape)
-            return real_eigs(a, *args, **kwargs)
+        def checking_power(m):
+            assert sparse.csr_matrix(m).data.min() >= 0.0
+            calls.append(m.shape)
+            return real_power(m)
 
-        monkeypatch.setattr(signedfj.solve, "eigs", checking_eigs)
+        monkeypatch.setattr(signedfj.solve, "_abs_power_radius", checking_power)
         # a signed follower ring above _STACK_NODES, and a signed stubborn sink
         # above it; a stubborn-free sink's radii come from its structure
         analyze_network(*_leaky_follower_ring(600))
@@ -1190,6 +1219,33 @@ class TestNumericsInternals:
         analyze_network(self._signed_path(600), stubborn)
         analyze_network(self._signed_path(600), np.zeros(600))
         assert calls == [(600, 600), (600, 600)]
+        # up to _STACK_NODES, dense eigenvalues
+        analyze_network(*_leaky_follower_ring(512))
+        analyze_network(self._signed_path(512), stubborn[:512])
+        assert len(calls) == 2
+
+    def test_one_info_line_per_large_block_radius(self, caplog):
+        import re
+
+        from signedfj.solve import _POWER_STEPS
+
+        stubborn = np.zeros(600)
+        stubborn[0] = 0.5
+        with caplog.at_level(logging.INFO, logger="signedfj"):
+            ring = analyze_network(*_leaky_follower_ring(600)).spectral
+            path = analyze_network(self._signed_path(600), stubborn).spectral
+            analyze_network(*_leaky_follower_ring(512))
+        line = re.compile(
+            r"(.+) radius: m=(\d+), (\d+) power steps, (settled|not settled), "
+            r"Collatz-Wielandt bound (\S+)"
+        )
+        lines = [line.fullmatch(r.getMessage()) for r in caplog.records
+                 if " radius: " in r.getMessage()]
+        assert [m.group(1, 2, 4, 5) for m in lines] == [
+            ("follower block", "600", "settled", repr(ring.spectral_radius)),
+            ("sink block 0", "600", "not settled", repr(path.spectral_radius)),
+        ]
+        assert 0 < int(lines[0].group(3)) < _POWER_STEPS == int(lines[1].group(3))
 
     def test_singular_block_raises_internal_inconsistency(self):
         from scipy import sparse
