@@ -299,7 +299,7 @@ def cmd_analyze(config: RunConfig) -> int:
     if report is None:
         return EXIT_VALIDATION
 
-    analysis = analyze_network(report.graph, report.beta)
+    analysis = analyze_network(report.graph, report.beta, _topology=(report.sccs, report.dag))
     x_star = analysis.steady_state(x0)
     nodes, values = analysis.top_centrality(config.top)
     top = [
@@ -411,7 +411,8 @@ def cmd_centrality(config: RunConfig) -> int:
         return EXIT_VALIDATION
 
     # drop the analysis, and with it the follower factorization, before the exports
-    result = analyze_network(report.graph, report.beta).influence
+    topology = report.sccs, report.dag
+    result = analyze_network(report.graph, report.beta, _topology=topology).influence
     labels = report.graph.labels
     _write(config.out_dir, "centrality.csv",
            centrality_csv(result.centrality, result.ranking, labels))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, TextIO
 
 import numpy as np
@@ -346,7 +345,9 @@ def trajectory_long_csv(
     a run of more than one chunk is formatted on every available CPU (see
     ``_ChunkFormatter``), which the run waits for when it falls behind.
     """
-    fields = _csv_fields(labels)
+    from . import _text  # deferred: only the CSV exports format floats
+
+    fields = _text.Fields(field + "," for field in _csv_fields(labels))
     to_out, to_wide = out is not None, wide is not None
 
     def header(n: int) -> None:
@@ -356,21 +357,29 @@ def trajectory_long_csv(
             wide.write("k," + ",".join(f"x_{i}" for i in range(n)) + "\n")
 
     def format_records(ks: list[int], block: np.ndarray) -> tuple[str, str]:
-        long_text, wide_text = [], []
+        # one matrix per value of "k,", "label,", the value, the wide file's
+        # separator and the long file's line end; each file keeps its own parts
+        n = block.shape[1]
+        k_cells, k_keep = _text.Fields(f"{k}," for k in ks).cells()
         if to_out:
-            # four slots per row, "k,", "label,", the value and its line end;
-            # the labels and line ends are set once, the rest once per record
-            parts = ["\n"] * (4 * len(fields))
-            parts[1::4] = [f + "," for f in fields]
-        for k, state in zip(ks, block.tolist()):
-            values = list(map(repr, state))
-            if to_out:
-                parts[0::4] = repeat(f"{k},", len(values))
-                parts[2::4] = values
-                long_text.append("".join(parts))
-            if to_wide:
-                wide_text.append(f"{k},{','.join(values)}\n")
-        return "".join(long_text), "".join(wide_text)
+            label_cells, label_keep = fields.cells()
+        else:  # the wide file alone is written without labels
+            label_cells, label_keep = np.empty((n, 0), np.uint8), np.empty((n, 0), bool)
+        separators = np.full((n, 1), ord(","), dtype=np.uint8)
+        separators[-1] = ord("\n")
+        cells, keep = _text.join_blocks(
+            (k_cells[:, None], k_keep[:, None]), (label_cells, label_keep),
+            _text.float_cells(block), (separators, np.zeros((n, 1), dtype=bool)),
+            _text.literal("\n"))
+        long_text = _text.kept_text(cells, keep) if to_out else ""
+        if not to_wide:
+            return long_text, ""
+        # "k," only ahead of a record's first value, no labels, and separators
+        k_width, label_width = k_cells.shape[-1], label_cells.shape[-1]
+        keep[:, 1:, :k_width] = False
+        keep[..., k_width:k_width + label_width] = False
+        keep[..., -2:] = [True, False]
+        return long_text, _text.kept_text(cells, keep)
 
     def write(texts: tuple[str, str]) -> None:
         if to_out:

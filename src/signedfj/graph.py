@@ -21,7 +21,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from warnings import catch_warnings, filterwarnings
 
 import numpy as np
@@ -29,6 +29,9 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphFormatError
+
+if TYPE_CHECKING:
+    from .topology import CondensationDag, SccPartition
 
 __all__ = [
     "SignedDigraph",
@@ -290,8 +293,9 @@ def _format_weight(w: float) -> str:
     return repr(float(w))
 
 
-# Streaming CSV writers format and write at most this many rows at a time
-# (about 1 MB of Python strings), so their memory does not grow with the output.
+# Streaming CSV writers format and write at most this many rows at a time, so
+# their memory does not grow with the output: a chunk of Theta rows peaks at
+# about 1.3 MB of numpy temporaries while it is formatted (see ``_text``).
 _CSV_CHUNK_ROWS = 1 << 12
 
 
@@ -614,8 +618,10 @@ class ValidationReport:
 
     ``graph`` and ``beta`` reflect the fully-stubborn rewrite (agents with
     beta 1 become sinks with beta 0); ``normalized`` flags whether any
-    rewrite happened, and ``weak_components`` counts the weakly connected
-    components of ``graph``.  The graph is accepted iff ``errors`` is empty.
+    rewrite happened, ``weak_components`` counts the weakly connected
+    components of ``graph``, and ``sccs`` and ``dag`` are its SCC partition
+    and condensation, for the analysis to reuse.  The graph is accepted iff
+    ``errors`` is empty.
     """
 
     errors: tuple[ValidationIssue, ...]
@@ -624,6 +630,8 @@ class ValidationReport:
     graph: SignedDigraph
     beta: np.ndarray
     weak_components: int
+    sccs: SccPartition
+    dag: CondensationDag
 
     @property
     def ok(self) -> bool:
@@ -734,6 +742,8 @@ def validate(graph: SignedDigraph, beta) -> ValidationReport:
         graph=new_graph,
         beta=new_beta,
         weak_components=weak,
+        sccs=sccs,
+        dag=dag,
     )
 
 

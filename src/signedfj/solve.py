@@ -1391,11 +1391,20 @@ class NetworkAnalysis:
         return x
 
 
-def analyze_network(graph: SignedDigraph, beta) -> NetworkAnalysis:
-    """Classify, order, and build the update system for validated inputs."""
+def analyze_network(
+    graph: SignedDigraph, beta, *,
+    _topology: tuple[SccPartition, CondensationDag] | None = None,
+) -> NetworkAnalysis:
+    """Classify, order, and build the update system for validated inputs.
+
+    ``_topology`` is the graph's SCC partition and condensation when the
+    caller has them already (:class:`ValidationReport` carries both).
+    """
     beta = np.asarray(beta, dtype=np.float64)
-    sccs = strongly_connected_components(graph)
-    dag = condense(graph, sccs)
+    if _topology is None:
+        sccs = strongly_connected_components(graph)
+        _topology = sccs, condense(graph, sccs)
+    sccs, dag = _topology
     classification = classify_agents(graph, sccs, dag, beta)
     ordering = canonical_ordering(classification)
     system = build_update_system(graph, beta, ordering)
@@ -1436,13 +1445,18 @@ def influence_triplets_csv(
     rows to it, formatting each value once for both files; ``out`` may then be
     None.  Rows go out a chunk at a time with CSV-quoted labels, in the order
     of a CSR walk with sorted indices and summed duplicates: no sorted copy.
-    The chunks are formatted on every available CPU (see ``_formatted_chunks``).
+    Values are ``repr`` text from the vectorized formatter in ``_text``.  The
+    chunks are formatted on every available CPU (see ``_formatted_chunks``).
     """
+    from . import _text  # deferred: only the CSV exports format floats
+
     csr = sparse.csr_matrix(theta)
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
-    fields = [field + "," for field in _csv_fields(labels)]
+    fields = _text.Fields(field + "," for field in _csv_fields(labels))
+    signs = _text.Fields([",-1", ",1"])
+    newline = _text.literal("\n")
     to_out, to_scatter = out is not None, scatter is not None
     if to_out:
         out.write("row_node,col_node,theta\n")
@@ -1452,17 +1466,15 @@ def influence_triplets_csv(
     def format_chunk(start: int, stop: int) -> tuple[str, str]:
         rows = np.searchsorted(csr.indptr, np.arange(start, stop), side="right") - 1
         values = csr.data[start:stop]
-        # four slots per entry, "row,", "col,", repr(value) and its line end;
-        # repr is most of the cost, so it is made once for both files
-        parts = ["\n"] * (4 * (stop - start))
-        parts[0::4] = map(fields.__getitem__, rows.tolist())
-        parts[1::4] = map(fields.__getitem__, csr.indices[start:stop].tolist())
-        parts[2::4] = map(float.__repr__, values.tolist())
-        triplet_text = "".join(parts) if to_out else ""
-        if not to_scatter:
-            return triplet_text, ""
-        parts[3::4] = map((",-1\n", ",1\n").__getitem__, (values > 0).tolist())
-        return triplet_text, "".join(parts)
+        # one matrix of "row,", "col,", the value, the sign and the line end for
+        # both files; the triplets leave the sign out
+        sign = signs.cells((values > 0).view(np.int8))
+        cells, keep = _text.join_blocks(
+            fields.cells(rows), fields.cells(csr.indices[start:stop]), _text.float_cells(values),
+            sign, newline)
+        scatter_text = _text.kept_text(cells, keep) if to_scatter else ""
+        keep[:, -1 - sign[1].shape[-1]:-1] = False
+        return (_text.kept_text(cells, keep) if to_out else ""), scatter_text
 
     with closing(_formatted_chunks(format_chunk, _csv_chunks(csr.nnz))) as chunks:
         for triplet_text, scatter_text in chunks:
@@ -1481,8 +1493,11 @@ def centrality_csv(
     centrality: np.ndarray, ranking: np.ndarray, labels: tuple[str, ...]
 ) -> str:
     """``rank,node,centrality`` rows in ranking order, with CSV-quoted labels."""
-    fields = _csv_fields(labels)
-    lines = ["rank,node,centrality"]
-    for rank, node in enumerate(ranking, start=1):
-        lines.append(f"{rank},{fields[node]},{float(centrality[node])!r}")
-    return "\n".join(lines) + "\n"
+    from . import _text  # deferred: only the CSV exports format floats
+
+    ranks = _text.Fields(f"{rank}," for rank in range(1, len(ranking) + 1))
+    fields = _text.Fields(field + "," for field in _csv_fields(labels))
+    cells, keep = _text.join_blocks(
+        ranks.cells(), fields.cells(ranking), _text.float_cells(centrality[ranking]),
+        _text.literal("\n"))
+    return "rank,node,centrality\n" + _text.kept_text(cells, keep)

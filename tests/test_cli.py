@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signedfj import parse_edge_list, read_stubbornness
+from signedfj import parse_edge_list, read_stubbornness, solve, topology
 from signedfj.cli import main
+from test_golden import write_inputs, write_x0
 
 ANTAGONISTIC = "a,a,1\na,b,-1\nb,a,-1\nb,b,1\n"
 STUBBORN_PAIR = "a,a,1\na,b,1\nb,a,1\nb,b,1\n"
@@ -469,3 +470,23 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "centrality"])
+def test_one_scc_partition_per_command(tmp_path, monkeypatch, command):
+    """validate builds the SCC partition and condensation; the analysis reuses them."""
+    graph, beta = write_inputs(tmp_path)
+    calls = []
+    original = topology.strongly_connected_components
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    for module in (topology, solve):
+        monkeypatch.setattr(module, "strongly_connected_components", counting)
+    argv = [command, "--graph", graph, "--beta", beta, "--out-dir", tmp_path / "out"]
+    if command == "analyze":
+        argv += ["--x0", write_x0(tmp_path)]
+    assert run(argv) == 0
+    assert len(calls) == 1

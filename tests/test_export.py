@@ -32,6 +32,7 @@ from signedfj.cli import main
 from signedfj.dynamics import Trajectory, trajectory_long_csv, trajectory_wide_csv
 from signedfj.solve import influence_scatter_csv, influence_triplets_csv
 from test_golden import load_analysis, write_inputs, write_x0
+from test_text import edge_values
 
 QUOTED_LABELS = ("x,1", 'q"t', "plain", "line\nbreak")
 
@@ -150,6 +151,38 @@ class TestMatchesReference:
         assert_theta_exports_match(theta, QUOTED_LABELS)
         np.testing.assert_array_equal(theta.indices, indices)
         np.testing.assert_array_equal(theta.data, data)
+        chunk.check_workers_used()
+
+    def test_value_classes(self, chunk):
+        """Every value class of the formatter's tests, explicit stored zeros included;
+        the scatter's sign is -1 for 0.0, -0.0 and nan."""
+        values = edge_values()
+        labels = QUOTED_LABELS + ("é", "日本", "7", "8", "9")
+        n = len(labels)
+        cells = np.random.default_rng(8800).choice(n * n, len(values), replace=False)
+        theta = sparse.csr_matrix((values, divmod(cells, n)), shape=(n, n))
+        assert theta.nnz == len(values) and (theta.data == 0.0).sum() == 2
+        assert_theta_exports_match(theta, labels)
+        scatter = written_jointly(theta, labels)[1]
+        for value in ("0.0", "-0.0", "nan"):
+            assert f",{value},-1\n" in scatter
+        padded = np.resize(values, (-(-len(values) // n), n))
+        trajectory = Trajectory(
+            ks=np.arange(len(padded)) * 3,
+            states=padded,
+            converged=False,
+            final_residual=float("inf"),
+            iterations_used=3 * (len(padded) - 1),
+        )
+        assert_trajectory_exports_match(trajectory, labels)
+        chunk.check_workers_used()
+
+    def test_a_long_label(self, chunk):
+        labels = QUOTED_LABELS + tuple(str(i) for i in range(60)) + ("y" * 5000,)
+        n = len(labels)
+        theta = signed_theta(n, 300, 8801)
+        assert theta[n - 1].nnz > 0 and theta[:, n - 1].nnz > 0
+        assert_theta_exports_match(theta, labels)
         chunk.check_workers_used()
 
     def test_one_state_trajectory(self, chunk):
