@@ -218,57 +218,38 @@ def float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells.T.reshape(shape + (FLOAT_WIDTH,)), keep.T.reshape(shape + (FLOAT_WIDTH,))
 
 
-# padded fields may take this many times the bytes of their strings
-_MAX_PADDING = 4
-
-
 class Fields:
     """Strings as UTF-8 bytes, to be laid out as blocks of :func:`join_blocks`.
 
-    They are held as one padded row per string, as wide as the longest,
-    unless the padding would take more than ``_MAX_PADDING`` times the bytes
-    of the strings themselves (a long string among short ones).  Then they
-    are held as one run of bytes, and each block gathers its strings from it.
+    They are held as one run of bytes, and each block reads its strings from
+    it, as wide as the longest of them: a long string widens only the blocks
+    that hold it.
     """
 
     def __init__(self, texts):
         encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
         self._lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+        self._starts = np.cumsum(self._lengths) - self._lengths
+        # zeros after the last string, so that every read stays in the run
+        encoded.append(bytes(self._lengths.max(initial=0)))
         self._bytes = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-        self._width = self._lengths.max(initial=0)
-        self._rows = None
-        if len(encoded) * self._width <= _MAX_PADDING * len(self._bytes) + 4096:
-            # cells and keep side by side, each padded to whole words and held
-            # a word per array: numpy gathers 1-d uint64 arrays fastest
-            words = max(1, -(-self._width // 8))
-            rows = np.zeros((len(encoded), 2, 8 * words), dtype=np.uint8)
-            rows[:, 0, :self._width], rows[:, 1, :self._width] = self._gather(None)
-            self._rows = list(rows.view(np.uint64).reshape(len(encoded), 2 * words).T.copy())
-        else:
-            self._starts = np.cumsum(self._lengths) - self._lengths
 
     def cells(self, ids=None) -> tuple[np.ndarray, np.ndarray]:
-        """The strings at ``ids`` (all of them by default), one per row, as
-        ``(cells, keep)`` as wide as the longest of them."""
-        if self._rows is None:
-            return self._gather(ids)
-        rows = np.stack([word if ids is None else word[ids] for word in self._rows], axis=-1)
-        rows = rows.view(np.uint8).reshape(rows.shape[:-1] + (2, 4 * rows.shape[-1]))
-        return rows[..., 0, :self._width], rows[..., 1, :self._width].view(bool)
+        """The strings at the 1-d ``ids`` (all of them by default), one per
+        row, as ``(cells, keep)`` as wide as the longest of them.
 
-    def _gather(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        lengths = self._lengths if ids is None else self._lengths[ids]
-        keep = np.arange(lengths.max(initial=0)) < lengths[..., None]
-        cells = np.zeros(keep.shape, dtype=np.uint8)
+        Each row holds as many bytes from its string's start, and ``keep``
+        leaves out those past its end.
+        """
         if ids is None:
-            cells[keep] = self._bytes
-            return cells, keep
-        # each row's kept bytes are a run of the pool from its string's start
-        lengths = lengths.reshape(-1)
-        ends = np.cumsum(lengths)
-        shift = np.repeat(self._starts[ids].reshape(-1) - (ends - lengths), lengths)
-        cells[keep] = self._bytes[np.arange(len(shift)) + shift]
-        return cells, keep
+            ids = slice(None)
+        lengths = self._lengths[ids]
+        width = lengths.max(initial=0)
+        # row i of ``windows`` is the ``width`` bytes from byte i on, a view
+        windows = np.lib.stride_tricks.as_strided(
+            self._bytes, (len(self._bytes) - width + 1, width), (1, 1), writeable=False)
+        # keep is built column by column: numpy's loops run fastest over the long axis
+        return windows[self._starts[ids]], (np.arange(width)[:, None] < lengths).T
 
 
 def literal(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 """The vectorized float formatter against ``repr``, value class by value class."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,10 +130,12 @@ class TestBlocks:
 
 
 def test_importing_the_cli_leaves_the_formatter_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, signedfj.cli; print('signedfj._text' in sys.modules)"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": pythonpath})
     assert done.stdout.strip() == "False"
 
 
