@@ -41,7 +41,7 @@ from .graph import (
     validate,
 )
 from .solve import analyze_network, centrality_csv, influence_triplets_csv
-from .topology import classification_to_dict, condense, strongly_connected_components
+from .topology import classification_to_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -254,14 +254,22 @@ def _input_provenance(config: RunConfig) -> dict:
 
 
 def _write(out_dir: str, name: str, content: str | Callable[[TextIO], None]) -> Path:
-    """Write ``content``, or let a streaming writer fill the open file; return its path."""
+    """Write ``content``, or let a streaming writer fill the open file; return its path.
+
+    An error once the file is open removes the partial file, then goes on.
+    """
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as out:
-        if isinstance(content, str):
-            out.write(content)
-        else:
-            content(out)
+    out = path.open("w", encoding="utf-8")
+    try:
+        with out:
+            if isinstance(content, str):
+                out.write(content)
+            else:
+                content(out)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -376,16 +384,10 @@ def cmd_simulate(config: RunConfig) -> int:
         return trajectory
 
     # the run streams its records into one walk that writes both trajectory
-    # files; each is closed when its own _write returns
-    names = ("trajectory_wide.csv", "trajectory_long.csv")
-    try:
-        _write(config.out_dir, names[0], lambda wide: _write(
-            config.out_dir, names[1],
-            partial(trajectory_long_csv, run, report.graph.labels, wide=wide)))
-    except BaseException:
-        for name in names:  # a failed run leaves no partial trajectory behind
-            (Path(config.out_dir) / name).unlink(missing_ok=True)
-        raise
+    # files; each is closed when its own _write returns, and removed if it raises
+    _write(config.out_dir, "trajectory_wide.csv", lambda wide: _write(
+        config.out_dir, "trajectory_long.csv",
+        partial(trajectory_long_csv, run, report.graph.labels, wide=wide)))
     summary = {
         "config": asdict(config),
         "inputs": _input_provenance(config),
@@ -467,14 +469,12 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
     new_beta = beta.copy()
     warnings = []
     if beta_changes:
-        sccs = strongly_connected_components(modified_graph)
-        dag = condense(modified_graph, sccs)
-        singleton_sinks = {
-            sccs.components[cid][0] for cid in dag.sinks if len(sccs.components[cid]) == 1
-        }
+        # a node is a single-node sink exactly when no edge leaves it for another
+        others = modified_graph.sources != modified_graph.targets
+        out_degree = np.bincount(modified_graph.sources[others], minlength=modified_graph.n)
         for node, value in beta_changes:
             idx = modified_graph.index(node)
-            if idx in singleton_sinks and value > 0:
+            if out_degree[idx] == 0 and value > 0:
                 message = (
                     f"stubbornness on single-node sink {node!r} is inert: "
                     "its opinion never changes anyway"

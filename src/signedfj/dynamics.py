@@ -300,8 +300,8 @@ class _RecordChunks:
     with n before anything else is written.
     """
 
-    def __init__(self, formatter: _ChunkFormatter, header, write):
-        self._formatter, self._header, self._write = formatter, header, write
+    def __init__(self, formatter: _ChunkFormatter, header):
+        self._formatter, self._header = formatter, header
         self._block: np.ndarray | None = None
         self._ks: list[int] = []
 
@@ -317,12 +317,11 @@ class _RecordChunks:
             self.hand_out()
 
     def hand_out(self) -> None:
-        """Submit the records collected so far as one task and write what comes back."""
+        """Submit the records collected so far as one task."""
         if self._ks:
             task = (self._ks, self._block[:len(self._ks)])
             self._block, self._ks = None, []
-            for texts in self._formatter.submit(task):
-                self._write(texts)
+            self._formatter.submit(task)
 
 
 def trajectory_long_csv(
@@ -388,12 +387,11 @@ def trajectory_long_csv(
             wide.write(texts[1])
 
     run = _replay(trajectory) if isinstance(trajectory, Trajectory) else trajectory
-    with _ChunkFormatter(format_records) as formatter:
-        records = _RecordChunks(formatter, header, write)
+    with _ChunkFormatter(format_records, write) as formatter:
+        records = _RecordChunks(formatter, header)
         result = run(records)
         records.hand_out()
-        for texts in formatter.finish():
-            write(texts)
+        formatter.finish()
     return result
 
 

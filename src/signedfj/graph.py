@@ -368,7 +368,7 @@ def _receive_tasks(conn, tasks: queue.SimpleQueue) -> None:
 
 
 class _ChunkFormatter:
-    """``format_chunk(*task)`` for each task submitted, handed back in order.
+    """``write(format_chunk(*task))`` for each task submitted, in order.
 
     A single task is formatted in this process.  Where the ``fork`` start
     method exists, the process's affinity set holds more than one CPU and the
@@ -379,16 +379,17 @@ class _ChunkFormatter:
     in this process as it is submitted.  A worker inherits ``format_chunk``
     and what it reads through fork; tasks and chunks are pickled.
 
-    :meth:`submit` and :meth:`finish` yield the chunks ready to be written, in
+    :meth:`submit` and :meth:`finish` write the chunks that are ready, in
     order.  A task is handed out only when fewer than ``_CHUNKS_PER_WORKER``
-    chunks per CPU are in flight; until then :meth:`submit` takes back the
-    oldest chunk, so whoever makes the tasks waits when the workers fall
-    behind.  Use it as a context manager: the workers are gone when the
-    ``with`` block ends, also when it raises.
+    chunks per CPU are in flight; until then :meth:`submit` takes back and
+    writes the oldest chunk, so whoever makes the tasks waits when the
+    workers fall behind.  Use it as a context manager: the workers are gone
+    when the ``with`` block ends, also when it raises.
     """
 
-    def __init__(self, format_chunk: Callable[..., object]):
+    def __init__(self, format_chunk: Callable[..., object], write: Callable[[object], None]):
         self._format_chunk = format_chunk
+        self._write = write
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         forks = ("fork" in multiprocessing.get_all_start_methods()
                  and not multiprocessing.current_process().daemon)
@@ -399,10 +400,10 @@ class _ChunkFormatter:
         self._sent = self._received = 0
         self._finished = False
 
-    def submit(self, task) -> Iterator:
-        """Hand ``task`` out; yield the chunks that are taken back to make room for it."""
+    def submit(self, task) -> None:
+        """Hand ``task`` out; write the chunks that are taken back to make room for it."""
         if self._cpus < 2:
-            yield self._format_chunk(*task)
+            self._write(self._format_chunk(*task))
         elif self._held is None and not self._sent:
             self._held = task
         else:
@@ -410,16 +411,16 @@ class _ChunkFormatter:
                 self._send(self._held)
                 self._held = None
             if self._sent - self._received == _CHUNKS_PER_WORKER * self._cpus:
-                yield self._receive()
+                self._write(self._receive())
             self._send(task)
 
-    def finish(self) -> Iterator:
-        """Yield every chunk still to come, then let the workers exit."""
+    def finish(self) -> None:
+        """Write every chunk still to come, then let the workers exit."""
         if self._held is not None:
             task, self._held = self._held, None
-            yield self._format_chunk(*task)
+            self._write(self._format_chunk(*task))
         while self._received < self._sent:
-            yield self._receive()
+            self._write(self._receive())
         for conn in self._conns:
             conn.send(None)
         self._finished = True
@@ -473,19 +474,6 @@ class _ChunkFormatter:
             process.join()
 
 
-def _formatted_chunks(format_chunk: Callable[..., object], tasks: Iterable) -> Iterator:
-    """``format_chunk(*task)`` for each of ``tasks``, in order (see :class:`_ChunkFormatter`).
-
-    Each task is pulled from ``tasks`` as the one before it has been handed
-    out.  Iterate inside ``contextlib.closing`` so that the workers are gone
-    when the writer returns or raises.
-    """
-    with _ChunkFormatter(format_chunk) as formatter:
-        for task in tasks:
-            yield from formatter.submit(task)
-        yield from formatter.finish()
-
-
 def serialize_edge_list(graph: SignedDigraph) -> str:
     """Inverse of :func:`parse_edge_list`; preserves edge order and CSV-quotes labels."""
     fields = _csv_fields(graph.labels)
@@ -502,8 +490,13 @@ def ensure_self_loops(graph: SignedDigraph, weight: float) -> SignedDigraph:
     weight = float(weight)
     if not np.isfinite(weight) or weight <= 0:
         raise ValueError("self-loop weight must be positive and finite")
+    return _with_self_loops(graph, np.arange(graph.n), weight)
+
+
+def _with_self_loops(graph: SignedDigraph, nodes: np.ndarray, weight: float) -> SignedDigraph:
+    """``graph`` with a ``weight`` self-loop appended for each of ascending ``nodes`` lacking one."""
     # the graph's invariants hold, so no edge is resolved or checked again
-    missing = np.flatnonzero(graph.self_loop_weights == 0)
+    missing = nodes[graph.self_loop_weights[nodes] == 0]
     return SignedDigraph(
         labels=graph.labels,
         sources=_readonly(np.concatenate([graph.sources, missing])),
@@ -684,21 +677,18 @@ def validate(graph: SignedDigraph, beta) -> ValidationReport:
 
     new_graph = graph
     new_beta = beta.copy()
-    fully = np.flatnonzero(beta == 1.0)
+    stubborn = beta == 1.0
+    fully = np.flatnonzero(stubborn)
     normalized = False
     if fully.size:
-        fully_set = set(int(i) for i in fully)
-        edges = [
-            (s, t, w)
-            for s, t, w in graph.edge_triples()
-            if s == t or s not in fully_set
-        ]
-        have_loop = {s for s, t, _ in edges if s == t}
-        edges.extend((i, i, 1.0) for i in sorted(fully_set) if i not in have_loop)
-        new_graph = SignedDigraph.from_edges(graph.labels, edges)
+        # self-loops and every edge that does not leave a fully stubborn agent
+        keep = (graph.sources == graph.targets) | ~stubborn[graph.sources]
+        kept = SignedDigraph(graph.labels, *(
+            _readonly(a[keep]) for a in (graph.sources, graph.targets, graph.weights)))
+        new_graph = _with_self_loops(kept, fully, 1.0)
         new_beta[fully] = 0.0
         normalized = True
-        for i in sorted(fully_set):
+        for i in fully:
             warnings.append(
                 ValidationIssue(
                     code="fully_stubborn_rewrite",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import warnings
-from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -27,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from .dynamics import UpdateSystem, build_update_system
 from .errors import InternalInconsistencyError, NumericalError
-from .graph import SignedDigraph, _csv_chunks, _csv_fields, _formatted_chunks
+from .graph import SignedDigraph, _ChunkFormatter, _csv_chunks, _csv_fields
 from .topology import (
     AgentClassification,
     CondensationDag,
@@ -245,7 +244,7 @@ class _ResolventSolver:
             raise _singular(self._what) from exc
 
     def solve(self, b) -> np.ndarray:
-        """Solve a 1-D ``b`` or a column panel; a sparse panel is made dense once.
+        """Solve a column panel ``b``, dense or sparse; a sparse panel is made dense once.
 
         With a single-precision factor the panel is refined in double
         precision (see :meth:`_solve_mixed`); should that fail, the block is
@@ -278,9 +277,6 @@ class _ResolventSolver:
         """
         if not sparse.issparse(b):
             b = np.asarray(b, np.float64)
-            if b.ndim == 1:
-                x = self._solve_mixed(b[:, None])
-                return None if x is None else x[:, 0]
         count = b.shape[1]
         scale = _rhs_scale(b)
         x = np.zeros(b.shape, order="F")
@@ -348,17 +344,14 @@ class _ResolventSolver:
     def _residual(self, b, x: np.ndarray, *, out: np.ndarray) -> None:
         """``b - A x`` into ``out``, as ``(-A x) + b``: the same bits in IEEE arithmetic.
 
-        A panel's product runs a chunk of ``_PRODUCT_COLUMNS`` columns at a
+        The product runs a chunk of ``_PRODUCT_COLUMNS`` columns at a
         time, since a Fortran-order panel has no C-order view for the sparse
         product to use; each column's sum runs in the same order whatever
         the chunk width.  A sparse ``b`` is added at its own entries only.
         """
-        if x.ndim == 1:
-            np.negative(self._a @ x, out=out)
-        else:
-            for start in range(0, x.shape[1], _PRODUCT_COLUMNS):
-                cols = slice(start, start + _PRODUCT_COLUMNS)
-                np.negative(self._a @ x[:, cols], out=out[:, cols])
+        for start in range(0, x.shape[1], _PRODUCT_COLUMNS):
+            cols = slice(start, start + _PRODUCT_COLUMNS)
+            np.negative(self._a @ x[:, cols], out=out[:, cols])
         if sparse.issparse(b):
             b = b.tocoo()
             out[b.row, b.col] += b.data
@@ -867,7 +860,7 @@ def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
     reduced = _ResolventSolver(
         gauged[:-1, :-1].T, what=f"|sink block {sink.sink_index}| without its last node"
     )
-    pi = np.append(reduced.solve(gauged[-1, :-1].toarray()[0]), 1.0)
+    pi = np.append(reduced.solve(gauged[-1, :-1].toarray().T)[:, 0], 1.0)
     pi /= pi.sum()
     v = sigma[None]
     w = _left_vectors(v, pi[None])
@@ -1030,7 +1023,7 @@ def solve_followers(
         + system.update_matrix[:m, m:] @ x_sinks
     )
     solver = _solver if _solver is not None else _follower_solver(system)
-    return solver.solve(rhs)
+    return solver.solve(rhs[:, None])[:, 0]
 
 
 def influence_matrix(
@@ -1128,16 +1121,10 @@ def _spread_rank_one(
             spread = True
     if not spread:
         return solved
-    counts = np.diff(solved.indptr)[source]
     if listed is not None:
-        counts[~listed] = 0
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    taken = np.repeat(solved.indptr[source] - indptr[:-1], counts) + np.arange(indptr[-1])
-    spread_rows = sparse.csc_matrix(
-        (solved.data[taken] * np.repeat(scale, counts), solved.indices[taken], indptr),
-        shape=solved.shape,
-    )
+        scale[~listed] = 0.0  # dropped with the zeros below
+    spread_rows = solved[:, source]
+    spread_rows.data *= np.repeat(scale, np.diff(spread_rows.indptr))
     spread_rows.eliminate_zeros()
     return spread_rows
 
@@ -1446,7 +1433,7 @@ def influence_triplets_csv(
     None.  Rows go out a chunk at a time with CSV-quoted labels, in the order
     of a CSR walk with sorted indices and summed duplicates: no sorted copy.
     Values are ``repr`` text from the vectorized formatter in ``_text``.  The
-    chunks are formatted on every available CPU (see ``_formatted_chunks``).
+    chunks are formatted on every available CPU (see ``_ChunkFormatter``).
     """
     from . import _text  # deferred: only the CSV exports format floats
 
@@ -1476,12 +1463,16 @@ def influence_triplets_csv(
         keep[:, -1 - sign[1].shape[-1]:-1] = False
         return (_text.kept_text(cells, keep) if to_out else ""), scatter_text
 
-    with closing(_formatted_chunks(format_chunk, _csv_chunks(csr.nnz))) as chunks:
-        for triplet_text, scatter_text in chunks:
-            if to_out:
-                out.write(triplet_text)
-            if to_scatter:
-                scatter.write(scatter_text)
+    def write(texts: tuple[str, str]) -> None:
+        if to_out:
+            out.write(texts[0])
+        if to_scatter:
+            scatter.write(texts[1])
+
+    with _ChunkFormatter(format_chunk, write) as formatter:
+        for task in _csv_chunks(csr.nnz):
+            formatter.submit(task)
+        formatter.finish()
 
 
 def influence_scatter_csv(theta: sparse.spmatrix, labels: tuple[str, ...], out: TextIO) -> None:

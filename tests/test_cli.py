@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signedfj import parse_edge_list, read_stubbornness, solve, topology
+from instances import random_instance
+from signedfj import (
+    SignedDigraph, parse_edge_list, read_stubbornness, serialize_edge_list, solve, topology,
+)
 from signedfj.cli import main
 from test_golden import write_inputs, write_x0
 
@@ -362,6 +365,44 @@ class TestModify:
         assert "inert" in capsys.readouterr().err
         beta_rows = (out_dir / "modified_beta.csv").read_text().strip().splitlines()
         assert beta_rows == ["b,0.5"]
+
+    def test_inert_beta_warns_only_on_single_node_sinks(self, tmp_path, out_dir):
+        # c's only out-edge is its self-loop, d has none, a and b form a two-node sink
+        graph = write(tmp_path / "g.csv", "a,b,1\nb,a,1\nx,c,1\nc,c,1\nx,d,1\nx,a,1\n")
+        argv = ["modify", "--graph", graph, "--out-dir", out_dir]
+        for node in "abcdx":
+            argv += ["--set-beta", f"{node}=0.5"]
+        assert run(argv) == 0
+        manifest = json.loads((out_dir / "modify_manifest.json").read_text())
+        assert manifest["warnings"] == [inert_warning(node) for node in "cd"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_inert_beta_warnings_follow_the_condensation(self, tmp_path, out_dir, seed):
+        graph, _, _ = random_instance(7200 + seed, n_max=25)
+        rng = np.random.default_rng(seed)
+        # some nodes lose every edge to another node, some also their self-loop
+        cut = rng.random(graph.n) < 0.3
+        lonely = cut & (rng.random(graph.n) < 0.5)
+        edited = SignedDigraph.from_edges(graph.labels, [
+            (s, t, w) for s, t, w in graph.edge_triples()
+            if not cut[s] or (s == t and not lonely[s])])
+        path = write(tmp_path / "g.csv", serialize_edge_list(edited))
+        graph = parse_edge_list(Path(path).read_text(encoding="utf-8"))  # as modify reads it
+        sccs = topology.strongly_connected_components(graph)
+        dag = topology.condense(graph, sccs)
+        singletons = {sccs.components[c][0] for c in dag.sinks if len(sccs.components[c]) == 1}
+        argv = ["modify", "--graph", path, "--out-dir", out_dir]
+        for label in graph.labels:
+            argv += ["--set-beta", f"{label}=0.5"]
+        assert run(argv) == 0
+        manifest = json.loads((out_dir / "modify_manifest.json").read_text())
+        assert manifest["warnings"] == [
+            inert_warning(graph.labels[i]) for i in range(graph.n) if i in singletons]
+
+
+def inert_warning(node: str) -> str:
+    return (f"stubbornness on single-node sink {node!r} is inert: "
+            "its opinion never changes anyway")
 
 
 class TestCsvQuoting:

@@ -16,7 +16,6 @@ import signal
 import tracemalloc
 import warnings
 from collections import Counter
-from contextlib import closing
 from multiprocessing.connection import Connection
 from pathlib import Path
 
@@ -206,9 +205,24 @@ def two_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def chunked(format_chunk, count: int):
-    """``_formatted_chunks`` over the ``(start, stop)`` tasks of ``count`` rows, closed on exit."""
-    return closing(graph_module._formatted_chunks(format_chunk, graph_module._csv_chunks(count)))
+def chunked(format_chunk, tasks, on_write=None) -> list:
+    """The chunks a ``_ChunkFormatter`` writes for ``tasks``, collected in a list.
+
+    ``on_write(chunk, done)`` sees each chunk as it is written, ``done`` being
+    the number written before it.
+    """
+    written = []
+
+    def write(chunk):
+        if on_write is not None:
+            on_write(chunk, len(written))
+        written.append(chunk)
+
+    with graph_module._ChunkFormatter(format_chunk, write) as formatter:
+        for task in tasks:
+            formatter.submit(task)
+        formatter.finish()
+    return written
 
 
 class FullDisk(io.StringIO):
@@ -225,8 +239,7 @@ class TestWorkers:
         def where(start, stop):  # a closure: it reaches the workers through fork
             return start, stop, os.getpid()
 
-        with chunked(where, 40) as chunks:
-            results = list(chunks)
+        results = chunked(where, graph_module._csv_chunks(40))
         assert [r[:2] for r in results] == list(graph_module._csv_chunks(40))
         pids = {r[2] for r in results}
         assert len(pids) == 2 and os.getpid() not in pids
@@ -242,11 +255,13 @@ class TestWorkers:
 
         monkeypatch.setattr(Connection, "send", recording_send)
         in_flight = []
-        with chunked(lambda start, stop: start, 60) as chunks:
-            for done, start in enumerate(chunks):
-                assert start == 3 * done
-                # chunks handed out and not yet written, the one in hand included
-                in_flight.append(len(handed_out) - done)
+
+        def check(start, done):
+            assert start == 3 * done
+            # chunks handed out and not yet written, the one in hand included
+            in_flight.append(len(handed_out) - done)
+
+        chunked(lambda start, stop: start, graph_module._csv_chunks(60), check)
         assert len(handed_out) == 20
         assert max(in_flight) == 2 * 2
 
@@ -258,11 +273,12 @@ class TestWorkers:
                 pulled.append(bounds)
                 yield bounds
 
-        with closing(graph_module._formatted_chunks(lambda start, stop: start, tasks())) as chunks:
-            for done, start in enumerate(chunks):
-                assert start == 3 * done
-                # the window's chunks, the one in hand included, and the task waiting for room
-                assert len(pulled) - done <= 2 * 2 + 1
+        def check(start, done):
+            assert start == 3 * done
+            # the window's chunks, the one in hand included, and the task waiting for room
+            assert len(pulled) - done <= 2 * 2 + 1
+
+        chunked(lambda start, stop: start, tasks(), check)
         assert len(pulled) == 20
 
     def test_no_warning_even_where_fork_warns_about_threads(self, two_workers, monkeypatch):
@@ -287,9 +303,7 @@ class TestWorkers:
             return start
 
         with pytest.raises(ValueError, match="chunk 3"):
-            with chunked(failing, 40) as chunks:
-                for _ in chunks:
-                    pass
+            chunked(failing, graph_module._csv_chunks(40))
 
     def test_a_worker_that_dies_fails_the_export_as_an_os_error(self, two_workers):
         parent = os.getpid()
@@ -300,9 +314,7 @@ class TestWorkers:
             return start
 
         with pytest.raises(ChildProcessError, match="exited early"):
-            with chunked(dying, 40) as chunks:
-                for _ in chunks:
-                    pass
+            chunked(dying, graph_module._csv_chunks(40))
 
     def test_workers_leave_an_interrupt_to_the_writer(self, two_workers):
         parent = os.getpid()
@@ -312,8 +324,7 @@ class TestWorkers:
                 os.kill(os.getpid(), signal.SIGINT)  # as Ctrl-C reaches the process group
             return start
 
-        with chunked(interrupted, 40) as chunks:
-            assert list(chunks) == list(range(0, 40, 3))
+        assert chunked(interrupted, graph_module._csv_chunks(40)) == list(range(0, 40, 3))
 
     def test_records_larger_than_a_pipe_holds(self, monkeypatch):
         # 320 kB of values a record, more than a socket pair buffers by default:
@@ -346,8 +357,8 @@ class TestWorkers:
             daemon = True
 
         monkeypatch.setattr(multiprocessing, "current_process", Daemon)
-        with chunked(lambda start, stop: os.getpid(), 40) as chunks:
-            assert set(chunks) == {os.getpid()}
+        chunks = chunked(lambda start, stop: os.getpid(), graph_module._csv_chunks(40))
+        assert set(chunks) == {os.getpid()}
 
     def test_handle_error_mid_walk_stops_the_workers(self, two_workers):
         theta = signed_theta(12, 40, 8801)
@@ -396,6 +407,35 @@ class TestWorkers:
         assert main(argv) == 4
         assert "No space left on device" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["theta.csv", "theta_scatter.csv"])
+    def test_failed_theta_export_leaves_no_theta_file(self, two_workers, tmp_path, monkeypatch,
+                                                      capsys, name):
+        original_write = cli._write
+
+        def full_disk_write(out_dir, file_name, content):
+            if file_name != name:
+                return original_write(out_dir, file_name, content)
+
+            def failing(handle):
+                def write(text):
+                    if handle.tell() > 1000:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    return type(handle).write(handle, text)
+
+                handle.write = write
+                content(handle)
+
+            return original_write(out_dir, file_name, failing)
+
+        monkeypatch.setattr(cli, "_write", full_disk_write)
+        graph, beta = write_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main(["centrality", "--graph", str(graph), "--beta", str(beta),
+                     "--out-dir", str(out)]) == 4
+        assert "No space left on device" in capsys.readouterr().err
+        # both Theta files are written in one walk, and neither is left
+        assert sorted(p.name for p in out.iterdir()) == ["centrality.csv"]
+
 
 def traced_peak(path, write) -> int:
     """Peak traced allocation while ``write`` streams into ``path``."""
@@ -408,10 +448,16 @@ def traced_peak(path, write) -> int:
             tracemalloc.stop()
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
 class TestBoundedMemory:
-    """The writers hold one chunk of text, not the whole file."""
+    """The writers hold one chunk of text, not the whole file.
 
-    def test_theta_export(self, tmp_path):
+    On one CPU the chunks are formatted in process, so the formatting
+    temporaries count too; on two, forked workers format them.
+    """
+
+    def test_theta_export(self, tmp_path, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
         n = 2000
         theta = sparse.random(n, n, density=0.06, format="csr", random_state=7)
         assert theta.nnz >= 200_000
@@ -420,7 +466,8 @@ class TestBoundedMemory:
         peak = traced_peak(path, lambda out: influence_triplets_csv(theta, labels, out))
         assert peak < path.stat().st_size / 4
 
-    def test_joint_theta_export(self, tmp_path):
+    def test_joint_theta_export(self, tmp_path, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
         n = 2000
         theta = signed_theta(n, 240_000, 7)
         labels = tuple(str(i) for i in range(n))
@@ -431,7 +478,8 @@ class TestBoundedMemory:
             )
         assert peak < (path.stat().st_size + scatter_path.stat().st_size) / 4
 
-    def test_long_trajectory_export(self, tmp_path):
+    def test_long_trajectory_export(self, tmp_path, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
         records, n = 2500, 100
         trajectory = Trajectory(
             ks=np.arange(records) * 10,

@@ -244,6 +244,35 @@ class TestValidate:
         assert list(first.graph.edge_triples()) == list(second.graph.edge_triples())
         assert not np.any(second.beta == 1.0)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rewrite_matches_the_edge_by_edge_construction(self, seed):
+        graph, beta, _ = random_instance(7100 + seed, n_max=25)
+        rng = np.random.default_rng(seed)
+        # some nodes lose their self-loop, so some rewrites must add one
+        dropped = rng.random(graph.n) < 0.3
+        graph = SignedDigraph.from_edges(graph.labels, [
+            (s, t, w) for s, t, w in graph.edge_triples() if s != t or not dropped[s]])
+        beta = beta.copy()
+        beta[rng.random(graph.n) < 0.3] = 1.0
+        beta[rng.integers(graph.n)] = 1.0
+        got = validate(graph, beta).graph
+        want = rewrite_through_from_edges(graph, beta)
+        assert got.labels == want.labels
+        for name in ("sources", "targets", "weights"):
+            ours, theirs = getattr(got, name), getattr(want, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
+def rewrite_through_from_edges(graph, beta):
+    """The fully-stubborn rewrite built edge by edge: every self-loop and every
+    edge not leaving a beta = 1 agent, in input order, then a unit self-loop on
+    each such agent lacking one, by index."""
+    fully = {int(i) for i in np.flatnonzero(beta == 1.0)}
+    edges = [(s, t, w) for s, t, w in graph.edge_triples() if s == t or s not in fully]
+    have_loop = {s for s, t, _ in edges if s == t}
+    edges.extend((i, i, 1.0) for i in sorted(fully) if i not in have_loop)
+    return SignedDigraph.from_edges(graph.labels, edges)
+
 
 class TestWeakComponents:
     def test_two_disjoint_cycles(self):

@@ -1284,7 +1284,7 @@ class TestNumericsInternals:
             tracemalloc.stop()
         assert itemsizes == [4]  # a single-precision factor
         factor_bytes = size * size * itemsizes[0]
-        x = solver.solve(np.ones(size))
+        x = solver.solve(np.ones((size, 1)))
         assert np.max(np.abs(x - block @ x - 1.0)) <= 1e-12
         # the factor itself, but neither a double or C-order copy nor an m x m mask
         assert peak <= factor_bytes + factor_bytes // 16
