@@ -204,14 +204,16 @@ class _ResolventSolver:
     several times faster.  Larger blocks keep SuperLU.
 
     A dense factor is made in single precision, half the bytes of a double
-    one, and each solve refines it in double precision by the rule of
-    LAPACK's ``dsgesv``: column ``j`` is done once
-    ``max|r_j| <= sqrt(m) 2^-53 ||A||_inf max|x_j|``, within
-    ``_SINGLE_REFINEMENTS`` steps.  A single factor with a zero or
-    non-finite pivot, or a panel not done in time, makes the solver
-    refactor its block in double precision once; from then on it refines
-    in double precision to a residual of ``1e-12`` times the largest
-    right-hand side entry, as every SuperLU block does.
+    one, unless it has a zero or non-finite pivot.  Every route refines in
+    one loop (see :meth:`_refine`), and only its stop rule depends on the
+    factor's precision.  On a single factor, column ``j`` is done by
+    LAPACK ``dsgesv``'s rule, ``max|r_j| <= sqrt(m) 2^-53 ||A||_inf max|x_j|``,
+    within ``_SINGLE_REFINEMENTS`` corrections; a panel not done in time,
+    or a non-finite residual, makes the solver refactor its block in
+    double precision once.  On a double factor, dense or SuperLU, the whole
+    panel must reach ``1e-12`` times its largest right-hand side entry
+    within 4 corrections, or end up to ``1e-6`` times it; otherwise it
+    raises "iterative refinement stalled", or "produced non-finite values".
 
     ``refinement`` holds the latest solve's refinement steps after its
     first solve and its final residual relative to the largest right-hand
@@ -228,6 +230,13 @@ class _ResolventSolver:
         self._tolerance = np.sqrt(size) * 2.0**-53 * float(abs(self._a).sum(axis=1).max())
         self._base = self._factor()
         self.refinement = (0, 0.0)
+
+    @property
+    def route(self) -> str:
+        """The factor the block is solved on, as the INFO lines name it."""
+        if not self._dense:
+            return "SuperLU"
+        return "float32" if self._single else "float64 fallback"
 
     def _factor(self):
         """The solve function of ``A``'s factor, in single precision while ``_single``."""
@@ -246,48 +255,56 @@ class _ResolventSolver:
     def solve(self, b) -> np.ndarray:
         """Solve a column panel ``b``, dense or sparse; a sparse panel is made dense once.
 
-        With a single-precision factor the panel is refined in double
-        precision (see :meth:`_solve_mixed`); should that fail, the block is
-        refactored in double precision and the panel solved again from ``b``.
+        Should refinement fail on a single-precision factor, the block is
+        refactored in double precision and the panel refined again from ``b``.
         """
-        if self._single:
-            x = self._solve_mixed(b)
-            if x is not None:
-                return x
+        x = self._refine(b)
+        if x is None:
             self._single = False
             self._base = None  # the single factor goes before the double one is made
             self._base = self._factor()
-        return self._solve_double(b)
+            x = self._refine(b)
+        return x
 
-    def _solve_mixed(self, b) -> np.ndarray | None:
-        """``dsgesv``'s refinement of a panel on the single-precision factor.
+    def solve_column(self, b: np.ndarray) -> np.ndarray:
+        """Solve for one dense column ``b``, and log one INFO line on how."""
+        x = self.solve(b[:, None])[:, 0]
+        log.info(
+            "%s solve: m=%d, one column, %s route, %d refinement steps, "
+            "final relative residual %.1e",
+            self._what, b.size, self.route, *self.refinement,
+        )
+        return x
 
-        ``x`` starts at zero, so its first residual is ``b`` and its first
-        correction the plain single-precision solve.  Each pass forms the
-        residual in double precision, ``_PRODUCT_COLUMNS`` columns at a
-        time, and scales each column by a power of two so that its largest
-        entry lies in ``[0.5, 1)`` before rounding it into one float32
-        array of the panel's shape: a column of tiny values never rounds to
-        zero.  That array is solved in place and added to ``x``, scaled
-        back.  So the panel holds ``x`` and half a panel beside it.  Every
-        column is corrected until all are done, as in ``dsgesv``: a column
-        that is done gains digits from one more correction.  Returns None
-        when a residual is non-finite or the panel is not done after
-        ``_SINGLE_REFINEMENTS`` corrections beyond the first.
+    def _refine(self, b) -> np.ndarray | None:
+        """Refine ``b`` by ``x <- x + C (b - A x)`` from ``x = 0``; None if a single factor fails.
+
+        ``C`` is the factor's solve.  The first residual is ``b``, so the
+        first correction is the plain solve.  Each pass forms the residual
+        in double precision, ``_PRODUCT_COLUMNS`` columns at a time, and
+        scales each column by a power of two so that its largest entry lies
+        in ``[0.5, 1)`` before rounding it into one array of the panel's
+        shape in the factor's precision: a column of tiny values never
+        rounds to zero in float32, and in float64 the scaling is exact.
+        That array is solved and added to ``x``, scaled back.  Every column
+        is corrected until the panel is done, as in ``dsgesv``: a column
+        that is done gains digits from one more correction.
         """
         if not sparse.issparse(b):
             b = np.asarray(b, np.float64)
+        single = self._single
+        corrections = _SINGLE_REFINEMENTS if single else 4
         count = b.shape[1]
         scale = _rhs_scale(b)
         x = np.zeros(b.shape, order="F")
-        single = np.empty(b.shape, np.float32, order="F")
+        scaled = np.empty(b.shape, np.float32 if single else np.float64, order="F")
         scratch = np.empty((b.shape[0], min(count, _PRODUCT_COLUMNS)), order="F")
         exponents = np.zeros(count, np.intc)
         chunks = [slice(start, min(start + _PRODUCT_COLUMNS, count))
                   for start in range(0, count, _PRODUCT_COLUMNS)]
         # COO pieces, so each residual adds its b at the stored entries
         pieces = [b[:, cols].tocoo() if sparse.issparse(b) else b[:, cols] for cols in chunks]
-        for solves in range(_SINGLE_REFINEMENTS + 2):
+        for solves in range(corrections + 2):
             done, worst = solves > 0, 0.0
             for cols, piece in zip(chunks, pieces):
                 part, r = x[:, cols], scratch[:, :cols.stop - cols.start]
@@ -297,63 +314,48 @@ class _ResolventSolver:
                     r[...] = piece.toarray() if sparse.issparse(piece) else piece
                 top = np.maximum(r.max(axis=0), -r.min(axis=0))
                 if not np.isfinite(top).all():
-                    return None
+                    if single:
+                        return None
+                    raise InternalInconsistencyError(
+                        f"solve against (I - {self._what}) produced non-finite values"
+                    )
                 worst = max(worst, float(top.max(initial=0.0)))
-                if solves:
+                if solves and single:
                     largest = np.maximum(part.max(axis=0), -part.min(axis=0))
                     done &= bool(np.all(top <= self._tolerance * largest))
                 exponents[cols] = np.frexp(top)[1]
-                # scaled exactly in double, then rounded once to single
-                np.ldexp(r, -exponents[cols], out=single[:, cols])
+                # scaled exactly in double, then rounded once to the factor's precision
+                np.ldexp(r, -exponents[cols], out=scaled[:, cols])
+            if not single:
+                done &= worst <= 1e-12 * scale
+            if not done and solves > corrections:
+                if single:
+                    return None
+                if worst > 1e-6 * scale:
+                    raise InternalInconsistencyError(
+                        "iterative refinement stalled; block solve is unreliable"
+                    )
+                done = True
             if done:
                 self.refinement = (solves - 1, worst / scale)
                 return x
-            if solves > _SINGLE_REFINEMENTS:
-                return None
-            self._base(single)
+            solved = self._base(scaled)
             for cols in chunks:
                 r = scratch[:, :cols.stop - cols.start]
-                np.ldexp(single[:, cols], exponents[cols], out=r, dtype=np.float64)
+                np.ldexp(solved[:, cols], exponents[cols], out=r, dtype=np.float64)
                 x[:, cols] += r
 
-    def _solve_double(self, b) -> np.ndarray:
-        """Solve in place in one Fortran-order dense copy of ``b``, refined
-        with one residual panel beside it; the whole panel meets one target.
-        """
-        x = b.toarray(order="F") if sparse.issparse(b) else np.array(b, np.float64, order="F")
-        x = self._base(x)
-        if not np.isfinite(x).all():
-            raise InternalInconsistencyError(
-                f"solve against (I - {self._what}) produced non-finite values"
-            )
-        scale = _rhs_scale(b)
-        r = np.empty_like(x)
-        for refinements in range(5):
-            self._residual(b, x, out=r)
-            residual = float(max(r.max(), -r.min())) if r.size else 0.0
-            if residual <= 1e-12 * scale or refinements == 4:
-                break
-            x += self._base(r)
-        if residual > 1e-6 * scale:
-            raise InternalInconsistencyError(
-                "iterative refinement stalled; block solve is unreliable"
-            )
-        self.refinement = (refinements, residual / scale)
-        return x
-
     def _residual(self, b, x: np.ndarray, *, out: np.ndarray) -> None:
-        """``b - A x`` into ``out``, as ``(-A x) + b``: the same bits in IEEE arithmetic.
+        """``b - A x`` into ``out`` for one chunk of at most ``_PRODUCT_COLUMNS`` columns.
 
-        The product runs a chunk of ``_PRODUCT_COLUMNS`` columns at a
-        time, since a Fortran-order panel has no C-order view for the sparse
-        product to use; each column's sum runs in the same order whatever
-        the chunk width.  A sparse ``b`` is added at its own entries only.
+        It is formed as ``(-A x) + b``, the same bits in IEEE arithmetic.
+        The chunk is narrow since a Fortran-order panel has no C-order view
+        for the sparse product to use; each column's sum runs in the same
+        order whatever the chunk width.  A sparse ``b``, in COO form, is
+        added at its own entries only.
         """
-        for start in range(0, x.shape[1], _PRODUCT_COLUMNS):
-            cols = slice(start, start + _PRODUCT_COLUMNS)
-            np.negative(self._a @ x[:, cols], out=out[:, cols])
+        np.negative(self._a @ x, out=out)
         if sparse.issparse(b):
-            b = b.tocoo()
             out[b.row, b.col] += b.data
         else:
             out += b
@@ -389,14 +391,10 @@ class _ResolventSolver:
             solved.add(panel, self.solve(rhs[:, panel]))
             steps.append(self.refinement[0])
             residual = max(residual, self.refinement[1])
-        if not self._dense:
-            route = "SuperLU"
-        else:
-            route = "float32" if self._single else "float64 fallback"
         log.info(
             "%s solve: m=%d, %d columns in %d panels of at most %d, %s route, "
             "refinement steps per panel %s, largest final relative residual %.1e",
-            self._what, m, nonzero.size, len(steps), min(width, nonzero.size), route,
+            self._what, m, nonzero.size, len(steps), min(width, nonzero.size), self.route,
             steps, residual,
         )
         return solved
@@ -755,18 +753,14 @@ class _SinkBatch:
     ) -> list[SinkSolution]:
         """Eigenpairs at 1 of a stack of stubborn-free balanced sinks; ``gauged`` is ``|B|``."""
         sinks = [self.sinks[k] for k in positions]
-        count, size = blocks.shape[:2]
-        if size == 1:
-            v, w = np.ones((count, 1)), np.ones((count, 1))
-        else:
-            sigma = np.array([s.bipartition for s in sinks], dtype=np.float64)
-            _check_gauge(
-                (sigma[:, :, None] * blocks * sigma[:, None, :]).min(axis=(1, 2)),
-                gauged.sum(axis=2),
-                sinks,
-            )
-            pi = _stationary_rows(gauged, [s.sink_index for s in sinks])
-            v, w = sigma, _left_vectors(sigma, pi)
+        sigma = np.array([s.bipartition for s in sinks], dtype=np.float64)
+        _check_gauge(
+            (sigma[:, :, None] * blocks * sigma[:, None, :]).min(axis=(1, 2)),
+            gauged.sum(axis=2),
+            sinks,
+        )
+        pi = _stationary_rows(gauged, [s.sink_index for s in sinks])
+        v, w = sigma, _left_vectors(sigma, pi)
         _check_eigenpairs(
             np.matmul(blocks, v[:, :, None])[:, :, 0],
             np.matmul(w[:, None, :], blocks)[:, 0],
@@ -860,7 +854,7 @@ def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
     reduced = _ResolventSolver(
         gauged[:-1, :-1].T, what=f"|sink block {sink.sink_index}| without its last node"
     )
-    pi = np.append(reduced.solve(gauged[-1, :-1].toarray().T)[:, 0], 1.0)
+    pi = np.append(reduced.solve_column(gauged[-1, :-1].toarray()[0]), 1.0)
     pi /= pi.sum()
     v = sigma[None]
     w = _left_vectors(v, pi[None])
@@ -1023,7 +1017,7 @@ def solve_followers(
         + system.update_matrix[:m, m:] @ x_sinks
     )
     solver = _solver if _solver is not None else _follower_solver(system)
-    return solver.solve(rhs[:, None])[:, 0]
+    return solver.solve_column(rhs)
 
 
 def influence_matrix(

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse.linalg import splu
 
 from signedfj import SignedDigraph, row_normalized, simulate
 from signedfj.dynamics import Trajectory
@@ -129,9 +131,9 @@ def influence_by_iteration(graph: SignedDigraph, beta, *, tol=1e-13) -> np.ndarr
 
 
 def block_solve_by_joined_panels(
-    block, rhs, *, panel_entries=1 << 20, panel_divisor=4, mixed=True
+    block, rhs, *, panel_entries=1 << 20, panel_divisor=4, mixed=True, sparse_lu=False
 ) -> sparse.csc_matrix:
-    """Reference dense-LU solve of ``(I - block) Y = rhs`` for every column of a sparse ``rhs``.
+    """Reference LU solve of ``(I - block) Y = rhs`` for every column of a sparse ``rhs``.
 
     The nonzero columns go in panels of ``panel_entries // m`` columns, or
     of ``m // panel_divisor`` if that is more, as on a dense factor.  Each
@@ -144,11 +146,15 @@ def block_solve_by_joined_panels(
     switches to a float64 factor for that panel and every later one.
     Without ``mixed``, or after that switch, a panel is solved on the
     float64 factor and refined on ``b - A x`` to ``1e-12`` times its
-    largest entry.
+    largest entry.  With ``sparse_lu`` the block is factored by SuperLU,
+    as above the dense budget: panels of ``panel_entries // m`` columns,
+    each refined so, and ``mixed`` and ``panel_divisor`` play no part.
     """
     a = sparse.csr_matrix(sparse.identity(block.shape[0], format="csr") - block)
     single = double = None
-    if mixed:
+    if sparse_lu:
+        double = splu(a.tocsc()).solve
+    elif mixed:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)  # an exactly zero pivot
             single = lu_factor(a.toarray().astype(np.float32))
@@ -157,7 +163,9 @@ def block_solve_by_joined_panels(
     rhs = sparse.csc_matrix(rhs, copy=True)
     rhs.eliminate_zeros()
     nonzero = np.flatnonzero(np.diff(rhs.indptr))
-    step = max(1, panel_entries // rhs.shape[0], rhs.shape[0] // panel_divisor)
+    step = max(1, panel_entries // rhs.shape[0])
+    if not sparse_lu:
+        step = max(step, rhs.shape[0] // panel_divisor)
     counts = np.zeros(rhs.shape[1] + 1, np.int64)
     indices, data = [np.zeros(0, np.int32)], [np.zeros(0)]
     for start in range(0, nonzero.size, step):
@@ -167,7 +175,7 @@ def block_solve_by_joined_panels(
         if x is None:
             single = None
             if double is None:
-                double = lu_factor(a.toarray())
+                double = partial(lu_solve, lu_factor(a.toarray()), check_finite=False)
             x = _refined_on_double(a, double, b)
         kept = x.T != 0.0
         counts[panel + 1] = kept.sum(axis=1)
@@ -209,16 +217,17 @@ def _refined_on_single(a, factor, b, *, steps=30):
         x += _single_solve(factor, r)
 
 
-def _refined_on_double(a, factor, b):
-    """The panel ``b`` solved on a float64 factor, refined to ``1e-12`` of its largest entry."""
-    x = np.ascontiguousarray(lu_solve(factor, b, check_finite=False))
+def _refined_on_double(a, solve, b):
+    """The panel ``b`` solved by a float64 factor's ``solve``, refined to ``1e-12`` of its
+    largest entry."""
+    x = np.ascontiguousarray(solve(b))
     scale = max(1.0, float(np.max(np.abs(b))))
     for refinements in range(5):
         r = a @ x
         np.subtract(b, r, out=r)
         if float(max(r.max(), -r.min())) <= 1e-12 * scale or refinements == 4:
             break
-        x += lu_solve(factor, r, check_finite=False)
+        x += solve(r)
     return x
 
 

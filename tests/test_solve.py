@@ -1,9 +1,11 @@
 import logging
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import LinAlgError
 
 from signedfj import (
     Regime,
@@ -616,6 +618,39 @@ class TestLargeBlockSolves:
         assert trajectory.converged
         assert np.max(np.abs(closed - trajectory.final)) <= 1e-8
 
+    def test_one_info_line_per_column_solve(self, monkeypatch, caplog):
+        """The reduced system of a large free sink and the follower solve of a
+        steady state each log their route and refinement."""
+        import re
+
+        import signedfj.solve
+
+        size, chain = 90, 5
+        monkeypatch.setattr(signedfj.solve, "_STACK_NODES", size - 1)
+        edges, _ = self._balanced_ring(size, negatives=[30, 60])
+        edges += [(size + i, size + i, 1.0) for i in range(chain)]
+        edges += [(size + i, size + i + 1, 1.0) for i in range(chain - 1)]
+        edges.append((size + chain - 1, 0, -1.0))
+        n = size + chain
+        g = SignedDigraph.from_edges([f"n{i}" for i in range(n)], edges)
+        beta = np.zeros(n)
+        beta[size] = 0.3
+        with caplog.at_level(logging.INFO, logger="signedfj"):
+            analysis = analyze_network(g, beta)
+            analysis.sink_solutions
+            analysis.steady_state(np.linspace(-1.0, 1.0, n))
+        line = re.compile(
+            r"(.+) solve: m=(\d+), one column, (.+) route, (\d+) refinement steps, "
+            r"final relative residual (\S+)"
+        )
+        lines = [line.fullmatch(r.getMessage()) for r in caplog.records
+                 if "one column" in r.getMessage()]
+        assert [m.group(1, 2, 3) for m in lines] == [
+            ("|sink block 0| without its last node", str(size - 1), "float32"),
+            ("follower block", str(chain), "float32"),
+        ]
+        assert all(float(m.group(5)) <= 1e-12 for m in lines)
+
     def test_sparse_resolvent_and_follower_blocks(self, monkeypatch):
         import signedfj.solve
 
@@ -869,6 +904,34 @@ class TestBlockSolveMatchesJoinedPanels:
         )
         _assert_same_bytes(solution.operator, want)
 
+    @pytest.mark.parametrize("build", ["leaky_follower_ring", "nearly_singular_ring"])
+    def test_sparse_lu_panels(self, build, monkeypatch):
+        """Blocks above a lowered dense budget, on SuperLU, eight columns to a
+        panel; the nearly singular ring's panels stop short of ``1e-12``."""
+        import signedfj.solve
+        from signedfj.solve import _ResolventSolver
+
+        if build == "leaky_follower_ring":
+            system = analyze_network(*_leaky_follower_ring(70)).system
+            m = system.ordering.follower_count
+            block = system.follower_block()
+            rhs = sparse.hstack(
+                [sparse.diags(system.stubbornness_canonical[:m]), system.update_matrix[:m, m:]],
+                format="csc",
+            )
+        else:
+            block, rhs = _nearly_singular_ring()
+        size = block.shape[0]
+        budget = size * 8
+        monkeypatch.setattr(signedfj.solve, "_PANEL_ENTRIES", budget)
+        monkeypatch.setattr(signedfj.solve, "_DENSE_FACTOR_NODES", size - 1)
+        shapes = _count_factorizations(monkeypatch)
+        got = _ResolventSolver(block).solve_block(rhs).join()
+        assert shapes == {"lu_factor": [], "splu": [(size, size)]}
+        assert np.count_nonzero(np.diff(rhs.indptr)) > 16  # at least three panels
+        want = block_solve_by_joined_panels(block, rhs, panel_entries=budget, sparse_lu=True)
+        _assert_same_bytes(got, want)
+
 
 def _nearly_singular_ring(size=300):
     """A signed ring whose cycle has product ``1 - 1e-9``, and 40 sparse right-hand sides."""
@@ -1066,6 +1129,67 @@ class TestMixedPrecision:
         _assert_same_bytes(got, block_solve_by_joined_panels(
             ring, rhs, panel_entries=budget, panel_divisor=size
         ))
+
+
+def _double_route(monkeypatch, route: str, fault) -> None:
+    """Force the solver onto a double factor, every solve of it passed through ``fault``."""
+    import signedfj.solve
+
+    if route == "SuperLU":
+        real_splu = signedfj.solve.splu
+
+        def faulty_splu(a):
+            solve = real_splu(a).solve
+            return SimpleNamespace(solve=lambda b: fault(solve(b)))
+
+        monkeypatch.setattr(signedfj.solve, "_DENSE_FACTOR_NODES", 0)
+        monkeypatch.setattr(signedfj.solve, "splu", faulty_splu)
+    else:
+        real_factor = signedfj.solve._dense_factor
+
+        def double_only(a, dtype):
+            if dtype == np.float32:
+                raise LinAlgError("no single factor")
+            solve = real_factor(a, dtype)
+            return lambda b: fault(solve(b))
+
+        monkeypatch.setattr(signedfj.solve, "_dense_factor", double_only)
+
+
+class TestDoubleRefinementExits:
+    """On a double factor a panel fails when four corrections leave it above
+    ``1e-6`` of its largest entry, or when a solve is not finite."""
+
+    @staticmethod
+    def _ring():
+        size = 30
+        ring = sparse.csr_matrix(
+            (np.full(size, 0.5), (np.arange(size), np.roll(np.arange(size), -1))),
+            shape=(size, size),
+        )
+        return ring, sparse.random(size, 6, density=0.3, random_state=3, format="csc")
+
+    @pytest.mark.parametrize("route", ["float64 fallback", "SuperLU"])
+    def test_halving_corrections_stall(self, route, monkeypatch):
+        from signedfj import InternalInconsistencyError
+        from signedfj.solve import _ResolventSolver
+
+        # each correction removes half the error, so four leave a 32nd of it
+        _double_route(monkeypatch, route, lambda x: 0.5 * x)
+        ring, rhs = self._ring()
+        with pytest.raises(InternalInconsistencyError, match="iterative refinement stalled"):
+            _ResolventSolver(ring).solve_block(rhs)
+
+    @pytest.mark.parametrize("route", ["float64 fallback", "SuperLU"])
+    def test_non_finite_solve_raises(self, route, monkeypatch):
+        from signedfj import InternalInconsistencyError
+        from signedfj.solve import _ResolventSolver
+
+        _double_route(monkeypatch, route, lambda x: np.full_like(x, np.nan))
+        ring, rhs = self._ring()
+        with pytest.raises(InternalInconsistencyError,
+                           match=r"solve against \(I - test ring\) produced non-finite values"):
+            _ResolventSolver(ring, what="test ring").solve_block(rhs)
 
 
 class TestNumericsInternals:
