@@ -12,10 +12,13 @@ which numpy 1.x would promote to float64.  Unlike Giulietti's Java code
 this writes one digit where one is enough (``5e-324``, not ``4.9e-324``),
 as ``repr`` does.
 
-Text is handled as ``uint8`` matrices, one row per CSV row and a boolean
-``keep`` mask of the same shape: blocks of columns are laid side by side and
-:func:`kept_text` compacts them with one mask.  Tables are built on first
-use, so importing this module costs nothing beyond numpy.
+Text is handled as ``uint8`` matrices, one row per CSV row, whose unused
+bytes hold ``GAP`` (``0xFF``), a byte that UTF-8 never produces, not even
+for the lone surrogates that ``surrogatepass`` writes.  Blocks of columns
+are laid side by side, and :func:`kept_text` drops every gap byte in one C
+pass, ``bytes.translate``.  A second file that leaves some columns out is
+made by writing ``GAP`` over them in place.  Tables are built on first use,
+so importing this module costs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["FLOAT_WIDTH", "Fields", "float_cells", "join_blocks", "kept_text", "literal"]
+__all__ = ["FLOAT_WIDTH", "GAP", "Fields", "float_cells", "join_blocks", "kept_text", "literal"]
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -35,6 +38,8 @@ _POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
 # enough that nine rounds of "take the integer part, times 10" give its digits
 _FRACTION = _U(-(-(1 << 57) // 10**8))
 _LOW57 = _U((1 << 57) - 1)
+# the byte that marks a cell's unused bytes; no UTF-8 text holds it
+GAP = 0xFF
 
 
 def _flog2pow10(e: int) -> int:
@@ -144,11 +149,11 @@ _EXPONENT_TEXT = np.array(_EXPONENTS, dtype="S8").view(np.uint64)
 _EXPONENT_LENGTH = np.array(list(map(len, _EXPONENTS)), dtype=np.uint8)
 
 
-def float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``repr`` of each float64 value as a row of ``FLOAT_WIDTH`` bytes and a keep mask.
+def float_cells(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 value as a row of ``FLOAT_WIDTH`` bytes, unused ones ``GAP``.
 
-    The rows of ``cells[keep]`` are the values' ``repr`` strings, in order.
-    Leading dimensions of ``values`` are kept.  Both arrays are built
+    The rows with their gap bytes dropped are the values' ``repr`` strings,
+    in order.  Leading dimensions of ``values`` are kept.  The array is built
     column-major, so that every step works on contiguous rows of values.
     """
     shape = np.shape(values)
@@ -215,7 +220,16 @@ def float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.frombuffer(b"inf", np.uint8)[:, None])
         keep[_LEAD:, special] = (np.arange(_LEAD, FLOAT_WIDTH) - _BODY < 3)[:, None]
         keep[_LEAD:_BODY, special] = False
-    return cells.T.reshape(shape + (FLOAT_WIDTH,)), keep.T.reshape(shape + (FLOAT_WIDTH,))
+    cells |= _gaps(keep)
+    return cells.T.reshape(shape + (FLOAT_WIDTH,))
+
+
+def _gaps(keep: np.ndarray) -> np.ndarray:
+    """``keep``'s own bytes turned in place into 0 where it is set and ``GAP`` elsewhere,
+    to be or-ed into the cells it marks."""
+    gaps = keep.view(np.uint8)
+    gaps -= 1
+    return gaps
 
 
 class Fields:
@@ -234,13 +248,9 @@ class Fields:
         encoded.append(bytes(self._lengths.max(initial=0)))
         self._bytes = np.frombuffer(b"".join(encoded), dtype=np.uint8)
 
-    def cells(self, ids=None) -> tuple[np.ndarray, np.ndarray]:
+    def cells(self, ids=None) -> np.ndarray:
         """The strings at the 1-d ``ids`` (all of them by default), one per
-        row, as ``(cells, keep)`` as wide as the longest of them.
-
-        Each row holds as many bytes from its string's start, and ``keep``
-        leaves out those past its end.
-        """
+        row, as wide as the longest of them, each padded with ``GAP``."""
         if ids is None:
             ids = slice(None)
         lengths = self._lengths[ids]
@@ -248,28 +258,28 @@ class Fields:
         # row i of ``windows`` is the ``width`` bytes from byte i on, a view
         windows = np.lib.stride_tricks.as_strided(
             self._bytes, (len(self._bytes) - width + 1, width), (1, 1), writeable=False)
-        # keep is built column by column: numpy's loops run fastest over the long axis
-        return windows[self._starts[ids]], (np.arange(width)[:, None] < lengths).T
+        cells = windows[self._starts[ids]]
+        # the mask is built column by column: numpy's loops run fastest over the long axis
+        cells |= _gaps(np.arange(width)[:, None] < lengths).T
+        return cells
 
 
-def literal(text: str) -> tuple[np.ndarray, np.ndarray]:
+def literal(text: str) -> np.ndarray:
     """``text`` as a block that every row of :func:`join_blocks` holds."""
-    cells = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    return cells, np.ones(len(cells), dtype=bool)
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
 
 
-def join_blocks(*blocks: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``blocks`` laid side by side, as one ``(cells, keep)`` pair.
+def join_blocks(*blocks: np.ndarray) -> np.ndarray:
+    """``blocks`` laid side by side, as one array.
 
-    Each block is ``(cells, keep)`` with the characters of a row on its last
-    axis; the other axes broadcast against the other blocks'.
+    Each block holds the bytes of a row on its last axis; the other axes
+    broadcast against the other blocks'.
     """
-    shape = np.broadcast_shapes(*(cells.shape[:-1] for cells, _ in blocks))
-    return tuple(
-        np.concatenate([np.broadcast_to(part, shape + part.shape[-1:]) for part in parts], axis=-1)
-        for parts in zip(*blocks))
+    shape = np.broadcast_shapes(*(block.shape[:-1] for block in blocks))
+    return np.concatenate(
+        [np.broadcast_to(block, shape + block.shape[-1:]) for block in blocks], axis=-1)
 
 
-def kept_text(cells: np.ndarray, keep: np.ndarray) -> str:
-    """The bytes of ``cells`` that ``keep`` marks, row after row, as text."""
-    return cells[keep].tobytes().decode("utf-8", "surrogatepass")
+def kept_text(cells: np.ndarray) -> str:
+    """The bytes of ``cells`` other than ``GAP``, row after row, as text."""
+    return cells.tobytes().translate(None, bytes([GAP])).decode("utf-8", "surrogatepass")

@@ -21,7 +21,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InternalInconsistencyError, NumericalError
-from .graph import SignedDigraph, _ChunkFormatter, _chunk_items, _csv_fields
+from . import graph as graph_module
+from .graph import SignedDigraph, _ChunkFormatter, _csv_fields
 from .topology import CanonicalOrdering
 
 __all__ = [
@@ -292,35 +293,46 @@ class _Records:
 
 
 class _RecordChunks:
-    """A ``record`` sink that hands whole records to a chunk formatter.
+    """A ``record`` sink that cuts the stream of record values into chunks.
 
-    Records are copied into a fresh block per chunk, at most
-    ``_CSV_CHUNK_ROWS`` values unless one record holds more, since a block
-    handed out may wait to be formatted.  The first record calls ``header``
+    Every chunk but the last holds exactly ``size`` values, cut across record
+    boundaries, so a record larger than a chunk spans several.  Each is handed
+    to the formatter as the task ``(ks, start, n, values)``: the records ``ks``
+    of ``n`` values that it touches, the node ``start`` of its first value,
+    and its ``values``.  Values are copied into a fresh block per chunk, since
+    a block handed out may wait to be formatted.  The first record calls ``header``
     with n before anything else is written.
     """
 
-    def __init__(self, formatter: _ChunkFormatter, header):
-        self._formatter, self._header = formatter, header
+    def __init__(self, formatter: _ChunkFormatter, header, size: int):
+        self._formatter, self._header, self._size = formatter, header, size
         self._block: np.ndarray | None = None
+        self._filled = self._start = 0
         self._ks: list[int] = []
+        self.n = 0
 
     def __call__(self, k: int, x: np.ndarray) -> None:
-        if self._block is None:
-            if self._header is not None:
-                self._header(len(x))
-                self._header = None
-            self._block = np.empty((_chunk_items(len(x)), len(x)))
-        self._block[len(self._ks)] = x
-        self._ks.append(k)
-        if len(self._ks) == len(self._block):
-            self.hand_out()
+        if self._header is not None:
+            self.n = len(x)
+            self._header(self.n)
+            self._header = None
+        taken = 0
+        while taken < len(x):
+            if self._block is None:
+                self._block, self._ks, self._start = np.empty(self._size), [], taken
+            self._ks.append(k)
+            take = min(len(x) - taken, self._size - self._filled)
+            self._block[self._filled:self._filled + take] = x[taken:taken + take]
+            self._filled += take
+            taken += take
+            if self._filled == self._size:
+                self.hand_out()
 
     def hand_out(self) -> None:
-        """Submit the records collected so far as one task."""
-        if self._ks:
-            task = (self._ks, self._block[:len(self._ks)])
-            self._block, self._ks = None, []
+        """Submit the values collected so far as one task."""
+        if self._filled:
+            task = (self._ks, self._start, self.n, self._block[:self._filled])
+            self._block, self._filled = None, 0
             self._formatter.submit(task)
 
 
@@ -339,46 +351,50 @@ def trajectory_long_csv(
 
     Given a ``wide`` handle, the same walk writes :func:`trajectory_wide_csv`'s
     rows to it, formatting each value once for both files; ``out`` may then be
-    None.  Labels are CSV-quoted.  Records go out a chunk of whole records at a
-    time, at most ``_CSV_CHUNK_ROWS`` values unless one record holds more, and
-    a run of more than one chunk is formatted on every available CPU (see
+    None.  Labels are CSV-quoted.  Values go out ``_CSV_CHUNK_ROWS`` at a time,
+    whatever the record length: a chunk may start or end inside a record.  A
+    run of more than one chunk is formatted on every available CPU (see
     ``_ChunkFormatter``), which the run waits for when it falls behind.
     """
     from . import _text  # deferred: only the CSV exports format floats
 
     fields = _text.Fields(field + "," for field in _csv_fields(labels))
     to_out, to_wide = out is not None, wide is not None
+    size = graph_module._CSV_CHUNK_ROWS
+    newline = _text.literal("\n")
+    # the label and wide line-end cells of n + size values from a record's
+    # start, built with the header: a chunk reads its rows as one slice
+    tiles = {}
 
     def header(n: int) -> None:
         if to_out:
             out.write("k,node,opinion\n")
         if to_wide:
             wide.write("k," + ",".join(f"x_{i}" for i in range(n)) + "\n")
+        nodes = np.arange(n + size) % n
+        # the wide file alone is written without labels
+        tiles["labels"] = fields.cells(nodes) if to_out else np.empty((n + size, 0), np.uint8)
+        tiles["ends"] = np.where(nodes == n - 1, ord("\n"), ord(",")).astype(np.uint8)
 
-    def format_records(ks: list[int], block: np.ndarray) -> tuple[str, str]:
-        # one matrix per value of "k,", "label,", the value, the wide file's
-        # separator and the long file's line end; each file keeps its own parts
-        n = block.shape[1]
-        k_cells, k_keep = _text.Fields(f"{k}," for k in ks).cells()
-        if to_out:
-            label_cells, label_keep = fields.cells()
-        else:  # the wide file alone is written without labels
-            label_cells, label_keep = np.empty((n, 0), np.uint8), np.empty((n, 0), bool)
-        separators = np.full((n, 1), ord(","), dtype=np.uint8)
-        separators[-1] = ord("\n")
-        cells, keep = _text.join_blocks(
-            (k_cells[:, None], k_keep[:, None]), (label_cells, label_keep),
-            _text.float_cells(block), (separators, np.zeros((n, 1), dtype=bool)),
-            _text.literal("\n"))
-        long_text = _text.kept_text(cells, keep) if to_out else ""
+    def format_records(ks: list[int], start: int, n: int, values: np.ndarray) -> tuple[str, str]:
+        # one matrix of "k,", "label,", the value and the long file's line end
+        count = len(values)
+        labels, ends = tiles["labels"][start:start + count], tiles["ends"][start:start + count]
+        # each record's "k," for the values of it that the chunk holds
+        heads = _text.Fields(f"{k}," for k in ks).cells()
+        shares = np.diff(np.clip(np.arange(len(ks) + 1) * n - start, 0, count))
+        cells = _text.join_blocks(
+            np.repeat(heads, shares, axis=0), labels, _text.float_cells(values), newline)
+        long_text = _text.kept_text(cells) if to_out else ""
         if not to_wide:
             return long_text, ""
-        # "k," only ahead of a record's first value, no labels, and separators
-        k_width, label_width = k_cells.shape[-1], label_cells.shape[-1]
-        keep[:, 1:, :k_width] = False
-        keep[..., k_width:k_width + label_width] = False
-        keep[..., -2:] = [True, False]
-        return long_text, _text.kept_text(cells, keep)
+        # "k," only ahead of each record's first value, no labels, and the
+        # wide file's separators for line ends
+        k_width = heads.shape[1]
+        cells[:, :k_width + labels.shape[1]] = _text.GAP
+        cells[-start % n::n, :k_width] = heads[1 if start else 0:]
+        cells[:, -1] = ends
+        return long_text, _text.kept_text(cells)
 
     def write(texts: tuple[str, str]) -> None:
         if to_out:
@@ -388,10 +404,12 @@ def trajectory_long_csv(
 
     run = _replay(trajectory) if isinstance(trajectory, Trajectory) else trajectory
     with _ChunkFormatter(format_records, write) as formatter:
-        records = _RecordChunks(formatter, header)
+        records = _RecordChunks(formatter, header, size)
         result = run(records)
         records.hand_out()
         formatter.finish()
+    rows = len(result.ks)
+    formatter.log_written("trajectory", ((out, rows * records.n), (wide, rows)))
     return result
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
 import multiprocessing
 import os
@@ -32,6 +33,8 @@ from .errors import GraphFormatError
 
 if TYPE_CHECKING:
     from .topology import CondensationDag, SccPartition
+
+log = logging.getLogger("signedfj")
 
 __all__ = [
     "SignedDigraph",
@@ -295,7 +298,8 @@ def _format_weight(w: float) -> str:
 
 # Streaming CSV writers format and write at most this many rows at a time, so
 # their memory does not grow with the output: a chunk of Theta rows peaks at
-# about 1.3 MB of numpy temporaries while it is formatted (see ``_text``).
+# about 0.9 MB of numpy temporaries while it is formatted for both files, and
+# a chunk of trajectory values at about 0.8 MB (see ``_text``).
 _CSV_CHUNK_ROWS = 1 << 12
 
 
@@ -317,12 +321,6 @@ def _csv_fields(labels: Iterable[str]) -> list[str]:
     return fields
 
 
-def _chunk_items(item_rows: int) -> int:
-    """How many items of ``item_rows`` rows make a chunk: at most ``_CSV_CHUNK_ROWS``
-    rows, and at least one item."""
-    return max(1, _CSV_CHUNK_ROWS // max(item_rows, 1))
-
-
 def _csv_chunks(count: int) -> Iterator[tuple[int, int]]:
     """``(start, stop)`` bounds cutting ``count`` rows into chunks of at most
     ``_CSV_CHUNK_ROWS`` rows."""
@@ -338,12 +336,12 @@ _CHUNKS_PER_WORKER = 2
 def _format_tasks(format_chunk: Callable[..., object], conn) -> None:
     """A worker's loop: ``format_chunk(*task)`` for each task received until ``None`` arrives.
 
-    A thread takes each task off the pipe as it comes.  A task of whole
-    records can be larger than the pipe holds, and a worker waiting to send
-    a chunk the writer has yet to read would otherwise never read the task
-    the writer is waiting to send.  An exception is sent back in place of
-    the chunk, for the writer to raise.  An interrupt is left to the writer,
-    which stops the workers.
+    A thread takes each task off the pipe as it comes.  A task can be larger
+    than the pipe holds (a trajectory chunk's values are 32 kB, more than
+    some systems buffer), and a worker waiting to send a chunk the writer has
+    yet to read would otherwise never read the task the writer is waiting to
+    send.  An exception is sent back in place of the chunk, for the writer
+    to raise.  An interrupt is left to the writer, which stops the workers.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     tasks: queue.SimpleQueue = queue.SimpleQueue()
@@ -397,11 +395,12 @@ class _ChunkFormatter:
         self._held = None  # the first task, until a second shows that workers pay
         self._processes: list = []
         self._conns: list = []
-        self._sent = self._received = 0
+        self._submitted = self._sent = self._received = 0
         self._finished = False
 
     def submit(self, task) -> None:
         """Hand ``task`` out; write the chunks that are taken back to make room for it."""
+        self._submitted += 1
         if self._cpus < 2:
             self._write(self._format_chunk(*task))
         elif self._held is None and not self._sent:
@@ -424,6 +423,15 @@ class _ChunkFormatter:
         for conn in self._conns:
             conn.send(None)
         self._finished = True
+
+    def log_written(self, what: str, files) -> None:
+        """Log one INFO line for the export ``what`` once it is written: each of the
+        ``(handle, rows)`` files whose handle is not None, the chunks and where they
+        were formatted."""
+        where = f"by {len(self._processes)} workers" if self._processes else "in process"
+        log.info("%s export: %s; %d chunks formatted %s", what, ", ".join(
+            f"{getattr(handle, 'name', 'a stream')} ({rows} rows)"
+            for handle, rows in files if handle is not None), self._submitted, where)
 
     def _send(self, task) -> None:
         if self._sent < self._cpus:

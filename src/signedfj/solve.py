@@ -1450,12 +1450,12 @@ def influence_triplets_csv(
         # one matrix of "row,", "col,", the value, the sign and the line end for
         # both files; the triplets leave the sign out
         sign = signs.cells((values > 0).view(np.int8))
-        cells, keep = _text.join_blocks(
+        cells = _text.join_blocks(
             fields.cells(rows), fields.cells(csr.indices[start:stop]), _text.float_cells(values),
             sign, newline)
-        scatter_text = _text.kept_text(cells, keep) if to_scatter else ""
-        keep[:, -1 - sign[1].shape[-1]:-1] = False
-        return (_text.kept_text(cells, keep) if to_out else ""), scatter_text
+        scatter_text = _text.kept_text(cells) if to_scatter else ""
+        cells[:, -1 - sign.shape[-1]:-1] = _text.GAP
+        return (_text.kept_text(cells) if to_out else ""), scatter_text
 
     def write(texts: tuple[str, str]) -> None:
         if to_out:
@@ -1467,6 +1467,7 @@ def influence_triplets_csv(
         for task in _csv_chunks(csr.nnz):
             formatter.submit(task)
         formatter.finish()
+    formatter.log_written("Theta", ((out, csr.nnz), (scatter, csr.nnz)))
 
 
 def influence_scatter_csv(theta: sparse.spmatrix, labels: tuple[str, ...], out: TextIO) -> None:
@@ -1482,7 +1483,7 @@ def centrality_csv(
 
     ranks = _text.Fields(f"{rank}," for rank in range(1, len(ranking) + 1))
     fields = _text.Fields(field + "," for field in _csv_fields(labels))
-    cells, keep = _text.join_blocks(
+    cells = _text.join_blocks(
         ranks.cells(), fields.cells(ranking), _text.float_cells(centrality[ranking]),
         _text.literal("\n"))
-    return "rank,node,centrality\n" + _text.kept_text(cells, keep)
+    return "rank,node,centrality\n" + _text.kept_text(cells)

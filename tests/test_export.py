@@ -3,13 +3,14 @@ memory, and the calls the benchmark tracer times.
 
 The references in ``oracles.py`` format every entry on its own and join the
 whole text, as the writers did before they streamed.  Every case also runs
-with a chunk of 3 rows, so chunk boundaries fall inside Theta's rows and each
-trajectory record is a chunk of its own: once with the chunks formatted by
-forked workers (two CPUs in the affinity set), once in process (one CPU).
+with a chunk of 3 rows, so chunk boundaries fall inside Theta's rows and
+inside trajectory records: once with the chunks formatted by forked workers
+(two CPUs in the affinity set), once in process (one CPU).
 """
 
 import errno
 import io
+import logging
 import multiprocessing
 import os
 import signal
@@ -42,11 +43,26 @@ def set_cpus(monkeypatch, count: int) -> None:
 
 
 class Chunking:
-    """How a test's exports are cut and where they are formatted."""
+    """How a test's exports are cut and where they are formatted.
+
+    Every task handed to a ``_ChunkFormatter`` is checked to hold at most a
+    chunk of values, and ``task_sizes`` lists how many each held.
+    """
 
     def __init__(self, monkeypatch, mode: str):
         self.mode = mode
         self.workers_started = 0
+        self.task_sizes = []
+        original_submit = graph_module._ChunkFormatter.submit
+
+        def checked_submit(formatter, task):
+            # a Theta task is (start, stop), a trajectory task (ks, start, n, values)
+            size = task[1] - task[0] if len(task) == 2 else len(task[-1])
+            assert 0 < size <= graph_module._CSV_CHUNK_ROWS
+            self.task_sizes.append(size)
+            original_submit(formatter, task)
+
+        monkeypatch.setattr(graph_module._ChunkFormatter, "submit", checked_submit)
         if mode == "default_chunk":
             return
         monkeypatch.setattr(graph_module, "_CSV_CHUNK_ROWS", 3)
@@ -193,7 +209,71 @@ class TestMatchesReference:
             iterations_used=0,
         )
         assert_trajectory_exports_match(trajectory, QUOTED_LABELS)
-        chunk.check_workers_used(multi_chunk=False)
+        chunk.check_workers_used()  # at a chunk of 3, the record's 4 values are two chunks
+
+
+class TestChunkBoundaries:
+    """Trajectory records of about one and two chunks of values: every chunk
+    but an export's last is full, cut across records wherever it falls."""
+
+    @pytest.mark.parametrize("chunks, offset", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    def test_records_around_the_chunk_size(self, chunk, chunks, offset):
+        size = graph_module._CSV_CHUNK_ROWS
+        n = chunks * size + offset
+        records = 3
+        trajectory = Trajectory(
+            ks=np.arange(records) * 7,
+            states=np.random.default_rng(8900 + n).uniform(-1.0, 1.0, (records, n)),
+            converged=False,
+            final_residual=float("inf"),
+            iterations_used=7 * (records - 1),
+        )
+        labels = (QUOTED_LABELS + tuple(str(i) for i in range(n)))[:n]
+        assert_trajectory_exports_match(trajectory, labels)
+        full, rest = divmod(records * n, size)
+        # one export for each file
+        assert chunk.task_sizes == 2 * ([size] * full + [rest] * (rest > 0))
+        chunk.check_workers_used()
+
+
+class TestExportLog:
+    """Each streaming export logs one INFO line when it is written, and nothing
+    at the default level."""
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "two_workers"])
+    def test_one_info_line_per_export(self, tmp_path, monkeypatch, caplog, cpus):
+        monkeypatch.setattr(graph_module, "_CSV_CHUNK_ROWS", 3)
+        set_cpus(monkeypatch, cpus)
+        where = "in process" if cpus == 1 else "by 2 workers"
+        theta = signed_theta(6, 10, 8810)
+        trajectory = Trajectory(
+            ks=np.array([0, 5]),
+            states=np.random.default_rng(8811).uniform(-1.0, 1.0, (2, 4)),
+            converged=False,
+            final_residual=float("inf"),
+            iterations_used=5,
+        )
+        paths = [tmp_path / name for name in ("theta.csv", "theta_scatter.csv",
+                                              "trajectory_long.csv", "trajectory_wide.csv")]
+        handles = [path.open("w", encoding="utf-8") for path in paths]
+        with caplog.at_level(logging.WARNING, logger="signedfj"):
+            trajectory_long_csv(trajectory, QUOTED_LABELS, io.StringIO(), io.StringIO())
+        assert caplog.records == []
+        with caplog.at_level(logging.INFO, logger="signedfj"):
+            influence_triplets_csv(theta, tuple("abcdef"), *handles[:2])
+            trajectory_long_csv(trajectory, QUOTED_LABELS, *handles[2:])
+            trajectory_wide_csv(trajectory, io.StringIO())
+        for handle in handles:
+            handle.close()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"Theta export: {paths[0]} (10 rows), {paths[1]} (10 rows); "
+            f"4 chunks formatted {where}",
+            f"trajectory export: {paths[2]} (8 rows), {paths[3]} (2 rows); "
+            f"3 chunks formatted {where}",
+            f"trajectory export: a stream (2 rows); 3 chunks formatted {where}",
+        ]
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from signedfj import _text
 
@@ -15,8 +17,8 @@ SMALLEST_SUBNORMALS = np.arange(1, 1001, dtype=np.uint64).view(np.float64)
 
 def texts(values) -> list[str]:
     """The formatter's text of each of ``values``, split back into one string per value."""
-    cells, keep = _text.float_cells(np.asarray(values, dtype=np.float64))
-    joined = _text.kept_text(*_text.join_blocks((cells, keep), _text.literal("\n")))
+    cells = _text.float_cells(np.asarray(values, dtype=np.float64))
+    joined = _text.kept_text(_text.join_blocks(cells, _text.literal("\n")))
     return joined.split("\n")[:-1]
 
 
@@ -96,8 +98,8 @@ class TestMatchesRepr:
 
     def test_leading_axes_are_kept(self):
         values = np.random.default_rng(9102).standard_normal((3, 5))
-        cells, keep = _text.float_cells(values)
-        assert cells.shape == keep.shape == (3, 5, _text.FLOAT_WIDTH)
+        cells = _text.float_cells(values)
+        assert cells.shape == (3, 5, _text.FLOAT_WIDTH)
         assert texts(values.reshape(-1)) == list(map(repr, values.reshape(-1).tolist()))
 
     def test_empty(self):
@@ -106,27 +108,35 @@ class TestMatchesRepr:
 
 class TestBlocks:
     def test_fields_keep_their_bytes(self):
-        strings = ["", "a", '"x,1"', "é", "日本", "\ud800", "line\nbreak"]
+        strings = ["", "a", '"x,1"', "é", "日本", "\ud800", "line\nbreak", "😀"]
         fields = _text.Fields(strings)
-        ids = np.array([6, 0, 3, 3, 5, 1, 4, 2])
-        cells, keep = _text.join_blocks(fields.cells(ids), _text.literal("|"))
-        assert _text.kept_text(cells, keep) == "".join(strings[i] + "|" for i in ids)
+        ids = np.array([6, 0, 3, 3, 5, 1, 7, 4, 2, 7])
+        cells = _text.join_blocks(fields.cells(ids), _text.literal("|"))
+        assert _text.kept_text(cells) == "".join(strings[i] + "|" for i in ids)
 
     def test_a_long_string_among_short_ones_pads_only_where_it_is(self):
         strings = [f"{i}," for i in range(100)] + ["x" * 10_000 + ","]
         fields = _text.Fields(strings)
-        cells, keep = fields.cells(np.arange(100))
-        assert cells.shape == keep.shape == (100, 3)
+        cells = fields.cells(np.arange(100))
+        assert cells.shape == (100, 3)
         ids = np.array([100, 7, 100, 42])
-        assert _text.kept_text(*fields.cells(ids)) == "".join(strings[i] for i in ids)
+        assert _text.kept_text(fields.cells(ids)) == "".join(strings[i] for i in ids)
 
     def test_blocks_broadcast(self):
         rows = _text.Fields(["r0,", "r1,"]).cells()
         columns = _text.Fields(["a", "bc", "def"]).cells()
-        cells, keep = _text.join_blocks(
-            (rows[0][:, None], rows[1][:, None]), columns, _text.literal(";"))
+        cells = _text.join_blocks(rows[:, None], columns, _text.literal(";"))
         assert cells.shape[:2] == (2, 3)
-        assert _text.kept_text(cells, keep) == "r0,a;r0,bc;r0,def;r1,a;r1,bc;r1,def;"
+        assert _text.kept_text(cells) == "r0,a;r0,bc;r0,def;r1,a;r1,bc;r1,def;"
+
+    @given(st.lists(st.text(st.characters(exclude_categories=())
+                            | st.characters(categories=["Cs"])), max_size=8))
+    def test_field_bytes_never_hold_the_gap_byte(self, strings):
+        # any code point, lone surrogates often, which surrogatepass encodes
+        fields = _text.Fields(strings)
+        assert _text.GAP not in fields._bytes
+        cells = fields.cells()
+        assert _text.kept_text(cells) == "".join(strings)
 
 
 def test_importing_the_cli_leaves_the_formatter_unloaded():
