@@ -371,6 +371,8 @@ def trajectory_long_csv(
             out.write("k,node,opinion\n")
         if to_wide:
             wide.write("k," + ",".join(f"x_{i}" for i in range(n)) + "\n")
+        if not n:
+            return  # records of no values make no chunk to read tiles
         nodes = np.arange(n + size) % n
         # the wide file alone is written without labels
         tiles["labels"] = fields.cells(nodes) if to_out else np.empty((n + size, 0), np.uint8)
@@ -409,6 +411,8 @@ def trajectory_long_csv(
         records.hand_out()
         formatter.finish()
     rows = len(result.ks)
+    if to_wide and rows and not records.n:
+        wide.write("".join(f"{k},\n" for k in result.ks.tolist()))  # "k," alone per record
     formatter.log_written("trajectory", ((out, rows * records.n), (wide, rows)))
     return result
 

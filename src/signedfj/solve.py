@@ -68,7 +68,10 @@ __all__ = [
 _STACK_NODES = 512
 _POWER_STEPS = 2000
 # Resolvent blocks of up to this many nodes are factored densely, in single
-# precision (a 67 MB factor); larger ones go through sparse LU.
+# precision (a 67 MB factor); larger ones go through sparse LU.  This holds for
+# every factor: the sink resolvents, influence's follower block, and the
+# follower block of steady_state and top_centrality where sweeps cannot solve
+# it within _MAX_SWEEPS.
 _DENSE_FACTOR_NODES = 4096
 # A single-precision factor refines each panel for at most this many steps
 # (LAPACK dsgesv's ITERMAX) before its block is refactored in double.
@@ -89,8 +92,12 @@ _PANEL_ENTRIES = 1 << 20
 _DENSE_PANEL_DIVISOR = 4
 # A panel's residual product runs this many columns at a time.
 _PRODUCT_COLUMNS = 16
-# The unsigned adjoint behind the centrality bounds sweeps until its certified
-# step is at most this (its entries are at least 1), or for this many sweeps.
+# The unsigned adjoints sweep until their certified step is at most this (their
+# entries are at least 1), or for this many sweeps: the one behind the
+# centrality bounds, and the one whose norm decides whether the follower block
+# of steady_state and top_centrality is solved by sweeps.  A block takes that
+# route only if it predicts at most this many sweeps, and a panel not done
+# within them is solved on a factor instead.
 _SWEEP_TOL = 2.0**-30
 _MAX_SWEEPS = 1000
 # Each centrality bound is raised by this relative margin.  It covers the
@@ -196,7 +203,7 @@ class InfluenceResult:
 # ---------------------------------------------------------------------------
 
 class _ResolventSolver:
-    """Solves ``(I - M) y = b`` with a prefactored LU and iterative refinement.
+    """Solves ``(I - M) y = b`` by iterative refinement, on sweeps or on a prefactored LU.
 
     Blocks of up to ``_DENSE_FACTOR_NODES`` nodes are factored by dense
     LAPACK: sparse LU fills a cycle-rich block towards dense (a third of
@@ -206,8 +213,8 @@ class _ResolventSolver:
     A dense factor is made in single precision, half the bytes of a double
     one, unless it has a zero or non-finite pivot.  Every route refines in
     one loop (see :meth:`_refine`), and only its stop rule depends on the
-    factor's precision.  On a single factor, column ``j`` is done by
-    LAPACK ``dsgesv``'s rule, ``max|r_j| <= sqrt(m) 2^-53 ||A||_inf max|x_j|``,
+    correction.  On a single factor, column ``j`` is done by LAPACK
+    ``dsgesv``'s rule, ``max|r_j| <= sqrt(m) 2^-53 ||A||_inf max|x_j|``,
     within ``_SINGLE_REFINEMENTS`` corrections; a panel not done in time,
     or a non-finite residual, makes the solver refactor its block in
     double precision once.  On a double factor, dense or SuperLU, the whole
@@ -215,25 +222,39 @@ class _ResolventSolver:
     within 4 corrections, or end up to ``1e-6`` times it; otherwise it
     raises "iterative refinement stalled", or "produced non-finite values".
 
+    With ``sweep``, the block is factored only if sweeps cannot solve it
+    within ``_MAX_SWEEPS`` (see :func:`_sweep_certificate`): while
+    ``_base`` is None the correction is the identity, and each refinement
+    step is one sweep ``x <- M x + b``.  A panel whose sweeps are not done
+    within ``_MAX_SWEEPS`` makes the solver factor its block, and the
+    panel is refined again from ``b`` on the factor.
+
     ``refinement`` holds the latest solve's refinement steps after its
-    first solve and its final residual relative to the largest right-hand
-    side entry (at least 1).
+    first solve, its final residual relative to the largest right-hand
+    side entry (at least 1) and, on sweeps, the largest certified error
+    relative to its column's largest entry (None on a factor).
     """
 
-    def __init__(self, m_block, *, what: str = "block"):
+    def __init__(self, m_block, *, what: str = "block", sweep: bool = False):
         size = m_block.shape[0]
         eye = sparse.identity(size, format="csr")
         self._a = sparse.csr_matrix(eye - m_block)
         self._what = what
         self._dense = self._single = size <= _DENSE_FACTOR_NODES
+        self._norm = float(abs(self._a).sum(axis=1).max())
         # dsgesv's stop: a column is done once max|r| <= this times max|x|
-        self._tolerance = np.sqrt(size) * 2.0**-53 * float(abs(self._a).sum(axis=1).max())
-        self._base = self._factor()
-        self.refinement = (0, 0.0)
+        self._tolerance = np.sqrt(size) * 2.0**-53 * self._norm
+        # a sweep's certificate: the residual's rounding per unit of ||A|| max|x| + max|b|
+        self._rounding = (int(np.diff(self._a.indptr).max(initial=0)) + 4) * 2.0**-53
+        self._certificate = _sweep_certificate(m_block) if sweep else None
+        self._base = None if self._certificate is not None else self._factor()
+        self.refinement = (0, 0.0, None)
 
     @property
     def route(self) -> str:
-        """The factor the block is solved on, as the INFO lines name it."""
+        """The correction the block is solved with, as the INFO lines name it."""
+        if self._base is None:
+            return "sweeps"
         if not self._dense:
             return "SuperLU"
         return "float32" if self._single else "float64 fallback"
@@ -255,13 +276,15 @@ class _ResolventSolver:
     def solve(self, b) -> np.ndarray:
         """Solve a column panel ``b``, dense or sparse; a sparse panel is made dense once.
 
-        Should refinement fail on a single-precision factor, the block is
-        refactored in double precision and the panel refined again from ``b``.
+        Should sweeps not finish, the block is factored; should refinement
+        fail on a single-precision factor, the block is refactored in double
+        precision.  Either way the panel is refined again from ``b``.
         """
         x = self._refine(b)
-        if x is None:
-            self._single = False
-            self._base = None  # the single factor goes before the double one is made
+        while x is None:
+            if self._base is not None:
+                self._single = False
+                self._base = None  # the single factor goes before the double one is made
             self._base = self._factor()
             x = self._refine(b)
         return x
@@ -269,67 +292,102 @@ class _ResolventSolver:
     def solve_column(self, b: np.ndarray) -> np.ndarray:
         """Solve for one dense column ``b``, and log one INFO line on how."""
         x = self.solve(b[:, None])[:, 0]
+        steps, residual, certified = self.refinement
         log.info(
             "%s solve: m=%d, one column, %s route, %d refinement steps, "
-            "final relative residual %.1e",
-            self._what, b.size, self.route, *self.refinement,
+            "final relative residual %.1e%s",
+            self._what, b.size, self.route, steps, residual, _certified_text(certified),
         )
         return x
 
     def _refine(self, b) -> np.ndarray | None:
-        """Refine ``b`` by ``x <- x + C (b - A x)`` from ``x = 0``; None if a single factor fails.
+        """Refine ``b`` by ``x <- x + C (b - A x)`` from ``x = 0``; None if sweeps or a single factor fail.
 
-        ``C`` is the factor's solve.  The first residual is ``b``, so the
-        first correction is the plain solve.  Each pass forms the residual
-        in double precision, ``_PRODUCT_COLUMNS`` columns at a time, and
-        scales each column by a power of two so that its largest entry lies
-        in ``[0.5, 1)`` before rounding it into one array of the panel's
-        shape in the factor's precision: a column of tiny values never
-        rounds to zero in float32, and in float64 the scaling is exact.
-        That array is solved and added to ``x``, scaled back.  Every column
-        is corrected until the panel is done, as in ``dsgesv``: a column
-        that is done gains digits from one more correction.
+        ``C`` is the factor's solve, or the identity on sweeps.  The first
+        residual is ``b``, so the first correction is the plain solve.  Each
+        pass forms the residual in double precision, ``_PRODUCT_COLUMNS``
+        columns at a time.  On a factor, each column is scaled by a power of
+        two so that its largest entry lies in ``[0.5, 1)`` before it is
+        rounded into one array of the panel's shape in the factor's
+        precision: a column of tiny values never rounds to zero in float32,
+        and in float64 the scaling is exact.  That array is solved and added
+        to ``x``, scaled back; on a double factor the first solve becomes
+        ``x``, so the panel, that array and the solve's own output are never
+        held at once before a correction is needed.  Every column is
+        corrected until the panel is done, as in ``dsgesv``: a column that
+        is done gains digits from one more correction.
+
+        On sweeps the residual is added to ``x`` as it is formed.
+        ``|(I - M)^-1| <= (I - |M|)^-1`` entrywise (Varga, *Matrix Iterative
+        Analysis*, 2000, ch. 3), so with ``y = (I - |M|)^-1 1`` the error
+        of ``x_j`` is at most ``||y||_inf`` times its exact residual.  Once
+        the computed residual is at most ``2^-52 max|x_j|``, the sweeps'
+        own error is at most ``||y||_inf`` ulps, and the ``E`` sweeps of
+        :func:`_sweep_certificate` take it below one ulp; then column ``j``
+        is done, and keeps that ``x_j``, so its bits do not depend on its
+        panel mates.  Its certified error, ``max|x_j - x*_j| <= ||y||_inf
+        (max|r_j| + rho_j)``, is kept for the INFO lines, with ``rho_j =
+        (d + 4) 2^-53 (||A||_inf max|x_j| + max|b_j|)`` the rounding of
+        the residual, of forming ``I - M`` and of the bound, for ``d`` the
+        most entries in a row of ``A``.  No sweep count brings that bound
+        below ``||y||_inf rho_j``, so the stop does not ask it to reach an
+        ulp.
         """
         if not sparse.issparse(b):
             b = np.asarray(b, np.float64)
-        single = self._single
-        corrections = _SINGLE_REFINEMENTS if single else 4
+        sweep = self._base is None
+        single = self._single and not sweep
+        corrections = _MAX_SWEEPS - 1 if sweep else _SINGLE_REFINEMENTS if single else 4
         count = b.shape[1]
         scale = _rhs_scale(b)
-        x = np.zeros(b.shape, order="F")
-        scaled = np.empty(b.shape, np.float32 if single else np.float64, order="F")
+        x = np.zeros(b.shape, order="F") if sweep or single else None
+        scaled = None
         scratch = np.empty((b.shape[0], min(count, _PRODUCT_COLUMNS)), order="F")
         exponents = np.zeros(count, np.intc)
         chunks = [slice(start, min(start + _PRODUCT_COLUMNS, count))
                   for start in range(0, count, _PRODUCT_COLUMNS)]
         # COO pieces, so each residual adds its b at the stored entries
         pieces = [b[:, cols].tocoo() if sparse.issparse(b) else b[:, cols] for cols in chunks]
+        # on sweeps, per column: whether it is done, and the rows of _sweep's state
+        finished = np.zeros(count, bool)
+        state = np.zeros((4, count))
+        state[0] = -1.0
         for solves in range(corrections + 2):
             done, worst = solves > 0, 0.0
+            if scaled is None and not sweep:
+                scaled = np.empty(b.shape, np.float32 if single else np.float64, order="F")
             for cols, piece in zip(chunks, pieces):
-                part, r = x[:, cols], scratch[:, :cols.stop - cols.start]
+                if finished[cols].all():
+                    continue  # on sweeps, every column of the chunk is done
+                part, r = x[:, cols] if x is not None else None, scratch[:, :cols.stop - cols.start]
                 if solves:
                     self._residual(piece, part, out=r)
                 else:  # x is zero, so the residual is b
                     r[...] = piece.toarray() if sparse.issparse(piece) else piece
                 top = np.maximum(r.max(axis=0), -r.min(axis=0))
                 if not np.isfinite(top).all():
-                    if single:
+                    if single or sweep:
                         return None
                     raise InternalInconsistencyError(
                         f"solve against (I - {self._what}) produced non-finite values"
                     )
                 worst = max(worst, float(top.max(initial=0.0)))
+                if sweep:
+                    self._sweep(part, r, top, finished[cols], state[:, cols], solves)
+                    continue
                 if solves and single:
                     largest = np.maximum(part.max(axis=0), -part.min(axis=0))
                     done &= bool(np.all(top <= self._tolerance * largest))
                 exponents[cols] = np.frexp(top)[1]
                 # scaled exactly in double, then rounded once to the factor's precision
                 np.ldexp(r, -exponents[cols], out=scaled[:, cols])
-            if not single:
+            if sweep:
+                done &= bool(finished.all())
+                worst = float(state[2].max(initial=0.0))
+            elif not single:
                 done &= worst <= 1e-12 * scale
             if not done and solves > corrections:
-                if single:
+                if single or sweep:
                     return None
                 if worst > 1e-6 * scale:
                     raise InternalInconsistencyError(
@@ -337,13 +395,52 @@ class _ResolventSolver:
                     )
                 done = True
             if done:
-                self.refinement = (solves - 1, worst / scale)
+                self.refinement = (
+                    solves - 1, worst / scale,
+                    float(state[3].max(initial=0.0)) if sweep else None,
+                )
                 return x
+            if sweep:
+                continue
             solved = self._base(scaled)
+            if x is None:
+                # the first correction is the whole solve, scaled back in place;
+                # adding 0.0 turns -0.0 into 0.0 as adding it to x = 0 would
+                for cols in chunks:
+                    np.ldexp(solved[:, cols], exponents[cols], out=solved[:, cols])
+                solved += 0.0
+                x = solved
+                if np.shares_memory(x, scaled):  # a dense factor solves in place
+                    scaled = None
+                continue
             for cols in chunks:
                 r = scratch[:, :cols.stop - cols.start]
                 np.ldexp(solved[:, cols], exponents[cols], out=r, dtype=np.float64)
                 x[:, cols] += r
+
+    def _sweep(self, part, r, top, finished, state, solves: int) -> None:
+        """One sweep of a chunk: finish the columns that are done, add ``r`` to the others.
+
+        ``part`` is the chunk of ``x`` after ``solves`` sweeps and ``r`` its
+        residual, with largest entries ``top``.  ``finished`` and the rows
+        of ``state`` are the chunk's views of the panel's, written in place:
+        per column, the sweep at which its residual first reached an ulp (-1
+        before), ``max|b_j|``, and the final residual and certified relative
+        error of a finished column.  See :meth:`_refine` for the stop.
+        """
+        reached, peaks, residuals, certified = state
+        norm, extra = self._certificate
+        if not solves:
+            peaks[...] = top  # the residual of x = 0 is b
+        largest = np.maximum(part.max(axis=0), -part.min(axis=0))
+        reached[(reached < 0) & (top <= 2.0**-52 * largest)] = solves
+        now = ~finished & (reached >= 0) & (solves - reached >= extra)
+        bound = norm * (top + self._rounding * (self._norm * largest + peaks))
+        certified[now] = np.divide(bound[now], largest[now], out=np.zeros(int(now.sum())),
+                                   where=largest[now] > 0.0)
+        residuals[now] = top[now]
+        finished |= now
+        np.add(part, r, out=part, where=~finished)
 
     def _residual(self, b, x: np.ndarray, *, out: np.ndarray) -> None:
         """``b - A x`` into ``out`` for one chunk of at most ``_PRODUCT_COLUMNS`` columns.
@@ -382,22 +479,55 @@ class _ResolventSolver:
         m = rhs.shape[0]
         nonzero = np.flatnonzero(np.diff(rhs.indptr))
         width = max(1, _PANEL_ENTRIES // m)
-        if self._dense:
+        if self._dense and self._base is not None:
             width = max(width, m // _DENSE_PANEL_DIVISOR)
         solved = _SolvedColumns(rhs.shape)
-        steps, residual = [], 0.0
+        steps, residual, certified = [], 0.0, None
         for start in range(0, nonzero.size, width):
             panel = nonzero[start:start + width]
             solved.add(panel, self.solve(rhs[:, panel]))
             steps.append(self.refinement[0])
             residual = max(residual, self.refinement[1])
+            if self.refinement[2] is not None:
+                certified = max(certified or 0.0, self.refinement[2])
         log.info(
             "%s solve: m=%d, %d columns in %d panels of at most %d, %s route, "
-            "refinement steps per panel %s, largest final relative residual %.1e",
+            "refinement steps per panel %s, largest final relative residual %.1e%s",
             self._what, m, nonzero.size, len(steps), min(width, nonzero.size), self.route,
-            steps, residual,
+            steps, residual, _certified_text(certified),
         )
         return solved
+
+
+def _sweep_certificate(m_block) -> tuple[float, int] | None:
+    """``||y||_inf`` for ``y = (I - |M|)^-1 1``, bounded from above, and the sweeps it asks for.
+
+    The bound comes from :func:`_adjoint_bound` on ``|M|^T``.  Its ``y``
+    satisfies ``|M| y <= y - 1 <= lam y`` with ``lam = 1 - 1/||y||_inf``,
+    so ``|M|`` contracts the error by ``lam`` per sweep in the max norm
+    weighted by ``y``: ``K`` sweeps from 0 leave at most ``||y||_inf lam^K
+    max|x*|``, and ``E`` sweeps with ``lam^E <= 1/||y||_inf`` take an
+    error of ``||y||_inf r`` down to ``r``.  Returns ``(||y||_inf, E)``, or
+    None, so that the block is factored, when no bound is certified or
+    when more than ``_MAX_SWEEPS`` sweeps are needed to reach ``2^-52
+    max|x*|``.  The choice depends on ``M`` alone.
+    """
+    y, _, _ = _adjoint_bound(abs(m_block).T)
+    if y is None:
+        return None
+    norm = float(y.max(initial=1.0))
+    contraction = 1.0 - 1.0 / norm
+    if contraction <= 0.0:  # M = 0: one sweep is exact
+        return norm, 0
+    rate = -np.log(contraction)
+    if (52 * np.log(2.0) + np.log(norm)) / rate > _MAX_SWEEPS:
+        return None
+    return norm, int(np.ceil(np.log(norm) / rate))
+
+
+def _certified_text(certified: float | None) -> str:
+    """The INFO lines' note of a sweep solve's certified relative error."""
+    return "" if certified is None else f", certified relative error {certified:.1e}"
 
 
 def _singular(what: str) -> InternalInconsistencyError:
@@ -908,10 +1038,10 @@ def _check_eigenpairs(bv: np.ndarray, wb: np.ndarray, v: np.ndarray, w: np.ndarr
 # Followers and the full steady state
 # ---------------------------------------------------------------------------
 
-def _follower_solver(system: UpdateSystem) -> _ResolventSolver | None:
+def _follower_solver(system: UpdateSystem, *, sweep: bool = False) -> _ResolventSolver | None:
     if system.ordering.follower_count == 0:
         return None
-    return _ResolventSolver(system.follower_block(), what="follower block")
+    return _ResolventSolver(system.follower_block(), what="follower block", sweep=sweep)
 
 
 def _eigenpair_stacks(system: UpdateSystem, sink_solutions):
@@ -1283,21 +1413,26 @@ class NetworkAnalysis:
 
     @cached_property
     def _solver(self) -> _ResolventSolver | None:
-        """The follower block's factorization, shared by every solve.
+        """The follower block's solver for ``steady_state`` and ``top_centrality``.
 
-        ``influence`` takes it out of the cache, so the factor is freed
-        before Theta is assembled; a ``steady_state`` after that factors
-        again.
+        It sweeps, and factors the block only where sweeps cannot solve it
+        (see :class:`_ResolventSolver`).  ``influence`` takes it out of the
+        cache and keeps its factor if it made one, so the factor is freed
+        before Theta is assembled; a ``steady_state`` after that makes a
+        new solver.
         """
-        return _follower_solver(self.system)
+        return _follower_solver(self.system, sweep=True)
+
+    def _take_factor(self) -> _ResolventSolver | None:
+        """``_solver`` out of the cache, if it factored the block; no other reference stays."""
+        solver = self.__dict__.pop("_solver", None)
+        return None if solver is None or solver.route == "sweeps" else solver
 
     @cached_property
     def influence(self) -> InfluenceResult:
+        """All of Theta, its centrality and ranking, always on a factor of the follower block."""
         theta = influence_matrix(
-            self.system,
-            self.classification,
-            self.sink_solutions,
-            _solver=self.__dict__.pop("_solver", None),
+            self.system, self.classification, self.sink_solutions, _solver=self._take_factor(),
         )
         centrality, ranking = absolute_centrality(theta)
         return InfluenceResult(matrix=theta, centrality=centrality, ranking=ranking)
@@ -1309,21 +1444,27 @@ class NetworkAnalysis:
         (Fagin, Lotem & Naor, JCSS 2003) over the units of
         :func:`_centrality_bounds`: units are solved in descending order of
         their bounds, a panel at a time, by :func:`influence_matrix` on the
-        follower factor that ``steady_state`` uses, and each panel's
+        follower solver that ``steady_state`` uses, and each panel's
         columns get their exact centrality from :func:`absolute_centrality`.
         The loop stops once the next bound is below the k-th largest exact
         centrality, so no unsolved column can enter or tie the top ``k``,
         and the stable ranking (descending centrality, then ascending
         index) is exact.  The first panel takes ``2k`` units, and the next
         every unit whose bound reaches the k-th value found, which ends
-        the loop.  No panel takes one unit while another is left, since a
-        column's last bits can depend on its panel mates; those bits may
-        differ from ``influence``'s within the solver's accuracy.  Without
-        a certificate, or with ``k`` at least the number of units, every
-        unit is solved.  Logs one INFO line.
+        the loop.  No panel takes one unit while another is left, since on
+        a factor a column's last bits can depend on its panel mates; those
+        bits may differ from ``influence``'s within the solver's accuracy.
+        Without a certificate every unit is solved.  With ``k`` at least
+        the number of units, every unit is needed, so the ranking is read
+        from ``influence``.  Logs one INFO line.
         """
         bounds = _centrality_bounds(self.system, self.sink_solutions)
         units, count = bounds.units, len(bounds.units)
+        if 0 < count <= k:
+            full = self.influence
+            log.info("top %d centrality: all %d units needed, read from the influence matrix",
+                     k, count)
+            return full.ranking[:k], full.centrality[full.ranking[:k]]
         centrality = np.zeros(self.graph.n)
         solved: list[np.ndarray] = []
         done = panels = 0

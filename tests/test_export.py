@@ -211,6 +211,24 @@ class TestMatchesReference:
         assert_trajectory_exports_match(trajectory, QUOTED_LABELS)
         chunk.check_workers_used()  # at a chunk of 3, the record's 4 values are two chunks
 
+    def test_zero_node_trajectory(self, chunk):
+        """Records of no values: the long file is its header, the wide file a
+        ``k,`` line per record, with no warning on the way."""
+        trajectory = Trajectory(
+            ks=np.array([0, 1]),
+            states=np.empty((2, 0)),
+            converged=False,
+            final_residual=float("inf"),
+            iterations_used=1,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_trajectory_exports_match(trajectory, ())
+            both = io.StringIO(), io.StringIO()
+            trajectory_long_csv(trajectory, (), *both)
+        assert [text.getvalue() for text in both] == ["k,node,opinion\n", "k,\n0,\n1,\n"]
+        assert chunk.task_sizes == []
+
 
 class TestChunkBoundaries:
     """Trajectory records of about one and two chunks of values: every chunk

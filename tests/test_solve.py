@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import LinAlgError
+from scipy.sparse.linalg import splu
 
 from signedfj import (
     Regime,
@@ -580,6 +581,40 @@ class TestFactorRouting:
         assert solve_peaks[0] - factor_bytes <= follower_bytes + 2 * panel_bytes
         assert assembly_peak <= 2.1 * theta_bytes
 
+    def test_double_factor_holds_two_panels(self, monkeypatch):
+        """A SuperLU panel that needs no correction: its first solve becomes
+        ``x``, so ``x``, the float64 buffer and SuperLU's own output are
+        never held at once."""
+        import tracemalloc
+
+        import signedfj.solve
+        from signedfj.solve import _ResolventSolver
+
+        size, columns = 4000, 256
+        rng = np.random.default_rng(12)
+        ring = sparse.csr_matrix(
+            (np.where(rng.random(size) < 0.2, -0.9, 0.9),
+             (np.arange(size), np.roll(np.arange(size), -1))),
+            shape=(size, size),
+        )
+        rhs = sparse.random(size, columns, density=0.002, random_state=13, format="csc")
+        rhs = (rhs + sparse.eye(size, columns, format="csc")).tocsc()
+        monkeypatch.setattr(signedfj.solve, "_DENSE_FACTOR_NODES", 0)
+        solver = _ResolventSolver(ring)
+        assert solver.route == "SuperLU"
+        tracemalloc.start()
+        try:
+            x = solver.solve(rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver.refinement[0] == 0
+        assert peak <= 2.2 * size * columns * 8
+        # the bits of a solve that adds its first correction to x = 0
+        a = sparse.csr_matrix(sparse.identity(size, format="csr") - ring)
+        want = 0.0 + splu(a.tocsc()).solve(rhs.toarray(order="F"))
+        assert x.tobytes() == want.tobytes()
+
 
 class TestLargeBlockSolves:
     """Free sinks past a (lowered) stack size take the reduced-system route,
@@ -620,7 +655,8 @@ class TestLargeBlockSolves:
 
     def test_one_info_line_per_column_solve(self, monkeypatch, caplog):
         """The reduced system of a large free sink and the follower solve of a
-        steady state each log their route and refinement."""
+        steady state each log their route and refinement; the follower solve
+        sweeps, and logs its certified error too."""
         import re
 
         import signedfj.solve
@@ -641,15 +677,16 @@ class TestLargeBlockSolves:
             analysis.steady_state(np.linspace(-1.0, 1.0, n))
         line = re.compile(
             r"(.+) solve: m=(\d+), one column, (.+) route, (\d+) refinement steps, "
-            r"final relative residual (\S+)"
+            r"final relative residual (\S+)(?:, certified relative error (\S+))?"
         )
         lines = [line.fullmatch(r.getMessage()) for r in caplog.records
                  if "one column" in r.getMessage()]
         assert [m.group(1, 2, 3) for m in lines] == [
             ("|sink block 0| without its last node", str(size - 1), "float32"),
-            ("follower block", str(chain), "float32"),
+            ("follower block", str(chain), "sweeps"),
         ]
         assert all(float(m.group(5)) <= 1e-12 for m in lines)
+        assert lines[0].group(6) is None and float(lines[1].group(6)) <= 1e-12
 
     def test_sparse_resolvent_and_follower_blocks(self, monkeypatch):
         import signedfj.solve
@@ -1562,3 +1599,145 @@ class TestSinkBatch:
             _assert_same_solution(a, b)
         assert whole.spectral.sink_spectral_radii == split.spectral.sink_spectral_radii
         assert np.array_equal(whole.steady_state(x0), split.steady_state(x0))
+
+
+def _ring_into_sink(
+    followers: int, leak: float, *, leakers, stubborn: float = 0.0
+) -> tuple[SignedDigraph, np.ndarray]:
+    """A signed follower ring with self-loops; the followers ``leakers`` rate
+    a stubborn singleton sink ``leak``, and every fourth follower has
+    stubbornness ``stubborn``."""
+    labels = [f"f{i}" for i in range(followers)] + ["z"]
+    edges = [(f"f{i}", f"f{i}", 1.0) for i in range(followers)]
+    edges += [(f"f{i}", f"f{(i + 1) % followers}", -1.0 if i % 3 == 0 else 1.0)
+              for i in range(followers)]
+    edges += [(f"f{i}", "z", leak) for i in leakers]
+    edges.append(("z", "z", 1.0))
+    beta = np.zeros(followers + 1)
+    beta[:followers:4] = stubborn
+    beta[-1] = 0.5
+    return SignedDigraph.from_edges(labels, edges), beta
+
+
+def _fast_ring(followers: int = 70) -> tuple[SignedDigraph, np.ndarray]:
+    """Every follower leaks half a ring edge: ``|P_FF|`` has row sums 0.8 or less."""
+    return _ring_into_sink(followers, 0.5, leakers=range(followers), stubborn=0.05)
+
+
+class TestSweepRoute:
+    """``steady_state`` and ``top_centrality`` solve the follower block by
+    certified sweeps where its contraction allows; ``influence`` keeps the
+    factor."""
+
+    @staticmethod
+    def _record_solves(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, tuple, str]]:
+        """Every panel the solver solves: ``b``, ``x``, its refinement and route."""
+        from signedfj.solve import _ResolventSolver
+
+        solves = []
+        real = _ResolventSolver.solve
+
+        def recording(self, b):
+            x = real(self, b)
+            dense = b.toarray() if sparse.issparse(b) else np.array(b)
+            solves.append((dense, x.copy(), self.refinement, self.route))
+            return x
+
+        monkeypatch.setattr(_ResolventSolver, "solve", recording)
+        return solves
+
+    def test_certified_error_holds_against_a_50_digit_solve(self, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        checked = 0
+        for seed in range(SUITE_SIZE):
+            graph, beta, x0 = random_instance(SUITE_SEED + seed, n_max=40)
+            analysis = analyze_network(graph, beta)
+            m = analysis.system.ordering.follower_count
+            if m < 2:
+                continue
+            analysis.sink_solutions
+            solves = self._record_solves(monkeypatch)
+            analysis.steady_state(x0)
+            analysis.top_centrality(3)
+            monkeypatch.undo()
+            block = analysis.system.follower_block().toarray()
+            with mpmath.workdps(50):
+                a = mpmath.eye(m) - mpmath.matrix(block.tolist())
+                for b, x, (_, _, certified), route in solves:
+                    if route != "sweeps":
+                        continue  # a block that contracts slowly is factored
+                    for j in range(b.shape[1]):
+                        exact = mpmath.lu_solve(a, mpmath.matrix(b[:, j].tolist()))
+                        error = max(abs(mpmath.mpf(float(v)) - e) for v, e in zip(x[:, j], exact))
+                        assert error <= certified * np.abs(x[:, j]).max(), (seed, j)
+                        checked += 1
+            if checked >= 40:
+                break
+        assert checked >= 40
+
+    def test_slow_block_keeps_its_factor(self, monkeypatch):
+        """A leak of 1e-6 predicts far more than ``_MAX_SWEEPS`` sweeps."""
+        graph, beta = _ring_into_sink(60, 1e-6, leakers=[0])
+        analysis = analyze_network(graph, beta)
+        analysis.sink_solutions
+        shapes = _count_factorizations(monkeypatch)
+        x0 = np.linspace(-1.0, 1.0, 61)
+        x = analysis.steady_state(x0)
+        assert analysis._solver.route == "float32"
+        assert shapes == {"lu_factor": [(60, 60)], "splu": []}
+        # the factor is the one influence uses, so it is not made again
+        theta = analysis.influence.matrix
+        assert shapes == {"lu_factor": [(60, 60)], "splu": []}
+        assert np.max(np.abs(theta @ x0 - x)) <= 1e-12
+
+    def test_fast_block_is_never_factored(self, monkeypatch):
+        graph, beta = _fast_ring()
+        analysis = analyze_network(graph, beta)
+        analysis.sink_solutions
+        shapes = _count_factorizations(monkeypatch)
+        x0 = np.linspace(-1.0, 1.0, 71)
+        x = analysis.steady_state(x0)
+        nodes, values = analysis.top_centrality(3)
+        assert analysis._solver.route == "sweeps"
+        assert shapes == {"lu_factor": [], "splu": []}
+        # influence factors the block once, and agrees within the goldens' tolerance
+        full = analysis.influence
+        assert shapes == {"lu_factor": [(70, 70)], "splu": []}
+        assert np.max(np.abs(full.matrix @ x0 - x)) <= 1e-12
+        assert nodes.tolist() == full.ranking[:3].tolist()
+        assert np.max(np.abs(values - full.centrality[nodes])) <= 1e-12
+
+    def test_unfinished_panel_falls_back_to_the_factor(self, monkeypatch, caplog):
+        """With the cap lowered after the route is chosen, the sweeps of x*
+        stop short; the block is factored and x* has the factor route's bits."""
+        import signedfj.solve
+
+        graph, beta = _fast_ring()
+        analysis = analyze_network(graph, beta)
+        assert analysis._solver.route == "sweeps"
+        monkeypatch.setattr(signedfj.solve, "_MAX_SWEEPS", 3)
+        x0 = np.linspace(-1.0, 1.0, 71)
+        with caplog.at_level(logging.INFO, logger="signedfj"):
+            x = analysis.steady_state(x0)
+        assert analysis._solver.route == "float32"
+        (line,) = [r.getMessage() for r in caplog.records if "follower block solve" in r.getMessage()]
+        assert "float32 route" in line and "certified" not in line
+        m = analysis.system.ordering.follower_count
+        factored = solve_followers(analysis.system, analysis.sink_solutions, x0)
+        assert x[analysis.system.ordering.permutation[:m]].tobytes() == factored.tobytes()
+
+    def test_columns_do_not_depend_on_their_panel_mates(self):
+        from signedfj.solve import _ResolventSolver
+
+        system = analyze_network(*_fast_ring()).system
+        m = system.ordering.follower_count
+        rhs = sparse.hstack(
+            [sparse.diags(system.stubbornness_canonical[:m]), system.update_matrix[:m, m:]],
+            format="csc",
+        )
+        rhs = rhs[:, np.flatnonzero(np.diff(rhs.indptr))]
+        solver = _ResolventSolver(system.follower_block(), sweep=True)
+        assert solver.route == "sweeps"
+        together = solver.solve(rhs)
+        for j in range(rhs.shape[1]):
+            assert solver.solve(rhs[:, [j]]).tobytes() == together[:, [j]].tobytes()
