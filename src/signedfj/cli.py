@@ -216,7 +216,12 @@ def _load_graph(config: RunConfig) -> SignedDigraph:
     return graph
 
 
-def _load_profiles(config: RunConfig, graph: SignedDigraph):
+def _load_inputs(config: RunConfig) -> tuple[SignedDigraph, np.ndarray, np.ndarray, list]:
+    """The graph, beta, x0 and input warnings of ``config``; the warnings are printed.
+
+    A missing profile is all zeros.  Validation is left to the caller.
+    """
+    graph = _load_graph(config)
     warnings = []
     if config.beta_path:
         text = _read_text(config.beta_path)
@@ -234,7 +239,8 @@ def _load_profiles(config: RunConfig, graph: SignedDigraph):
         warnings.extend(w)
     else:
         x0 = np.zeros(graph.n)
-    return beta, x0, warnings
+    _print_issues(warnings, kind="warning")
+    return graph, beta, x0, warnings
 
 
 def _issue_dicts(issues) -> list[dict]:
@@ -300,9 +306,7 @@ def _validated(graph: SignedDigraph, beta) -> ValidationReport | None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(config: RunConfig) -> int:
-    graph = _load_graph(config)
-    beta, x0, input_warnings = _load_profiles(config, graph)
-    _print_issues(input_warnings, kind="warning")
+    graph, beta, x0, input_warnings = _load_inputs(config)
     report = _validated(graph, beta)
     if report is None:
         return EXIT_VALIDATION
@@ -360,9 +364,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    graph = _load_graph(config)
-    beta, x0, input_warnings = _load_profiles(config, graph)
-    _print_issues(input_warnings, kind="warning")
+    graph, beta, x0, _ = _load_inputs(config)
     report = _validated(graph, beta)
     if report is None:
         return EXIT_VALIDATION
@@ -405,9 +407,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_centrality(config: RunConfig) -> int:
-    graph = _load_graph(config)
-    beta, _, input_warnings = _load_profiles(config, graph)
-    _print_issues(input_warnings, kind="warning")
+    graph, beta, _, _ = _load_inputs(config)
     report = _validated(graph, beta)
     if report is None:
         return EXIT_VALIDATION
@@ -427,9 +427,7 @@ def cmd_centrality(config: RunConfig) -> int:
 
 
 def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) -> int:
-    graph = _load_graph(config)
-    beta, _, input_warnings = _load_profiles(config, graph)
-    _print_issues(input_warnings, kind="warning")
+    graph, beta, _, _ = _load_inputs(config)
 
     flips = []
     for spec in flip_specs:

@@ -229,6 +229,7 @@ class _ResolventSolver:
     within ``_MAX_SWEEPS`` makes the solver factor its block, and the
     panel is refined again from ``b`` on the factor.
 
+    Every caller solves through :meth:`solve_block`, on sparse panels.
     ``refinement`` holds the latest solve's refinement steps after its
     first solve, its final residual relative to the largest right-hand
     side entry (at least 1) and, on sweeps, the largest certified error
@@ -273,8 +274,8 @@ class _ResolventSolver:
         except (RuntimeError, LinAlgError) as exc:
             raise _singular(self._what) from exc
 
-    def solve(self, b) -> np.ndarray:
-        """Solve a column panel ``b``, dense or sparse; a sparse panel is made dense once.
+    def solve(self, b: sparse.csc_matrix) -> np.ndarray:
+        """Solve one sparse column panel ``b`` of :meth:`solve_block` into a dense panel.
 
         Should sweeps not finish, the block is factored; should refinement
         fail on a single-precision factor, the block is refactored in double
@@ -289,18 +290,7 @@ class _ResolventSolver:
             x = self._refine(b)
         return x
 
-    def solve_column(self, b: np.ndarray) -> np.ndarray:
-        """Solve for one dense column ``b``, and log one INFO line on how."""
-        x = self.solve(b[:, None])[:, 0]
-        steps, residual, certified = self.refinement
-        log.info(
-            "%s solve: m=%d, one column, %s route, %d refinement steps, "
-            "final relative residual %.1e%s",
-            self._what, b.size, self.route, steps, residual, _certified_text(certified),
-        )
-        return x
-
-    def _refine(self, b) -> np.ndarray | None:
+    def _refine(self, b: sparse.csc_matrix) -> np.ndarray | None:
         """Refine ``b`` by ``x <- x + C (b - A x)`` from ``x = 0``; None if sweeps or a single factor fail.
 
         ``C`` is the factor's solve, or the identity on sweeps.  The first
@@ -333,13 +323,12 @@ class _ResolventSolver:
         below ``||y||_inf rho_j``, so the stop does not ask it to reach an
         ulp.
         """
-        if not sparse.issparse(b):
-            b = np.asarray(b, np.float64)
         sweep = self._base is None
         single = self._single and not sweep
         corrections = _MAX_SWEEPS - 1 if sweep else _SINGLE_REFINEMENTS if single else 4
         count = b.shape[1]
-        scale = _rhs_scale(b)
+        # a relative residual's unit: the largest entry of b, at least 1
+        scale = max(1.0, float(np.max(np.abs(b.data), initial=0.0)))
         x = np.zeros(b.shape, order="F") if sweep or single else None
         scaled = None
         scratch = np.empty((b.shape[0], min(count, _PRODUCT_COLUMNS)), order="F")
@@ -347,7 +336,7 @@ class _ResolventSolver:
         chunks = [slice(start, min(start + _PRODUCT_COLUMNS, count))
                   for start in range(0, count, _PRODUCT_COLUMNS)]
         # COO pieces, so each residual adds its b at the stored entries
-        pieces = [b[:, cols].tocoo() if sparse.issparse(b) else b[:, cols] for cols in chunks]
+        pieces = [b[:, cols].tocoo() for cols in chunks]
         # on sweeps, per column: whether it is done, and the rows of _sweep's state
         finished = np.zeros(count, bool)
         state = np.zeros((4, count))
@@ -363,7 +352,7 @@ class _ResolventSolver:
                 if solves:
                     self._residual(piece, part, out=r)
                 else:  # x is zero, so the residual is b
-                    r[...] = piece.toarray() if sparse.issparse(piece) else piece
+                    r[...] = piece.toarray()
                 top = np.maximum(r.max(axis=0), -r.min(axis=0))
                 if not np.isfinite(top).all():
                     if single or sweep:
@@ -442,20 +431,16 @@ class _ResolventSolver:
         finished |= now
         np.add(part, r, out=part, where=~finished)
 
-    def _residual(self, b, x: np.ndarray, *, out: np.ndarray) -> None:
+    def _residual(self, b: sparse.coo_matrix, x: np.ndarray, *, out: np.ndarray) -> None:
         """``b - A x`` into ``out`` for one chunk of at most ``_PRODUCT_COLUMNS`` columns.
 
-        It is formed as ``(-A x) + b``, the same bits in IEEE arithmetic.
-        The chunk is narrow since a Fortran-order panel has no C-order view
-        for the sparse product to use; each column's sum runs in the same
-        order whatever the chunk width.  A sparse ``b``, in COO form, is
-        added at its own entries only.
+        It is formed as ``(-A x) + b``, with ``b`` added at its stored
+        entries only.  The chunk is narrow since a Fortran-order panel has
+        no C-order view for the sparse product to use; each column's sum
+        runs in the same order whatever the chunk width.
         """
         np.negative(self._a @ x, out=out)
-        if sparse.issparse(b):
-            out[b.row, b.col] += b.data
-        else:
-            out += b
+        out[b.row, b.col] += b.data
 
     def solve_block(self, rhs: sparse.spmatrix) -> _SolvedColumns:
         """Solve for every column of a sparse ``rhs`` at once; the result stays in pieces.
@@ -592,12 +577,6 @@ def _column_nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kept = x.T != 0.0
     rows = np.broadcast_to(np.arange(x.shape[0], dtype=np.int32), kept.shape)
     return rows[kept], x.T[kept]
-
-
-def _rhs_scale(b) -> float:
-    """The largest right-hand side entry, at least 1: a relative residual's unit."""
-    values = b.data if sparse.issparse(b) else b
-    return max(1.0, float(np.max(np.abs(values), initial=0.0)))
 
 
 def _dense_factor(a: sparse.csr_matrix, dtype):
@@ -777,15 +756,12 @@ class _SinkBatch:
     approximate.
 
     ``sinks`` have consecutive sink indices: all of ``classification.sinks``,
-    or one sink.  Without ``radii`` only the eigenpairs are stacked.
+    or one sink.  Every batch runs the same pass, radii included.
     """
 
-    def __init__(
-        self, system: UpdateSystem, sinks: tuple[SinkInfo, ...], *, radii: bool = True
-    ):
+    def __init__(self, system: UpdateSystem, sinks: tuple[SinkInfo, ...]):
         self.system = system
         self.sinks = tuple(sinks)
-        self._with_radii = radii
 
     @property
     def radii(self) -> tuple[list[float], list[float], bool]:
@@ -807,32 +783,25 @@ class _SinkBatch:
         # a stubborn-free sink's |B| is row stochastic, so its radius is 1,
         # and so is B's on a balanced one, which is similar to |B|
         stochastic = ~np.array([s.contains_stubborn for s in sinks], dtype=bool)
-        free = balanced & (sizes <= _STACK_NODES)
+        stacked = sizes <= _STACK_NODES
+        free = balanced & stacked
         radii = np.where(stochastic, 1.0, 0.0)
         radii_abs = radii.copy()
-        approximate = False
         solutions: dict[int, SinkSolution] = {}
-        if self._with_radii:
-            stacked = sizes <= _STACK_NODES
-            # larger blocks get a power bound; 1 bounds an unbalanced sink's signed radius
-            approximate = bool(np.any(~stacked & ~(stochastic & balanced)))
-            for k in np.flatnonzero(~stacked & ~stochastic):
-                sink = first + int(k)
-                block = system.sink_block(sink)
-                radii[k], radii_abs[k], _ = _block_radii(block, f"sink block {sink}")
-        else:
-            stacked = free
+        # larger blocks get a power bound; 1 bounds an unbalanced sink's signed radius
+        approximate = bool(np.any(~stacked & ~(stochastic & balanced)))
+        for k in np.flatnonzero(~stacked & ~stochastic):
+            sink = first + int(k)
+            block = system.sink_block(sink)
+            radii[k], radii_abs[k], _ = _block_radii(block, f"sink block {sink}")
         for panel, blocks in self._stacks(offsets, sizes, stacked):
             gauged = np.abs(blocks)
-            if self._with_radii:
-                signed = ~balanced[panel]  # radii that the structure leaves open
-                if signed.any():
-                    radii[panel[signed]] = np.abs(np.linalg.eigvals(blocks[signed])).max(axis=1)
-                leaky = ~stochastic[panel]
-                if leaky.any():
-                    radii_abs[panel[leaky]] = (
-                        np.abs(np.linalg.eigvals(gauged[leaky])).max(axis=1)
-                    )
+            signed = ~balanced[panel]  # radii that the structure leaves open
+            if signed.any():
+                radii[panel[signed]] = np.abs(np.linalg.eigvals(blocks[signed])).max(axis=1)
+            leaky = ~stochastic[panel]
+            if leaky.any():
+                radii_abs[panel[leaky]] = np.abs(np.linalg.eigvals(gauged[leaky])).max(axis=1)
             pick = free[panel]
             if pick.any():
                 eigenpairs = self._eigenpairs(panel[pick], blocks[pick], gauged[pick])
@@ -929,9 +898,10 @@ def solve_sink(
 
     Given the analysis's ``_batch``, the answer is looked up from its
     stacked pass; without one, the same pass runs on a batch of this sink
-    alone, so a sink's limit does not depend on how it was asked for.
+    alone, so a sink's limit does not depend on how it was asked for.  That
+    pass also computes the sink's radii, which are then discarded.
     """
-    batch = _batch if _batch is not None else _SinkBatch(system, (sink,), radii=False)
+    batch = _batch if _batch is not None else _SinkBatch(system, (sink,))
     return batch.solution(sink)
 
 
@@ -942,8 +912,9 @@ def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
     stationary vector from the reduced system (Stewart, *Introduction to
     the Numerical Solution of Markov Chains*, 1994, ch. 2): with ``j`` its
     last node and ``pi_j = 1``, ``pi_{-j} (I - |B|_{-j}) = |B|_{j,-j}``,
-    solved on one :class:`_ResolventSolver`.  ``|B|_{-j}`` is strictly
-    substochastic on an irreducible block, so the system is nonsingular.
+    solved as a one-column panel by :meth:`_ResolventSolver.solve_block`,
+    which logs its INFO line.  ``|B|_{-j}`` is strictly substochastic on an
+    irreducible block, so the system is nonsingular.
     """
     members = sink.members
     if not sink.in_s_ns and not sink.contains_stubborn:
@@ -981,10 +952,9 @@ def _solve_single_sink(system: UpdateSystem, sink: SinkInfo) -> SinkSolution:
         np.asarray(gauged.sum(axis=1)).T,
         [sink],
     )
-    reduced = _ResolventSolver(
-        gauged[:-1, :-1].T, what=f"|sink block {sink.sink_index}| without its last node"
-    )
-    pi = np.append(reduced.solve_column(gauged[-1, :-1].toarray()[0]), 1.0)
+    what = f"|sink block {sink.sink_index}| without its last node"
+    reduced = _ResolventSolver(gauged[:-1, :-1].T, what=what).solve_block(gauged[-1, :-1].T)
+    pi = np.append(reduced.join().toarray()[:, 0], 1.0)
     pi /= pi.sum()
     v = sigma[None]
     w = _left_vectors(v, pi[None])
@@ -1134,7 +1104,9 @@ def solve_followers(
 
         x_F = (I - P_FF)^{-1} (P_FL x_L* + beta_F * x0_F)
 
-    Returns the follower values in ascending original-index order.
+    The right-hand side goes to :meth:`_ResolventSolver.solve_block` as a
+    one-column panel, which logs its INFO line, and the joined column is
+    read back.  Returns the follower values in ascending original-index order.
     """
     ordering = system.ordering
     m = ordering.follower_count
@@ -1147,7 +1119,7 @@ def solve_followers(
         + system.update_matrix[:m, m:] @ x_sinks
     )
     solver = _solver if _solver is not None else _follower_solver(system)
-    return solver.solve_column(rhs)
+    return solver.solve_block(sparse.csc_matrix(rhs[:, None])).join().toarray()[:, 0]
 
 
 def influence_matrix(

@@ -655,7 +655,8 @@ class TestLargeBlockSolves:
 
     def test_one_info_line_per_column_solve(self, monkeypatch, caplog):
         """The reduced system of a large free sink and the follower solve of a
-        steady state each log their route and refinement; the follower solve
+        steady state are one-column block solves, and each logs the block
+        solve's line with its route and refinement; the follower solve
         sweeps, and logs its certified error too."""
         import re
 
@@ -676,11 +677,12 @@ class TestLargeBlockSolves:
             analysis.sink_solutions
             analysis.steady_state(np.linspace(-1.0, 1.0, n))
         line = re.compile(
-            r"(.+) solve: m=(\d+), one column, (.+) route, (\d+) refinement steps, "
-            r"final relative residual (\S+)(?:, certified relative error (\S+))?"
+            r"(.+) solve: m=(\d+), 1 columns in 1 panels of at most 1, (.+) route, "
+            r"refinement steps per panel \[(\d+)\], largest final relative residual (\S+)"
+            r"(?:, certified relative error (\S+))?"
         )
         lines = [line.fullmatch(r.getMessage()) for r in caplog.records
-                 if "one column" in r.getMessage()]
+                 if " solve: m=" in r.getMessage()]
         assert [m.group(1, 2, 3) for m in lines] == [
             ("|sink block 0| without its last node", str(size - 1), "float32"),
             ("follower block", str(chain), "sweeps"),
@@ -1229,6 +1231,47 @@ class TestDoubleRefinementExits:
             _ResolventSolver(ring, what="test ring").solve_block(rhs)
 
 
+class TestStoredZeros:
+    """A panel's solution bytes do not depend on the zeros it stores, on any
+    route.  A dense column holds its zeros, and ``solve_block`` drops them, so
+    this is why x* keeps its bytes as a one-column block solve."""
+
+    @staticmethod
+    def _panels(size: int) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
+        """One column with ``+0.0`` and ``-0.0`` stored among its entries, and without them."""
+        rows = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 20, 25, 30])
+        values = np.linspace(-1.0, 1.0, rows.size) + 0.125
+        values[[3, 6, 10, 11, 12, 13]] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+        stored = sparse.csc_matrix((values, rows, [0, rows.size]), shape=(size, 1))
+        kept = values != 0.0
+        dropped = sparse.csc_matrix((values[kept], rows[kept], [0, kept.sum()]), shape=(size, 1))
+        assert stored.nnz == dropped.nnz + 6
+        assert np.count_nonzero(np.signbit(stored.data) & (stored.data == 0.0)) == 3
+        return stored, dropped
+
+    @pytest.mark.parametrize("route", ["sweeps", "float32", "float64 fallback", "SuperLU"])
+    def test_stored_zeros_leave_the_bytes(self, route, monkeypatch):
+        from signedfj.solve import _ResolventSolver
+
+        if route in ("float64 fallback", "SuperLU"):
+            _double_route(monkeypatch, route, lambda x: x)
+        # a signed chain i -> i + 1 with a cycle through its first ten nodes;
+        # b is zero past row 9, so x is zero there and A x is +0.0 there
+        size = 40
+        weights = np.where(np.arange(size - 1) % 2, -0.5, 0.5)
+        block = sparse.diags(weights, 1, shape=(size, size), format="lil")
+        block[9, 0] = 0.25
+        block = sparse.csr_matrix(block)
+        solver = _ResolventSolver(block, sweep=route == "sweeps")
+        assert solver.route == route
+        stored, dropped = self._panels(size)
+        want = solver.solve(dropped)
+        assert np.count_nonzero(want) == 10
+        assert solver.solve(stored).tobytes() == want.tobytes()
+        joined = solver.solve_block(stored).join().toarray()
+        assert joined.tobytes() == want.tobytes()
+
+
 class TestNumericsInternals:
     @staticmethod
     def _signed_path(n: int) -> SignedDigraph:
@@ -1445,7 +1488,7 @@ class TestNumericsInternals:
             tracemalloc.stop()
         assert itemsizes == [4]  # a single-precision factor
         factor_bytes = size * size * itemsizes[0]
-        x = solver.solve(np.ones((size, 1)))
+        x = solver.solve(sparse.csc_matrix(np.ones((size, 1))))
         assert np.max(np.abs(x - block @ x - 1.0)) <= 1e-12
         # the factor itself, but neither a double or C-order copy nor an m x m mask
         assert peak <= factor_bytes + factor_bytes // 16
@@ -1639,8 +1682,7 @@ class TestSweepRoute:
 
         def recording(self, b):
             x = real(self, b)
-            dense = b.toarray() if sparse.issparse(b) else np.array(b)
-            solves.append((dense, x.copy(), self.refinement, self.route))
+            solves.append((b.toarray(), x.copy(), self.refinement, self.route))
             return x
 
         monkeypatch.setattr(_ResolventSolver, "solve", recording)
