@@ -429,15 +429,18 @@ def cmd_centrality(config: RunConfig) -> int:
 def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) -> int:
     graph, beta, _, _ = _load_inputs(config)
 
-    flips = []
+    flips: dict[tuple[str, str], None] = {}  # in the order given
     for spec in flip_specs:
         # CSV rules, so a label holding a comma can be quoted: '"x,1",p'
         parts = next(csv.reader([spec]), [])
         if len(parts) != 2:
             raise GraphFormatError(f"--flip-edge expects 'SRC,TGT', got {spec!r}")
-        flips.append((parts[0].strip(), parts[1].strip()))
+        edge = (parts[0].strip(), parts[1].strip())
+        if edge in flips:  # a second flip would undo the first
+            raise GraphFormatError(f"--flip-edge names the edge {edge!r} more than once")
+        flips[edge] = None
 
-    beta_changes = []
+    beta_changes: dict[str, float] = {}
     for spec in beta_specs:
         node, sep, value = spec.partition("=")
         if not sep:
@@ -445,13 +448,15 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
         node = node.strip()
         if node not in graph.label_index:
             raise GraphFormatError(f"unknown node label {node!r}")
+        if node in beta_changes:
+            raise GraphFormatError(f"--set-beta names the node {node!r} more than once")
         try:
             number = float(value)
         except ValueError:
             raise GraphFormatError(f"stubbornness {value!r} is not a real number")
         if not 0.0 <= number <= 1.0:  # also refuses nan
             raise GraphFormatError(f"stubbornness {value!r} for {node!r} is outside [0, 1]")
-        beta_changes.append((node, number))
+        beta_changes[node] = number
 
     modified_graph = flip_edges(graph, flips) if flips else graph  # validates refs
     flip_manifest = [
@@ -470,7 +475,7 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
         # a node is a single-node sink exactly when no edge leaves it for another
         others = modified_graph.sources != modified_graph.targets
         out_degree = np.bincount(modified_graph.sources[others], minlength=modified_graph.n)
-        for node, value in beta_changes:
+        for node, value in beta_changes.items():
             idx = modified_graph.index(node)
             if out_degree[idx] == 0 and value > 0:
                 message = (
@@ -482,7 +487,7 @@ def cmd_modify(config: RunConfig, flip_specs: list[str], beta_specs: list[str]) 
             new_beta[idx] = value
     beta_manifest = [
         {"node": node, "old": float(beta[modified_graph.index(node)]), "new": value}
-        for node, value in beta_changes
+        for node, value in beta_changes.items()
     ]
     # --set-beta values are checked above, so what is left came from --beta
     outside = np.flatnonzero((new_beta < 0.0) | (new_beta > 1.0))
@@ -538,9 +543,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(config)
         if args.command == "centrality":
             return cmd_centrality(config)
-        if args.command == "modify":
-            return cmd_modify(config, args.flip_edge, args.set_beta)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_modify(config, args.flip_edge, args.set_beta)
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -550,7 +553,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, InternalInconsistencyError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -17,9 +17,7 @@ import logging
 import math
 import multiprocessing
 import os
-import queue
 import signal
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -328,41 +326,25 @@ def _csv_chunks(count: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + _CSV_CHUNK_ROWS, count)
 
 
-# Each CPU's worker is handed at most this many chunks ahead of the writer, so the
-# text in flight is O(workers x chunk) however slowly the output drains.
-_CHUNKS_PER_WORKER = 2
-
-
 def _format_tasks(format_chunk: Callable[..., object], conn) -> None:
     """A worker's loop: ``format_chunk(*task)`` for each task received until ``None`` arrives.
 
-    A thread takes each task off the pipe as it comes.  A task can be larger
-    than the pipe holds (a trajectory chunk's values are 32 kB, more than
-    some systems buffer), and a worker waiting to send a chunk the writer has
-    yet to read would otherwise never read the task the writer is waiting to
-    send.  An exception is sent back in place of the chunk, for the writer
-    to raise.  An interrupt is left to the writer, which stops the workers.
+    The writer sends a worker a task only after taking back its previous
+    chunk (see ``_ChunkFormatter``), so the worker is reading when a task
+    larger than the pipe holds arrives (a trajectory chunk's 32 kB of values).
+    An exception is sent back in place of the chunk, for the writer to
+    raise.  An interrupt is left to the writer, which stops the workers.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    tasks: queue.SimpleQueue = queue.SimpleQueue()
-    threading.Thread(target=_receive_tasks, args=(conn, tasks), daemon=True).start()
-    for task in iter(tasks.get, None):
-        try:
-            chunk = format_chunk(*task)
-        except Exception as exc:
-            chunk = exc
-        conn.send(chunk)
-
-
-def _receive_tasks(conn, tasks: queue.SimpleQueue) -> None:
-    """Queue each task received until ``None`` arrives or the writer is gone, then ``None``."""
     try:
         for task in iter(conn.recv, None):
-            tasks.put(task)
-    except EOFError:
+            try:
+                chunk = format_chunk(*task)
+            except Exception as exc:
+                chunk = exc
+            conn.send(chunk)
+    except EOFError:  # the writer is gone
         pass
-    finally:
-        tasks.put(None)
 
 
 class _ChunkFormatter:
@@ -378,11 +360,12 @@ class _ChunkFormatter:
     and what it reads through fork; tasks and chunks are pickled.
 
     :meth:`submit` and :meth:`finish` write the chunks that are ready, in
-    order.  A task is handed out only when fewer than ``_CHUNKS_PER_WORKER``
-    chunks per CPU are in flight; until then :meth:`submit` takes back and
-    writes the oldest chunk, so whoever makes the tasks waits when the
-    workers fall behind.  Use it as a context manager: the workers are gone
-    when the ``with`` block ends, also when it raises.
+    order.  Each worker holds at most one chunk: task ``i`` is sent only
+    after chunk ``i - cpus``, the same worker's previous one, has been
+    taken back and written, so whoever makes the tasks waits when the
+    workers fall behind, and the text in flight is at most workers x chunk
+    however slowly the output drains.  Use it as a context manager: the
+    workers are gone when the ``with`` block ends, also when it raises.
     """
 
     def __init__(self, format_chunk: Callable[..., object], write: Callable[[object], None]):
@@ -409,7 +392,7 @@ class _ChunkFormatter:
             if self._held is not None:
                 self._send(self._held)
                 self._held = None
-            if self._sent - self._received == _CHUNKS_PER_WORKER * self._cpus:
+            if self._sent - self._received == self._cpus:
                 self._write(self._receive())
             self._send(task)
 

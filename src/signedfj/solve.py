@@ -497,14 +497,13 @@ def _sweep_certificate(m_block) -> tuple[float, int] | None:
     when more than ``_MAX_SWEEPS`` sweeps are needed to reach ``2^-52
     max|x*|``.  The choice depends on ``M`` alone.
     """
+    if not m_block.nnz:  # M = 0: one sweep is exact
+        return 1.0, 0
     y, _, _ = _adjoint_bound(abs(m_block).T)
     if y is None:
         return None
-    norm = float(y.max(initial=1.0))
-    contraction = 1.0 - 1.0 / norm
-    if contraction <= 0.0:  # M = 0: one sweep is exact
-        return norm, 0
-    rate = -np.log(contraction)
+    norm = float(y.max())
+    rate = -np.log(1.0 - 1.0 / norm)
     if (52 * np.log(2.0) + np.log(norm)) / rate > _MAX_SWEEPS:
         return None
     return norm, int(np.ceil(np.log(norm) / rate))
@@ -738,9 +737,9 @@ def spectral_check(
 class _SinkBatch:
     """The sink blocks of one analysis, solved together in dense stacks.
 
-    One pass copies every sink block of up to ``_STACK_NODES`` nodes out of
-    the sink rows of the update matrix into stacks of equal-size dense
-    blocks, each of at most ``_PANEL_ENTRIES`` entries.  The structure
+    Every sink block of up to ``_STACK_NODES`` nodes goes into a stack of
+    equal-size dense blocks of at most ``_PANEL_ENTRIES`` entries, filled
+    from one slice of the update matrix (see :meth:`_stacks`).  The structure
     fixes some radii exactly at every size: a stubborn-free sink's ``|B|``
     is row stochastic, so its radius is 1, and a balanced one's ``B`` is
     similar to ``|B|``, so its radius is 1 too.  Per stack, one
@@ -811,41 +810,27 @@ class _SinkBatch:
     def _stacks(self, offsets: np.ndarray, sizes: np.ndarray, chosen: np.ndarray):
         """Yield ``(positions, dense blocks)`` for the chosen sinks, grouped by size.
 
-        The entries of every sink row are read once and sorted by stack, so
-        each stack is filled by one scatter.
+        Each stack is filled from one slice of the update matrix: its own
+        nodes' rows cut to its own nodes' columns.  No edge leaves a sink
+        (:func:`build_update_system` checks this), so the slice is block
+        diagonal, and its entry ``(r, c)`` is entry ``(r % size, c % size)``
+        of the stack's block ``r // size``.
         """
         if not chosen.any():
             return
         p = self.system.update_matrix
-        lo, hi = int(offsets[0]), int(offsets[-1] + sizes[-1])
-        counts = np.diff(p.indptr[lo:hi + 1])
-        owner = np.repeat(np.repeat(np.arange(offsets.size), sizes), counts)
-        entries = slice(p.indptr[lo], p.indptr[hi])
-        rows = np.repeat(np.arange(lo, hi), counts) - offsets[owner]
-        cols = p.indices[entries] - offsets[owner]
-        data = p.data[entries]
-
         order = np.flatnonzero(chosen)
         order = order[np.argsort(sizes[order], kind="stable")]
-        stack_of = np.full(offsets.size, -1, np.int64)
-        slot = np.zeros(offsets.size, np.int64)
-        stacks = []
         for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
-            per_stack = max(1, _PANEL_ENTRIES // int(sizes[group[0]]) ** 2)
+            size = int(sizes[group[0]])
+            per_stack = max(1, _PANEL_ENTRIES // size ** 2)
             for start in range(0, group.size, per_stack):
                 stack = group[start:start + per_stack]
-                stack_of[stack] = len(stacks)
-                slot[stack] = np.arange(stack.size)
-                stacks.append(stack)
-        entry_stack = stack_of[owner]
-        by_stack = np.argsort(entry_stack, kind="stable")
-        bounds = np.searchsorted(entry_stack[by_stack], np.arange(len(stacks) + 1))
-        for k, stack in enumerate(stacks):
-            size = int(sizes[stack[0]])
-            blocks = np.zeros((stack.size, size, size))
-            e = by_stack[bounds[k]:bounds[k + 1]]
-            blocks[slot[owner[e]], rows[e], cols[e]] = data[e]
-            yield stack, blocks
+                nodes = (offsets[stack, None] + np.arange(size)).ravel()
+                entries = p[nodes][:, nodes].tocoo()
+                blocks = np.zeros((stack.size, size, size))
+                blocks[entries.row // size, entries.row % size, entries.col % size] = entries.data
+                yield stack, blocks
 
     def _eigenpairs(
         self, positions: np.ndarray, blocks: np.ndarray, gauged: np.ndarray

@@ -126,6 +126,21 @@ class TestAnalyze:
         assert option in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("simulate", "--max-iters", "0", "--max-iters must be at least 1, got 0"),
+        ("simulate", "--stride", "0", "--stride must be at least 1, got 0"),
+        ("simulate", "--patience", "0", "--patience must be at least 1, got 0"),
+        ("analyze", "--top", "-1", "--top must be nonnegative, got -1"),
+        ("centrality", "--top", "-1", "--top must be nonnegative, got -1"),
+    ])
+    def test_count_option_out_of_range_exits_2(self, tmp_path, out_dir, capsys, command,
+                                               option, value, message):
+        graph = write(tmp_path / "g.csv", STUBBORN_PAIR)
+        code = run([command, "--graph", graph, "--out-dir", out_dir, option, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out_dir.iterdir()) == []
+
     def test_steady_state_uses_x0(self, tmp_path, out_dir):
         graph = write(tmp_path / "g.csv", STUBBORN_PAIR)
         beta = write(tmp_path / "b.csv", "a,0.5\n")
@@ -338,6 +353,40 @@ class TestModify:
                     "--set-beta", f"a={value}"])
         assert code == 2
         assert "outside [0, 1]" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("spec, message", [
+        ("a", "--set-beta expects 'NODE=VALUE', got 'a'"),
+        ("zz=0.5", "unknown node label 'zz'"),
+        ("a=half", "stubbornness 'half' is not a real number"),
+    ])
+    def test_bad_set_beta_exits_2(self, tmp_path, out_dir, capsys, spec, message):
+        graph = write(tmp_path / "g.csv", CHAIN)
+        code = run(["modify", "--graph", graph, "--out-dir", out_dir, "--set-beta", spec])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("first, second", [("a,b", "a,b"), ("a,b", " a , b ")])
+    def test_repeated_flip_edge_exits_2(self, tmp_path, out_dir, capsys, first, second):
+        # a second flip would undo the first, while the manifest listed both
+        graph = write(tmp_path / "g.csv", "a,b,-2\nb,a,1\na,a,1\nb,b,1\n")
+        code = run(["modify", "--graph", graph, "--out-dir", out_dir,
+                    "--flip-edge", first, "--flip-edge", "b,a", "--flip-edge", second])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: --flip-edge names the edge ('a', 'b') more than once\n")
+        assert list(out_dir.iterdir()) == []
+
+    def test_repeated_set_beta_exits_2(self, tmp_path, out_dir, capsys):
+        # the manifest would record the file's value as "old" for both
+        graph = write(tmp_path / "g.csv", CHAIN)
+        beta = write(tmp_path / "b.csv", "a,0.1\n")
+        code = run(["modify", "--graph", graph, "--beta", beta, "--out-dir", out_dir,
+                    "--set-beta", "a=0.5", "--set-beta", "b=0.5", "--set-beta", "a=0.5"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: --set-beta names the node 'a' more than once\n")
         assert list(out_dir.iterdir()) == []
 
     def test_beta_file_outside_unit_interval_exits_2(self, tmp_path, out_dir, capsys):

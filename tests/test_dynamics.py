@@ -75,6 +75,12 @@ class TestRowNormalization:
             assert np.all(rows[:, outside] == 0.0)
         assert m + sum(system.ordering.sink_sizes) == system.n
 
+    def test_wrong_shape_beta_rejected(self):
+        graph, beta = micro_stubborn()
+        ordering = make_system(graph, beta).ordering
+        with pytest.raises(ValueError, match=r"^beta has shape \(3,\), expected \(2,\)$"):
+            build_update_system(graph, np.zeros(3), ordering)
+
 
 def first_iterate(graph, beta, x0):
     """x(1) as recorded by ``simulate``: one synchronous update from x(0) = x0."""
@@ -194,6 +200,17 @@ class TestSimulate:
         graph, beta = micro_stubborn()
         with pytest.raises(ValueError, match="tol"):
             simulate(graph, beta, np.array([1.0, 0.0]), tol=tol)
+
+    @pytest.mark.parametrize("option", ["patience", "max_iters", "stride"])
+    def test_counts_must_be_at_least_one(self, option):
+        graph, beta = micro_stubborn()
+        with pytest.raises(ValueError, match=f"^{option} must be at least 1$"):
+            simulate(graph, beta, np.array([1.0, 0.0]), **{option: 0})
+
+    def test_wrong_shape_start_rejected(self):
+        graph, beta = micro_stubborn()
+        with pytest.raises(ValueError, match=r"^x0 has shape \(3,\), expected \(2,\)$"):
+            simulate(graph, beta, np.zeros(3))
 
 
 def assert_same_trajectory(got, expected):

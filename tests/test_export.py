@@ -342,7 +342,7 @@ class TestWorkers:
         pids = {r[2] for r in results}
         assert len(pids) == 2 and os.getpid() not in pids
 
-    def test_at_most_two_chunks_per_worker_in_flight(self, two_workers, monkeypatch):
+    def test_at_most_one_chunk_per_worker_in_flight(self, two_workers, monkeypatch):
         handed_out = []
         original_send = Connection.send
 
@@ -361,7 +361,7 @@ class TestWorkers:
 
         chunked(lambda start, stop: start, graph_module._csv_chunks(60), check)
         assert len(handed_out) == 20
-        assert max(in_flight) == 2 * 2
+        assert max(in_flight) == 2
 
     def test_tasks_are_pulled_only_as_the_window_has_room(self, two_workers):
         pulled = []
@@ -374,7 +374,7 @@ class TestWorkers:
         def check(start, done):
             assert start == 3 * done
             # the window's chunks, the one in hand included, and the task waiting for room
-            assert len(pulled) - done <= 2 * 2 + 1
+            assert len(pulled) - done <= 2 + 1
 
         chunked(lambda start, stop: start, tasks(), check)
         assert len(pulled) == 20
@@ -449,6 +449,22 @@ class TestWorkers:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
+
+    def test_tasks_and_chunks_larger_than_a_pipe_holds(self, two_workers):
+        # 1 MB each way, more than a socket pair buffers (about 200 kB on Linux):
+        # a worker handed a task before its last chunk is taken back would wait
+        # to send that chunk while the writer waits to send it the task
+        def stalled(signum, frame):
+            raise TimeoutError("the chunk formatter stalled")
+
+        payloads = [bytes([k]) * (1 << 20) for k in range(6)]
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(60)
+        try:
+            assert chunked(lambda payload: payload, [(p,) for p in payloads]) == payloads
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_daemonic_process_formats_in_process(self, two_workers, monkeypatch):
         class Daemon:

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ class TestParseEdgeList:
             assert array.dtype == expected.dtype
             assert not array.flags.writeable
 
+    @pytest.mark.parametrize("line", [",b,1", "a, ,1"])
+    def test_empty_label_rejected(self, line):
+        with pytest.raises(GraphFormatError, match="^line 2: empty node label$"):
+            parse_edge_list("a,b,1\n" + line)
+
+    def test_unknown_merge_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unsupported merge_duplicates mode 'max'$"):
+            parse_edge_list("a,b,1", merge_duplicates="max")
+
     def test_crlf_and_whitespace_only_lines(self):
         g = parse_edge_list("a,b,1\r\n  \r\n\r\nb , a ,2\r\n")
         assert g.labels == ("a", "b")
@@ -115,6 +125,32 @@ class TestParseEdgeList:
             parse_edge_list('"line\nbreak",p,1\np,q')
         with pytest.raises(GraphFormatError, match="line 4"):
             read_stubbornness('"line\nbreak",0.5\n\np,x', parse_edge_list('"line\nbreak",p,1'))
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("labels, edges, message", [
+        ([], [], "graph needs at least one node"),
+        (["a", "b", "a"], [], "node labels must be unique"),
+        (["a", "b"], [("a", "c", 1.0)], "unknown node label 'c'"),
+        (["a", "b"], [(0, 2, 1.0)], "node index 2 out of range for n=2"),
+        (["a", "b"], [(-1, 0, 1.0)], "node index -1 out of range for n=2"),
+        (["a", "b"], [(0, 1, 0.0)],
+         "edge ('a', 'b') has invalid weight 0.0; weights must be finite and nonzero"),
+        (["a", "b"], [("b", "a", float("nan"))],
+         "edge ('b', 'a') has invalid weight nan; weights must be finite and nonzero"),
+        (["a", "b"], [(0, 0, float("-inf"))],
+         "edge ('a', 'a') has invalid weight -inf; weights must be finite and nonzero"),
+        (["a", "b"], [(0, 1, 1.0), ("a", "b", 2.0)], "duplicate edge ('a', 'b')"),
+    ])
+    def test_invalid_input_rejected(self, labels, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SignedDigraph.from_edges(labels, edges)
+
+    def test_index_of_unknown_label(self):
+        g = SignedDigraph.from_edges(["a", "b"], [(0, 1, 1.0)])
+        assert g.index("b") == 1
+        with pytest.raises(KeyError, match="unknown node label 'c'"):
+            g.index("c")
 
 
 class TestRoundTrip:
@@ -192,6 +228,11 @@ class TestValidate:
         report = validate(g, np.array([1.0, 0.0]))
         assert report.ok
         assert report.graph.self_loop_weights[0] == 1.0
+
+    def test_wrong_shape_beta_rejected(self):
+        g = SignedDigraph.from_edges(["a", "b"], [(0, 1, 1), (1, 0, 1), (0, 0, 1), (1, 1, 1)])
+        with pytest.raises(ValueError, match=r"^beta has shape \(2, 1\), expected \(2,\)$"):
+            validate(g, np.zeros((2, 1)))
 
     def test_beta_out_of_range(self):
         g = SignedDigraph.from_edges(["a", "b"], [(0, 1, 1), (1, 0, 1), (0, 0, 1), (1, 1, 1)])
@@ -333,6 +374,12 @@ class TestEditing:
         assert g2.edge_count == 4
         # already-present loops are untouched
         assert ensure_self_loops(g2, 9.0).self_loop_weights.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("weight", [0.0, float("nan")])
+    def test_ensure_self_loops_needs_a_positive_finite_weight(self, weight):
+        g = parse_edge_list("a,b,1\nb,a,1")
+        with pytest.raises(ValueError, match="^self-loop weight must be positive and finite$"):
+            ensure_self_loops(g, weight)
 
     def test_ensure_self_loops_matches_from_edges(self):
         # b and c carry loops already; a and d get theirs after every existing edge

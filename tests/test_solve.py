@@ -9,6 +9,7 @@ from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import splu
 
 from signedfj import (
+    NumericalError,
     Regime,
     SignedDigraph,
     SinkClass,
@@ -250,6 +251,17 @@ class TestSteadyState:
     def test_zero_start_maps_to_zero(self):
         for graph, beta in (micro_stubborn(), micro_antagonistic(), micro_chain()):
             assert np.all(steady_state(graph, beta, np.zeros(graph.n)) == 0.0)
+
+    def test_wrong_shape_start_rejected(self):
+        graph, beta = micro_stubborn()
+        with pytest.raises(ValueError, match=r"^x0 has shape \(3,\), expected \(2,\)$"):
+            analyze_network(graph, beta).steady_state(np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, bad):
+        graph, beta = micro_stubborn()
+        with pytest.raises(NumericalError, match="^initial opinions contain non-finite entries$"):
+            analyze_network(graph, beta).steady_state(np.array([1.0, bad]))
 
     def test_linearity_in_x0(self):
         graph, beta, x0 = random_instance(8200, n_max=20)
@@ -1767,6 +1779,25 @@ class TestSweepRoute:
         m = analysis.system.ordering.follower_count
         factored = solve_followers(analysis.system, analysis.sink_solutions, x0)
         assert x[analysis.system.ordering.permutation[:m]].tobytes() == factored.tobytes()
+
+    def test_zero_follower_block_takes_no_extra_sweeps(self, monkeypatch):
+        """A follower block M = 0 certifies ``||y||_inf = 1`` and asks for no
+        sweeps past the one that reaches an ulp residual."""
+        from signedfj.solve import _sweep_certificate
+
+        graph = SignedDigraph.from_edges(["f", "s", "t"], [
+            ("f", "s", 1.0), ("f", "t", -2.0), ("s", "s", 1.0), ("t", "t", 1.0)])
+        analysis = analyze_network(graph, np.zeros(3))
+        block = analysis.system.follower_block()
+        assert block.shape == (1, 1) and block.nnz == 0
+        assert _sweep_certificate(block) == (1.0, 0)
+        analysis.sink_solutions
+        solves = self._record_solves(monkeypatch)
+        x0 = np.array([0.3, 0.8, -0.4])
+        x = analysis.steady_state(x0)
+        ((_, _, (steps, residual, _), route),) = solves
+        assert route == "sweeps" and steps == 0 and residual == 0.0
+        assert np.max(np.abs(x - analysis.influence.matrix @ x0)) <= 1e-12
 
     def test_columns_do_not_depend_on_their_panel_mates(self):
         from signedfj.solve import _ResolventSolver
