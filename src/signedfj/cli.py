@@ -171,8 +171,9 @@ def _sha256(path: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    # untranslated, as csv wants it: a quoted label may hold "\r\n" or "\r"
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # untranslated, as csv wants it: a quoted label may hold "\r\n" or "\r";
+    # a leading byte-order mark is dropped, so it never joins the first label
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return fh.read()
 
 

@@ -211,23 +211,24 @@ class _ResolventSolver:
     several times faster.  Larger blocks keep SuperLU.
 
     A dense factor is made in single precision, half the bytes of a double
-    one, unless it has a zero or non-finite pivot.  Every route refines in
-    one loop (see :meth:`_refine`), and only its stop rule depends on the
-    correction.  On a single factor, column ``j`` is done by LAPACK
-    ``dsgesv``'s rule, ``max|r_j| <= sqrt(m) 2^-53 ||A||_inf max|x_j|``,
-    within ``_SINGLE_REFINEMENTS`` corrections; a panel not done in time,
-    or a non-finite residual, makes the solver refactor its block in
-    double precision once.  On a double factor, dense or SuperLU, the whole
-    panel must reach ``1e-12`` times its largest right-hand side entry
-    within 4 corrections, or end up to ``1e-6`` times it; otherwise it
-    raises "iterative refinement stalled", or "produced non-finite values".
+    one, unless it has a zero or non-finite pivot.  The factor routes
+    refine in one loop (see :meth:`_refine`), and only its stop rule
+    depends on the factor's precision.  On a single factor, column ``j``
+    is done by LAPACK ``dsgesv``'s rule, ``max|r_j| <= sqrt(m) 2^-53
+    ||A||_inf max|x_j|``, within ``_SINGLE_REFINEMENTS`` corrections; a
+    panel not done in time, or a non-finite residual, makes the solver
+    refactor its block in double precision once.  On a double factor,
+    dense or SuperLU, the whole panel must reach ``1e-12`` times its
+    largest right-hand side entry within 4 corrections, or end up to
+    ``1e-6`` times it; otherwise it raises "iterative refinement stalled",
+    or "produced non-finite values".
 
     With ``sweep``, the block is factored only if sweeps cannot solve it
-    within ``_MAX_SWEEPS`` (see :func:`_sweep_certificate`): while
-    ``_base`` is None the correction is the identity, and each refinement
-    step is one sweep ``x <- M x + b``.  A panel whose sweeps are not done
-    within ``_MAX_SWEEPS`` makes the solver factor its block, and the
-    panel is refined again from ``b`` on the factor.
+    within ``_MAX_SWEEPS`` (see :func:`_sweep_certificate`): until then
+    each panel is solved by :meth:`_sweeps`, which adds the residual
+    :meth:`_refine` forms to ``x`` and stops each column by itself.  A
+    panel not done within ``_MAX_SWEEPS`` sweeps makes the solver factor
+    its block, and the panel is refined again from ``b`` on the factor.
 
     Every caller solves through :meth:`solve_block`, on sparse panels.
     ``refinement`` holds the latest solve's refinement steps after its
@@ -281,7 +282,7 @@ class _ResolventSolver:
         fail on a single-precision factor, the block is refactored in double
         precision.  Either way the panel is refined again from ``b``.
         """
-        x = self._refine(b)
+        x = self._sweeps(b) if self._base is None else self._refine(b)
         while x is None:
             if self._base is not None:
                 self._single = False
@@ -291,45 +292,28 @@ class _ResolventSolver:
         return x
 
     def _refine(self, b: sparse.csc_matrix) -> np.ndarray | None:
-        """Refine ``b`` by ``x <- x + C (b - A x)`` from ``x = 0``; None if sweeps or a single factor fail.
+        """Refine ``b`` by ``x <- x + C (b - A x)`` from ``x = 0``; None if a single factor fails.
 
-        ``C`` is the factor's solve, or the identity on sweeps.  The first
-        residual is ``b``, so the first correction is the plain solve.  Each
-        pass forms the residual in double precision, ``_PRODUCT_COLUMNS``
-        columns at a time.  On a factor, each column is scaled by a power of
-        two so that its largest entry lies in ``[0.5, 1)`` before it is
-        rounded into one array of the panel's shape in the factor's
-        precision: a column of tiny values never rounds to zero in float32,
-        and in float64 the scaling is exact.  That array is solved and added
-        to ``x``, scaled back; on a double factor the first solve becomes
-        ``x``, so the panel, that array and the solve's own output are never
-        held at once before a correction is needed.  Every column is
-        corrected until the panel is done, as in ``dsgesv``: a column that
-        is done gains digits from one more correction.
-
-        On sweeps the residual is added to ``x`` as it is formed.
-        ``|(I - M)^-1| <= (I - |M|)^-1`` entrywise (Varga, *Matrix Iterative
-        Analysis*, 2000, ch. 3), so with ``y = (I - |M|)^-1 1`` the error
-        of ``x_j`` is at most ``||y||_inf`` times its exact residual.  Once
-        the computed residual is at most ``2^-52 max|x_j|``, the sweeps'
-        own error is at most ``||y||_inf`` ulps, and the ``E`` sweeps of
-        :func:`_sweep_certificate` take it below one ulp; then column ``j``
-        is done, and keeps that ``x_j``, so its bits do not depend on its
-        panel mates.  Its certified error, ``max|x_j - x*_j| <= ||y||_inf
-        (max|r_j| + rho_j)``, is kept for the INFO lines, with ``rho_j =
-        (d + 4) 2^-53 (||A||_inf max|x_j| + max|b_j|)`` the rounding of
-        the residual, of forming ``I - M`` and of the bound, for ``d`` the
-        most entries in a row of ``A``.  No sweep count brings that bound
-        below ``||y||_inf rho_j``, so the stop does not ask it to reach an
-        ulp.
+        ``C`` is the factor's solve.  The first residual is ``b``, so the
+        first correction is the plain solve.  Each pass forms the residual
+        in double precision, ``_PRODUCT_COLUMNS`` columns at a time.  Each
+        column is scaled by a power of two so that its largest entry lies
+        in ``[0.5, 1)`` before it is rounded into one array of the panel's
+        shape in the factor's precision: a column of tiny values never
+        rounds to zero in float32, and in float64 the scaling is exact.
+        That array is solved and added to ``x``, scaled back; on a double
+        factor the first solve becomes ``x``, so the panel, that array and
+        the solve's own output are never held at once before a correction
+        is needed.  Every column is corrected until the panel is done, as
+        in ``dsgesv``: a column that is done gains digits from one more
+        correction.
         """
-        sweep = self._base is None
-        single = self._single and not sweep
-        corrections = _MAX_SWEEPS - 1 if sweep else _SINGLE_REFINEMENTS if single else 4
+        single = self._single
+        corrections = _SINGLE_REFINEMENTS if single else 4
         count = b.shape[1]
         # a relative residual's unit: the largest entry of b, at least 1
         scale = max(1.0, float(np.max(np.abs(b.data), initial=0.0)))
-        x = np.zeros(b.shape, order="F") if sweep or single else None
+        x = np.zeros(b.shape, order="F") if single else None
         scaled = None
         scratch = np.empty((b.shape[0], min(count, _PRODUCT_COLUMNS)), order="F")
         exponents = np.zeros(count, np.intc)
@@ -337,17 +321,11 @@ class _ResolventSolver:
                   for start in range(0, count, _PRODUCT_COLUMNS)]
         # COO pieces, so each residual adds its b at the stored entries
         pieces = [b[:, cols].tocoo() for cols in chunks]
-        # on sweeps, per column: whether it is done, and the rows of _sweep's state
-        finished = np.zeros(count, bool)
-        state = np.zeros((4, count))
-        state[0] = -1.0
         for solves in range(corrections + 2):
             done, worst = solves > 0, 0.0
-            if scaled is None and not sweep:
+            if scaled is None:
                 scaled = np.empty(b.shape, np.float32 if single else np.float64, order="F")
             for cols, piece in zip(chunks, pieces):
-                if finished[cols].all():
-                    continue  # on sweeps, every column of the chunk is done
                 part, r = x[:, cols] if x is not None else None, scratch[:, :cols.stop - cols.start]
                 if solves:
                     self._residual(piece, part, out=r)
@@ -355,28 +333,22 @@ class _ResolventSolver:
                     r[...] = piece.toarray()
                 top = np.maximum(r.max(axis=0), -r.min(axis=0))
                 if not np.isfinite(top).all():
-                    if single or sweep:
+                    if single:
                         return None
                     raise InternalInconsistencyError(
                         f"solve against (I - {self._what}) produced non-finite values"
                     )
                 worst = max(worst, float(top.max(initial=0.0)))
-                if sweep:
-                    self._sweep(part, r, top, finished[cols], state[:, cols], solves)
-                    continue
                 if solves and single:
                     largest = np.maximum(part.max(axis=0), -part.min(axis=0))
                     done &= bool(np.all(top <= self._tolerance * largest))
                 exponents[cols] = np.frexp(top)[1]
                 # scaled exactly in double, then rounded once to the factor's precision
                 np.ldexp(r, -exponents[cols], out=scaled[:, cols])
-            if sweep:
-                done &= bool(finished.all())
-                worst = float(state[2].max(initial=0.0))
-            elif not single:
+            if not single:
                 done &= worst <= 1e-12 * scale
             if not done and solves > corrections:
-                if single or sweep:
+                if single:
                     return None
                 if worst > 1e-6 * scale:
                     raise InternalInconsistencyError(
@@ -384,13 +356,8 @@ class _ResolventSolver:
                     )
                 done = True
             if done:
-                self.refinement = (
-                    solves - 1, worst / scale,
-                    float(state[3].max(initial=0.0)) if sweep else None,
-                )
+                self.refinement = (solves - 1, worst / scale, None)
                 return x
-            if sweep:
-                continue
             solved = self._base(scaled)
             if x is None:
                 # the first correction is the whole solve, scaled back in place;
@@ -407,29 +374,59 @@ class _ResolventSolver:
                 np.ldexp(solved[:, cols], exponents[cols], out=r, dtype=np.float64)
                 x[:, cols] += r
 
-    def _sweep(self, part, r, top, finished, state, solves: int) -> None:
-        """One sweep of a chunk: finish the columns that are done, add ``r`` to the others.
+    def _sweeps(self, b: sparse.csc_matrix) -> np.ndarray | None:
+        """Solve ``b`` by sweeps ``x <- M x + b`` from ``x = 0``; None if they do not finish.
 
-        ``part`` is the chunk of ``x`` after ``solves`` sweeps and ``r`` its
-        residual, with largest entries ``top``.  ``finished`` and the rows
-        of ``state`` are the chunk's views of the panel's, written in place:
-        per column, the sweep at which its residual first reached an ulp (-1
-        before), ``max|b_j|``, and the final residual and certified relative
-        error of a finished column.  See :meth:`_refine` for the stop.
+        Each sweep adds the residual ``b - A x`` of :meth:`_refine` to ``x``,
+        and skips the chunks whose columns are all done.  ``|(I - M)^-1| <=
+        (I - |M|)^-1`` entrywise (Varga, *Matrix Iterative Analysis*, 2000,
+        ch. 3), so with ``y = (I - |M|)^-1 1`` the error of ``x_j`` is at
+        most ``||y||_inf`` times its exact residual.  Once the computed residual is
+        at most ``2^-52 max|x_j|``, the sweeps' own error is at most
+        ``||y||_inf`` ulps, and the ``E`` sweeps of :func:`_sweep_certificate`
+        take it below one ulp; then column ``j`` is done, and keeps that
+        ``x_j``, so its bits do not depend on its panel mates.  Its certified
+        error, ``max|x_j - x*_j| <= ||y||_inf (max|r_j| + rho_j)``, is kept
+        for the INFO lines, with ``rho_j = (d + 4) 2^-53 (||A||_inf max|x_j| +
+        max|b_j|)`` the rounding of the residual, of forming ``I - M`` and of
+        the bound, for ``d`` the most entries in a row of ``A``.  No sweep
+        count brings that bound below ``||y||_inf rho_j``, so the stop does
+        not ask it to reach an ulp.  A panel not done within ``_MAX_SWEEPS``
+        sweeps, or with a non-finite residual, gives None.
         """
-        reached, peaks, residuals, certified = state
-        norm, extra = self._certificate
-        if not solves:
-            peaks[...] = top  # the residual of x = 0 is b
-        largest = np.maximum(part.max(axis=0), -part.min(axis=0))
-        reached[(reached < 0) & (top <= 2.0**-52 * largest)] = solves
-        now = ~finished & (reached >= 0) & (solves - reached >= extra)
-        bound = norm * (top + self._rounding * (self._norm * largest + peaks))
-        certified[now] = np.divide(bound[now], largest[now], out=np.zeros(int(now.sum())),
-                                   where=largest[now] > 0.0)
-        residuals[now] = top[now]
-        finished |= now
-        np.add(part, r, out=part, where=~finished)
+        (norm, extra), count = self._certificate, b.shape[1]
+        chunks = [slice(start, min(start + _PRODUCT_COLUMNS, count))
+                  for start in range(0, count, _PRODUCT_COLUMNS)]
+        pieces = [b[:, cols].tocoo() for cols in chunks]
+        x, r = np.zeros(b.shape, order="F"), b.toarray(order="F")  # r: the residual of x = 0
+        peaks = np.maximum(r.max(axis=0), -r.min(axis=0))
+        # per column: the sweep at which its residual first reached an ulp (-1
+        # before), and the final residual and certified error once it is done
+        reached, residuals, certified = np.full(count, -1), np.zeros(count), np.zeros(count)
+        finished = np.zeros(count, bool)
+        for solves in range(_MAX_SWEEPS + 1):
+            if solves:
+                r[:, finished] = 0.0  # x holds no -0.0, so adding 0.0 keeps a done column
+                x += r
+                for cols, piece in zip(chunks, pieces):
+                    if not finished[cols].all():
+                        self._residual(piece, x[:, cols], out=r[:, cols])
+            top = np.maximum(r.max(axis=0), -r.min(axis=0))
+            if not np.isfinite(top).all():
+                return None
+            largest = np.maximum(x.max(axis=0), -x.min(axis=0))
+            reached[(reached < 0) & (top <= 2.0**-52 * largest)] = solves
+            now = ~finished & (reached >= 0) & (solves - reached >= extra)
+            bound = norm * (top + self._rounding * (self._norm * largest + peaks))
+            certified[now] = np.divide(bound, largest, out=np.zeros(count), where=largest > 0)[now]
+            residuals[now] = top[now]
+            finished |= now
+            if solves and finished.all():
+                scale = max(1.0, float(np.max(np.abs(b.data), initial=0.0)))
+                self.refinement = (solves - 1, float(residuals.max()) / scale,
+                                   float(certified.max()))
+                return x
+        return None
 
     def _residual(self, b: sparse.coo_matrix, x: np.ndarray, *, out: np.ndarray) -> None:
         """``b - A x`` into ``out`` for one chunk of at most ``_PRODUCT_COLUMNS`` columns.

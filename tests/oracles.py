@@ -7,7 +7,8 @@ the update rule vs the closed-form solver for limits, a list of freshly
 allocated states vs ``simulate``'s in-place record array, C-order panels
 refined on whole-panel residuals and joined while the factor lives vs the
 in-place Fortran panels refined in column chunks and joined after it is
-freed, and whole-text, entry-by-entry CSV writers vs the chunked
+freed, one column swept at a time vs panels swept in column chunks, and
+whole-text, entry-by-entry CSV writers vs the chunked
 streaming ones.
 """
 
@@ -229,6 +230,54 @@ def _refined_on_double(a, solve, b):
             break
         x += solve(r)
     return x
+
+
+def sweeps_by_column(block, rhs, *, max_sweeps):
+    """Reference sweep solve of ``(I - block) Y = rhs``, one column at a time.
+
+    Each column of the sparse ``rhs``, none of them zero, sweeps ``x <- x +
+    r`` from ``x = 0``, with ``r = -(A x) + b`` and ``b`` added at its
+    stored entries.  The column is done once its residual has been at most
+    ``2^-52 max|x|`` for ``E`` sweeps, with ``(||y||_inf, E)`` the block's
+    :func:`signedfj.solve._sweep_certificate`; its certified relative error
+    is ``||y||_inf (max|r| + (d + 4) 2^-53 (||A||_inf max|x| + max|b|))``
+    over ``max|x|``, for ``d`` the most entries in a row of ``A``.  Returns
+    ``Y`` and, per column, the sweeps it took, its final ``max|r|`` and its
+    certified error; None if a column is not done within ``max_sweeps``.
+    """
+    from signedfj.solve import _sweep_certificate
+
+    a = sparse.csr_matrix(sparse.identity(block.shape[0], format="csr") - block)
+    norm, extra = _sweep_certificate(block)
+    a_norm = float(abs(a).sum(axis=1).max())
+    rounding = (int(np.diff(a.indptr).max(initial=0)) + 4) * 2.0**-53
+    rhs = sparse.csc_matrix(rhs)
+    y = np.zeros(rhs.shape)
+    sweeps, residuals, certified = (np.zeros(rhs.shape[1]) for _ in range(3))
+    for j in range(rhs.shape[1]):
+        column = rhs[:, [j]].tocoo()
+        b = np.zeros(rhs.shape[0])
+        b[column.row] = column.data
+        x, r, reached = np.zeros(rhs.shape[0]), b.copy(), None
+        for step in range(max_sweeps + 1):
+            if step:
+                x += r
+                r = -(a @ x)
+                r[column.row] += column.data
+            top = float(np.abs(r).max())
+            if not np.isfinite(top):
+                return None
+            if reached is None and top <= 2.0**-52 * np.abs(x).max():
+                reached = step
+            if reached is not None and step - reached >= extra:
+                break
+        else:
+            return None
+        largest = float(np.abs(x).max())
+        bound = norm * (top + rounding * (a_norm * largest + np.abs(b).max()))
+        y[:, j], sweeps[j], residuals[j] = x, step, top
+        certified[j] = bound / largest if largest > 0.0 else 0.0
+    return y, sweeps, residuals, certified
 
 
 def influence_by_joined_panels(

@@ -197,6 +197,25 @@ class TestHeaderDetection:
         # a is stubborn at x0 = 1, and b follows it
         assert np.allclose(report["steady_state"]["values"], [1.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["graph", "beta", "x0"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, kind):
+        texts = {"graph": "a,b,1\nb,b,1\na,a,1\n", "beta": "a,0.5\n", "x0": "a,1\nb,-1\n"}
+        runs = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            folder = tmp_path / name
+            folder.mkdir()
+            argv = ["analyze", "--out-dir", folder / "out"]
+            for flag, text in texts.items():
+                argv += [f"--{flag}", write(folder / f"{flag}.csv",
+                                            (mark if flag == kind else "") + text)]
+            code = run(argv)
+            report = json.loads((folder / "out" / "report.json").read_text())
+            runs.append((code, capsys.readouterr().err, report["graph"],
+                         report["classification"], report["steady_state"]))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 0 and runs[0][2]["nodes"] == 2
+        assert runs[0][4] == {"labels": ["a", "b"], "values": [pytest.approx(1 / 3), -1.0]}
+
 
 class TestSimulate:
     def test_antagonistic_final_row(self, tmp_path, out_dir):

@@ -425,9 +425,11 @@ class TestWorkers:
         assert chunked(interrupted, graph_module._csv_chunks(40)) == list(range(0, 40, 3))
 
     def test_records_larger_than_a_pipe_holds(self, monkeypatch):
-        # 320 kB of values a record, more than a socket pair buffers by default:
-        # the writer's send of such a task must not wait on a worker that waits
-        # in turn to send a chunk the writer has yet to read
+        # a 40,000-value record (320 kB) written by two workers: the export cuts
+        # it into 4096-value tasks of 32 kB, below what a socket pair buffers, so
+        # this checks the cut across a record's width, the bytes and that no
+        # worker is left behind; tasks and chunks larger than a socket pair
+        # buffers are test_tasks_and_chunks_larger_than_a_pipe_holds'
         set_cpus(monkeypatch, 2)
         n = 40_000
         trajectory = Trajectory(

@@ -43,6 +43,7 @@ from oracles import (
     influence_by_iteration,
     influence_by_joined_panels,
     limit_by_iteration,
+    sweeps_by_column,
 )
 
 
@@ -1728,6 +1729,42 @@ class TestSweepRoute:
             if checked >= 40:
                 break
         assert checked >= 40
+
+    @pytest.mark.parametrize("columns", [1, 16, 64])
+    def test_sweeps_match_a_per_column_loop(self, monkeypatch, columns):
+        """Every column's bits, and the panel's refinement, are those of sweeping it alone."""
+        import signedfj.solve
+        from signedfj.solve import _MAX_SWEEPS, _ResolventSolver, _sweep_certificate
+
+        monkeypatch.setattr(signedfj.solve, "_PRODUCT_COLUMNS", columns)
+        checked = 0
+        for seed in range(SUITE_SIZE):
+            graph, beta, _ = random_instance(SUITE_SEED + seed)
+            block = analyze_network(graph, beta).system.follower_block()
+            m = block.shape[0]
+            if not m or _sweep_certificate(block) is None:
+                continue
+            rng = np.random.default_rng(seed)
+            # 40 columns, none zero, spanning six orders of magnitude
+            b = sparse.random(m, 40, density=0.2, rng=rng, format="csc") + sparse.csc_matrix(
+                (rng.uniform(-1.0, 1.0, 40), (rng.integers(0, m, 40), np.arange(40))),
+                shape=(m, 40))
+            b = sparse.csc_matrix(b @ sparse.diags(10.0 ** rng.integers(-3, 4, 40)))
+            want = sweeps_by_column(block, b, max_sweeps=_MAX_SWEEPS)
+            solver = _ResolventSolver(block, sweep=True)
+            x = solver.solve(b)
+            if want is None:
+                assert solver.route != "sweeps", seed
+                continue
+            y, sweeps, residuals, certified = want
+            assert solver.route == "sweeps", seed
+            assert x.tobytes(order="F") == y.tobytes(order="F"), seed
+            scale = max(1.0, float(np.abs(b.data).max()))
+            assert solver.refinement == (
+                int(sweeps.max()) - 1, float(residuals.max()) / scale, float(certified.max())
+            ), seed
+            checked += 1
+        assert checked >= 30
 
     def test_slow_block_keeps_its_factor(self, monkeypatch):
         """A leak of 1e-6 predicts far more than ``_MAX_SWEEPS`` sweeps."""
