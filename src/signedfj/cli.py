@@ -14,12 +14,14 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass
 from functools import partial
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import GraphFormatError, InternalInconsistencyError, NumericalError
 from .graph import (
     SignedDigraph,
     ValidationReport,
+    _csv_chunks,
     _csv_fields,
     _csv_rows,
     _format_weight,
@@ -41,7 +44,7 @@ from .graph import (
     validate,
 )
 from .solve import analyze_network, centrality_csv, influence_triplets_csv
-from .topology import classification_to_dict
+from .topology import AgentClassification, Role
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -173,8 +176,18 @@ def _sha256(path: str) -> str:
 def _read_text(path: str) -> str:
     # untranslated, as csv wants it: a quoted label may hold "\r\n" or "\r";
     # a leading byte-order mark is dropped, so it never joins the first label
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        # a line ends at "\n", "\r\n" or a lone "\r", as csv counts lines
+        before = exc.object[:exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise GraphFormatError(
+            f"{path} is not UTF-8: byte 0x{bad[:1].hex()} ({exc.reason})", line
+        ) from None
 
 
 def _parse_headed_or_not(text: str, parse, value_column: int):
@@ -280,17 +293,137 @@ def _write(out_dir: str, name: str, content: str | Callable[[TextIO], None]) -> 
     return path
 
 
-def _json_writer(payload: dict) -> Callable[[TextIO], None]:
-    """A writer of ``payload`` as indented JSON with sorted keys and a final newline.
+@dataclass(frozen=True)
+class _JsonRows:
+    """A list of ``count`` items that :func:`_json_writer` renders from templates.
 
-    ``json.dump`` writes the text a piece at a time, so it is never held whole.
+    ``render(start, stop, pad)`` returns items ``start`` to ``stop`` as JSON
+    text, each item starting at the indent ``pad``, joined by ``",\\n"``.
+    """
+
+    count: int
+    render: Callable[[int, int, str], str]
+
+
+def _json_writer(payload: dict) -> Callable[[TextIO], None]:
+    """A writer of ``payload`` as ``json.dump(payload, sort_keys=True, indent=2)``
+    writes it, plus a final newline.
+
+    The bytes are json's: keys sorted, two spaces per level, every string in
+    ASCII with json's escapes, floats as ``repr`` with NaN, Infinity and
+    -Infinity.  Dicts are laid out here, and a :class:`_JsonRows` list is
+    rendered and written ``_CSV_CHUNK_ROWS`` items at a time, so it is never
+    held whole as text and no encoder call is made per item.  Every other
+    value, the small skeleton of a report, is ``json.dumps``'s text,
+    indented to its depth.
     """
 
     def write(out: TextIO) -> None:
-        json.dump(payload, out, sort_keys=True, indent=2)
+        _write_json(out, payload, "")
         out.write("\n")
 
     return write
+
+
+def _write_json(out: TextIO, value, pad: str) -> None:
+    if isinstance(value, _JsonRows):
+        if not value.count:
+            out.write("[]")
+            return
+        out.write("[\n")
+        for start, stop in _csv_chunks(value.count):
+            out.write(",\n" if start else "")
+            out.write(value.render(start, stop, pad + "  "))
+        out.write(f"\n{pad}]")
+    elif isinstance(value, dict) and value:
+        separator = "{"
+        for key in sorted(value):
+            out.write(f"{separator}\n{pad}  {_json_string(key)}: ")
+            _write_json(out, value[key], pad + "  ")
+            separator = ","
+        out.write(f"\n{pad}}}")
+    else:
+        # a line break in json's text is always layout: strings escape theirs
+        out.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+
+
+def _string_rows(texts: Sequence[str]) -> _JsonRows:
+    def render(start: int, stop: int, pad: str) -> str:
+        return pad + f",\n{pad}".join(map(_json_string, texts[start:stop]))
+
+    return _JsonRows(len(texts), render)
+
+
+def _float_rows(values: np.ndarray) -> _JsonRows:
+    from . import _text  # deferred, as in the CSV exports
+
+    def render(start: int, stop: int, pad: str) -> str:
+        chunk = values[start:stop]
+        cells = _text.join_blocks(
+            _text.literal(pad), _text.float_cells(chunk), _text.literal(",\n"))
+        text = _text.kept_text(cells)[:-2]
+        if not np.isfinite(chunk).all():  # repr's nan and inf, spelled as json spells them
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        return text
+
+    return _JsonRows(len(values), render)
+
+
+def _sink_solution_rows(solutions) -> _JsonRows:
+    def render(start: int, stop: int, pad: str) -> str:
+        template = f'{pad}{{\n{pad}  "kind": %s,\n{pad}  "sink": %d\n{pad}}}'
+        return ",\n".join([template % (_json_string(s.kind.value), s.sink_index)
+                            for s in solutions[start:stop]])
+
+    return _JsonRows(len(solutions), render)
+
+
+def _classification_json(classification: AgentClassification, labels: tuple[str, ...]) -> dict:
+    """:func:`~signedfj.topology.classification_to_dict`'s view, with its per-node
+    and per-sink lists as :class:`_JsonRows`."""
+    sinks = classification.sinks
+    sink_of = classification.sink_of
+    sided = [s for s in sinks if s.bipartition is not None]
+    side = np.zeros(classification.n, dtype=np.int64)
+    side[[i for s in sided for i in s.members]] = [x for s in sided for x in s.bipartition]
+    # 0 for a follower, 1 for a leader, 2 for a leader with a side
+    kind = (sink_of >= 0).view(np.int8) + (side != 0)
+
+    def nodes(start: int, stop: int, pad: str) -> str:
+        head = f'{pad}{{\n{pad}  "node": %s,\n{pad}  "role": '
+        leader = head + _json_string(Role.OPINION_LEADER.value)
+        # every template takes (node, side, sink); "%.0s" writes nothing
+        templates = (
+            f"{head}{_json_string(Role.FOLLOWER.value)}%.0s%.0s\n{pad}}}",
+            f'{leader},%.0s\n{pad}  "sink": %d\n{pad}}}',
+            f'{leader},\n{pad}  "side": %d,\n{pad}  "sink": %d\n{pad}}}',
+        )
+        fields = zip(map(_json_string, labels[start:stop]),
+                     side[start:stop].tolist(), sink_of[start:stop].tolist())
+        return ",\n".join(map(operator.mod,
+                               map(templates.__getitem__, kind[start:stop].tolist()), fields))
+
+    def sink_rows(start: int, stop: int, pad: str) -> str:
+        inner = pad + "  "
+        template = (f'{pad}{{\n{inner}"class": %s,\n{inner}"contains_stubborn": %s,'
+                    f'\n{inner}"in_s_ns": %s,\n{inner}"index": %d,'
+                    f'\n{inner}"members": [\n{inner}  %s\n{inner}]\n{pad}}}')
+        between = f",\n{inner}  "
+        return ",\n".join(
+            template % (_json_string(s.sink_class.value),
+                        "true" if s.contains_stubborn else "false",
+                        "true" if s.in_s_ns else "false", s.sink_index,
+                        between.join([_json_string(labels[i]) for i in s.members]))
+            for s in sinks[start:stop]
+        )
+
+    return {
+        "follower_count": classification.follower_count,
+        "leader_count": classification.n - classification.follower_count,
+        "nodes": _JsonRows(classification.n, nodes),
+        "sinks": _JsonRows(len(sinks), sink_rows),
+        "s_ns": sorted(classification.s_ns),
+    }
 
 
 def _validated(graph: SignedDigraph, beta) -> ValidationReport | None:
@@ -335,22 +468,19 @@ def cmd_analyze(config: RunConfig) -> int:
             "negative_edges": report.graph.negative_edge_count,
             "weak_components": report.weak_components,
         },
-        "classification": classification_to_dict(
-            analysis.classification, report.graph.labels
-        ),
+        "classification": _classification_json(analysis.classification, report.graph.labels),
         "spectral": {
             "regime": analysis.spectral.regime.value,
             "spectral_radius": analysis.spectral.spectral_radius,
             "spectral_radius_abs": analysis.spectral.spectral_radius_abs,
-            "sink_spectral_radii": list(analysis.spectral.sink_spectral_radii),
+            "sink_spectral_radii": _float_rows(
+                np.array(analysis.spectral.sink_spectral_radii, dtype=np.float64)),
             "approximate": analysis.spectral.approximate,
         },
-        "sink_solutions": [
-            {"sink": s.sink_index, "kind": s.kind.value} for s in analysis.sink_solutions
-        ],
+        "sink_solutions": _sink_solution_rows(analysis.sink_solutions),
         "steady_state": {
-            "labels": list(report.graph.labels),
-            "values": [float(v) for v in x_star],
+            "labels": _string_rows(report.graph.labels),
+            "values": _float_rows(np.asarray(x_star, dtype=np.float64)),
         },
         "centrality_top": top,
     }

@@ -198,44 +198,48 @@ def classify_agents(
     is balanced and none of its members is stubborn.
     """
     beta = np.asarray(beta, dtype=np.float64)
+    members = [sccs.components[cid] for cid in dag.sinks]
+    sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    # every sink member, sink after sink, and where each sink starts among them
+    order = np.fromiter((i for m in members for i in m), dtype=np.int64, count=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
     sink_of = np.full(graph.n, -1, dtype=np.int64)
-    for k, cid in enumerate(dag.sinks):
-        sink_of[list(sccs.components[cid])] = k
-    balance = balance_check(graph, np.flatnonzero(sink_of >= 0))
+    sink_of[order] = np.repeat(np.arange(len(members)), sizes)
+    leaders = np.flatnonzero(sink_of >= 0)
     side = np.zeros(graph.n, dtype=np.int64)
-    side[list(balance.nodes)] = balance.sides
+    side[leaders] = balance_check(graph, leaders).sides
+    sides = side[order]
+    stubborn = np.logical_or.reduceat(beta[order] > 0, starts).tolist()
+    signed = np.logical_and.reduceat(sides != 0, starts).tolist()
+    negative = np.logical_or.reduceat(sides < 0, starts).tolist()
+    sides = sides.tolist()
 
     sinks: list[SinkInfo] = []
+    stop = 0
     for k, cid in enumerate(dag.sinks):
-        members = sccs.components[cid]
-        stubborn = bool(np.any(beta[list(members)] > 0))
-        sides = side[list(members)]
-        if len(members) == 1:
+        start, stop = stop, stop + len(members[k])
+        if stop - start == 1:
             sink_class = SinkClass.SINGLETON_SB
             bipartition: tuple[int, ...] | None = (1,)
-        elif not sides.all():
+        elif not signed[k]:
             sink_class = SinkClass.SUB
             bipartition = None
         else:
-            sink_class = (
-                SinkClass.ANTAGONISTIC_SB if (sides < 0).any() else SinkClass.COOPERATIVE_SB
-            )
-            bipartition = tuple(sides.tolist())
+            sink_class = SinkClass.ANTAGONISTIC_SB if negative[k] else SinkClass.COOPERATIVE_SB
+            bipartition = tuple(sides[start:stop])
         sinks.append(
             SinkInfo(
                 sink_index=k,
                 component=cid,
-                members=members,
+                members=members[k],
                 sink_class=sink_class,
                 bipartition=bipartition,
-                contains_stubborn=stubborn,
-                in_s_ns=sink_class.is_balanced and not stubborn,
+                contains_stubborn=stubborn[k],
+                in_s_ns=bipartition is not None and not stubborn[k],
             )
         )
 
-    roles = tuple(
-        Role.OPINION_LEADER if sink_of[i] >= 0 else Role.FOLLOWER for i in range(graph.n)
-    )
+    roles = tuple(map((Role.FOLLOWER, Role.OPINION_LEADER).__getitem__, (sink_of >= 0).tolist()))
     sink_of.setflags(write=False)
     return AgentClassification(
         roles=roles,

@@ -7,9 +7,10 @@ the update rule vs the closed-form solver for limits, a list of freshly
 allocated states vs ``simulate``'s in-place record array, C-order panels
 refined on whole-panel residuals and joined while the factor lives vs the
 in-place Fortran panels refined in column chunks and joined after it is
-freed, one column swept at a time vs panels swept in column chunks, and
+freed, one column swept at a time vs panels swept in column chunks,
 whole-text, entry-by-entry CSV writers vs the chunked
-streaming ones.
+streaming ones, and one set of array look-ups per sink vs one pass over
+every sink member for the sink classification.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
-from signedfj import SignedDigraph, row_normalized, simulate
+from signedfj import SignedDigraph, balance_check, row_normalized, simulate
 from signedfj.dynamics import Trajectory
+from signedfj.topology import AgentClassification, Role, SinkClass, SinkInfo
 
 
 def union_find_components(n: int, pairs) -> int:
@@ -63,6 +65,43 @@ def brute_force_balanced(graph: SignedDigraph, nodes):
         if all(sigma[a] * sigma[b] == sign for a, b, sign in constraints):
             return True, np.array(sigma)
     return False, None
+
+
+def classify_by_sink(graph: SignedDigraph, sccs, dag, beta) -> AgentClassification:
+    """``classify_agents``'s result, built with look-ups into the member arrays sink by sink."""
+    beta = np.asarray(beta, dtype=np.float64)
+    sink_of = np.full(graph.n, -1, dtype=np.int64)
+    for k, cid in enumerate(dag.sinks):
+        sink_of[list(sccs.components[cid])] = k
+    balance = balance_check(graph, np.flatnonzero(sink_of >= 0))
+    side = np.zeros(graph.n, dtype=np.int64)
+    side[list(balance.nodes)] = balance.sides
+    sinks = []
+    for k, cid in enumerate(dag.sinks):
+        members = sccs.components[cid]
+        stubborn = bool(np.any(beta[list(members)] > 0))
+        sides = side[list(members)]
+        if len(members) == 1:
+            sink_class, bipartition = SinkClass.SINGLETON_SB, (1,)
+        elif not sides.all():
+            sink_class, bipartition = SinkClass.SUB, None
+        else:
+            sink_class = (
+                SinkClass.ANTAGONISTIC_SB if (sides < 0).any() else SinkClass.COOPERATIVE_SB
+            )
+            bipartition = tuple(sides.tolist())
+        sinks.append(SinkInfo(
+            sink_index=k, component=cid, members=members, sink_class=sink_class,
+            bipartition=bipartition, contains_stubborn=stubborn,
+            in_s_ns=sink_class.is_balanced and not stubborn,
+        ))
+    roles = tuple(
+        Role.OPINION_LEADER if sink_of[i] >= 0 else Role.FOLLOWER for i in range(graph.n)
+    )
+    return AgentClassification(
+        roles=roles, sink_of=sink_of, sinks=tuple(sinks),
+        s_ns=frozenset(s.sink_index for s in sinks if s.in_s_ns),
+    )
 
 
 def limit_by_iteration(graph: SignedDigraph, beta, x0, *, tol=1e-13):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -216,6 +217,35 @@ class TestHeaderDetection:
         assert runs[0][0] == 0 and runs[0][2]["nodes"] == 2
         assert runs[0][4] == {"labels": ["a", "b"], "values": [pytest.approx(1 / 3), -1.0]}
 
+
+    @pytest.mark.parametrize("kind, text, line", [
+        ("graph", b"a\xff,b,1\nb,b,1\n", 1),
+        ("graph", b"a,b,1\r\nb,b,1\r\nb\xc3,a,1\n", 3),  # a cut-off two-byte character
+        ("graph", b"\xef\xbb\xbfa,b,1\rb,b,1\ra,a,\xe2\x82\n", 3),  # lines after a mark
+        ("beta", b"a\xff,0.5\n", 1),
+        ("beta", b"a,0.5\r\nb,0\r\nb\xc3,0\n", 3),
+        ("beta", b"\xef\xbb\xbfa,0.5\rb,0\ra,\xe2\x82\n", 3),
+        ("x0", b"a\xff,1\nb,-1\n", 1),
+        ("x0", b"a,1\r\nb,-1\r\nb\xc3,0\n", 3),
+        ("x0", b"\xef\xbb\xbfa,1\rb,-1\ra,\xe2\x82\n", 3),
+    ])
+    def test_bytes_that_are_not_utf8_exit_2(self, tmp_path, out_dir, capsys, kind, text, line):
+        """The error names the file and the line of the first bad byte."""
+        paths = {"graph": tmp_path / "g.csv", "beta": tmp_path / "b.csv",
+                 "x0": tmp_path / "x.csv"}
+        write(paths["graph"], "a,b,1\nb,b,1\na,a,1\n")
+        write(paths["beta"], "a,0.5\n")
+        write(paths["x0"], "a,1\nb,-1\n")
+        paths[kind].write_bytes(text)
+        argv = ["analyze", "--out-dir", out_dir]
+        for flag, path in paths.items():
+            argv += [f"--{flag}", path]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: line {line}: {paths[kind]} is not UTF-8: byte 0x")
+        assert err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
 
 class TestSimulate:
     def test_antagonistic_final_row(self, tmp_path, out_dir):
@@ -560,6 +590,44 @@ class TestDeterminism:
         assert np.max(np.abs(theta @ np.array([0.9, -0.4]) - final)) <= 1e-8
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# main() called in a fresh interpreter, as a script that imports the package would call it
+IN_PROCESS = "import sys; from signedfj.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_outputs(entry: list[str], argv, out: Path, level: str | None) -> dict:
+    """Exit code, stdout, stderr and every file written under ``out`` by one run."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("SIGNEDFJ_LOG_LEVEL", None)
+    if level is not None:
+        env["SIGNEDFJ_LOG_LEVEL"] = level
+    proc = subprocess.run([sys.executable, *entry, *map(str, argv)], capture_output=True,
+                          env=env)
+    files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files}
+
+
+def entry_cases(tmp_path: Path) -> dict[str, list]:
+    graph, beta = write_inputs(tmp_path)
+    x0 = write_x0(tmp_path)
+    common = ["--graph", graph, "--beta", beta]
+    tiny = write(tmp_path / "tiny.csv", "a,a,1\nb,a,1\nb,b,1\n")
+    return {
+        "analyze": ["analyze", *common, "--x0", x0],
+        "centrality": ["centrality", *common],
+        "simulate": ["simulate", *common, "--x0", x0],
+        "modify": ["modify", *common, "--flip-edge", "f00,f01", "--set-beta", "z=0.5"],
+        "exit 2": ["analyze", "--graph", write(tmp_path / "bad.csv", "a,b,1\na,b\n")],
+        "exit 3": ["simulate", *common, "--x0", x0, "--max-iters", "3"],
+        "exit 4": ["centrality", "--graph", tmp_path / "absent.csv"],
+        # 1 - 2**-54 rounds to 1, so the stubborn sink's I - B is singular in floating point
+        "exit 5": ["analyze", "--graph", tiny,
+                   "--beta", write(tmp_path / "tiny_beta.csv", "a,5.551115123125783e-17\n")],
+    }
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         graph = write(tmp_path / "g.csv", CHAIN)
@@ -574,6 +642,41 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("case, level", [
+        *[(case, level) for case in ("analyze", "centrality", "simulate", "modify")
+          for level in (None, "INFO")],
+        ("exit 2", None), ("exit 3", "INFO"), ("exit 4", None), ("exit 5", "INFO"),
+    ])
+    def test_module_and_in_process_main_give_the_same_bytes(self, tmp_path, case, level):
+        """``python -m signedfj`` freezes the import heap first; nothing it writes changes."""
+        out = tmp_path / "out"
+        argv = [*entry_cases(tmp_path)[case], "--out-dir", out]
+        module = run_outputs(["-m", "signedfj"], argv, out, level)
+        if out.exists():
+            out.rename(tmp_path / "module_out")
+        in_process = run_outputs(["-c", IN_PROCESS], argv, out, level)
+        assert module == in_process
+        expected = int(case.split()[1]) if case.startswith("exit") else 0
+        assert module["exit"] == expected
+        assert bool(module["files"]) == (expected in (0, 3))
+        if level == "INFO" and expected in (0, 3):
+            assert b"INFO:signedfj" in module["stderr"]
+
+    def test_in_process_main_freezes_nothing(self, tmp_path):
+        before = gc.get_freeze_count()
+        graph = write(tmp_path / "g.csv", CHAIN)
+        assert run(["analyze", "--graph", graph, "--out-dir", tmp_path / "out"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_entry_freezes_the_heap(self, monkeypatch):
+        from signedfj import __main__ as entry
+
+        calls = []
+        monkeypatch.setattr(entry.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 0)
+        assert entry.run() == 0
+        assert calls == ["freeze", "main"]
 
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:

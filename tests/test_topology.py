@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,11 +13,16 @@ from signedfj import (
     canonical_ordering,
     classify_agents,
     condense,
+    ensure_self_loops,
+    parse_edge_list,
+    read_stubbornness,
     strongly_connected_components,
 )
 from signedfj import topology
 from instances import example_seventeen, random_instance, triangle
-from oracles import brute_force_balanced
+from oracles import brute_force_balanced, classify_by_sink
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def analyze(graph, beta=None):
@@ -356,6 +365,61 @@ class TestClassification:
                 keys.append("side")
                 assert entry["side"] == sink.bipartition[sink.members.index(i)]
             assert list(entry) == keys
+
+def load_workloads():
+    """The benchmark's input generators, imported from their file once."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:  # dataclasses look their module up there
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def assert_same_classification(got, want):
+    assert got.roles == want.roles
+    assert got.sink_of.dtype == want.sink_of.dtype
+    assert np.array_equal(got.sink_of, want.sink_of)
+    assert got.sinks == want.sinks
+    for mine, theirs in zip(got.sinks, want.sinks):  # Python ints and bools, as before
+        assert type(mine.contains_stubborn) is bool and type(mine.sink_index) is int
+        assert mine.bipartition is None or all(type(x) is int for x in mine.bipartition)
+    assert got.s_ns == want.s_ns
+
+
+class TestClassificationMatchesPerSinkOracle:
+    """One pass over the sink members gives what per-sink array look-ups give."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_instances(self, seed):
+        graph, beta, _ = random_instance(9300 + seed, n_max=30 if seed % 2 else 60)
+        sccs = strongly_connected_components(graph)
+        dag = condense(graph, sccs)
+        assert_same_classification(classify_agents(graph, sccs, dag, beta),
+                                   classify_by_sink(graph, sccs, dag, beta))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_sink_classes(self, seed):
+        graph, _, _, _ = many_sinks_instance()
+        beta = np.random.default_rng(seed).choice([0.0, 0.0, 0.5, 1.0], graph.n)
+        sccs = strongly_connected_components(graph)
+        dag = condense(graph, sccs)
+        assert_same_classification(classify_agents(graph, sccs, dag, beta),
+                                   classify_by_sink(graph, sccs, dag, beta))
+
+    @pytest.mark.parametrize("name", ["ratings", "many_sinks", "slow_mixing"])
+    def test_workload_inputs(self, tmp_path, name):
+        workload = getattr(load_workloads(), name)(1)
+        paths = workload.write(tmp_path)
+        graph = parse_edge_list(paths["graph"].read_text())
+        if workload.ensure_self_loops is not None:
+            graph = ensure_self_loops(graph, workload.ensure_self_loops)
+        beta, _ = read_stubbornness(paths["beta"].read_text(), graph)
+        sccs = strongly_connected_components(graph)
+        dag = condense(graph, sccs)
+        assert_same_classification(classify_agents(graph, sccs, dag, beta),
+                                   classify_by_sink(graph, sccs, dag, beta))
+
 
 class TestCanonicalOrdering:
     def test_single_scc_has_no_followers(self):
